@@ -25,7 +25,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -126,6 +126,10 @@ class ExperimentConfig:
         if self.realizations < 1:
             problems.append(
                 f"percolation.realizations = {self.realizations}: must be >= 1"
+            )
+        if not (0 <= self.master_seed < 2**64):
+            problems.append(
+                f"percolation.seed = {self.master_seed}: must lie in [0, 2**64)"
             )
         if self.n_max < 1:
             problems.append(f"percolation.n_max = {self.n_max}: must be >= 1")
@@ -409,19 +413,24 @@ def run_ids(cfg: ExperimentConfig, g: EmbeddedGraph, grid: np.ndarray) -> IdsTab
             "enlarge the patch or reduce the counting radius"
         )
     rows = np.vstack([r[0] for r in results if r[2] is not None])
-    t = templates[0]
-    return IdsTable(
-        energies=t.energies,
+    return replace(
+        templates[0],
         rows=rows,
-        volume=t.volume,
-        window_vertices=t.window_vertices,
-        p=t.p,
-        master_seed=t.master_seed,
-        counting_radius=t.counting_radius,
         requested_realizations=total,
         truncated_realizations=truncated,
-        graph_signature=t.graph_signature,
     )
+
+
+def _estimate(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) -> IdsTable:
+    """The counting table of ``ids`` and ``lifshits``.  Without a counting
+    radius the window is the patch less one boundary layer (recorded in the
+    manifest); the energy grid follows the window volume."""
+    if cfg.counting_radius is None:
+        cfg.counting_radius = max(cfg.radius - max(cfg.margin, g.l_max), cfg.radius / 2.0)
+        writer.manifest.config["counting_radius"] = cfg.counting_radius
+    volume = math.pi * cfg.counting_radius**2
+    grid = cfg.energy_grid(g.d_max, volume)
+    return run_ids(cfg, g, grid)
 
 
 def _ids_outputs(cfg: ExperimentConfig, table: IdsTable, writer: OutputWriter) -> None:
@@ -583,12 +592,7 @@ def cmd_ids(cfg: ExperimentConfig) -> int:
     writer = OutputWriter("ids", cfg)
     g = generate(cfg.generator_spec())
     writer.stage("generate")
-    if cfg.counting_radius is None:
-        cfg.counting_radius = max(cfg.radius - max(cfg.margin, g.l_max), cfg.radius / 2.0)
-        writer.manifest.config["counting_radius"] = cfg.counting_radius
-    volume = math.pi * cfg.counting_radius**2
-    grid = cfg.energy_grid(g.d_max, volume)
-    table = run_ids(cfg, g, grid)
+    table = _estimate(cfg, g, writer)
     writer.stage("ids")
     _ids_outputs(cfg, table, writer)
     writer.finish()
@@ -606,12 +610,7 @@ def cmd_lifshits(cfg: ExperimentConfig) -> int:
     writer = OutputWriter("lifshits", cfg)
     g = generate(cfg.generator_spec())
     writer.stage("generate")
-    if cfg.counting_radius is None:
-        cfg.counting_radius = max(cfg.radius - max(cfg.margin, g.l_max), cfg.radius / 2.0)
-        writer.manifest.config["counting_radius"] = cfg.counting_radius
-    volume = math.pi * cfg.counting_radius**2
-    grid = cfg.energy_grid(g.d_max, volume)
-    table = run_ids(cfg, g, grid)
+    table = _estimate(cfg, g, writer)
     writer.stage("ids")
 
     # the top anchor documents total spectral mass; it sits in the bulk and

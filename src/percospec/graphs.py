@@ -16,7 +16,7 @@ same vertex order, edge order, and embedding, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -27,14 +27,12 @@ __all__ = [
     "Basis",
     "Ball",
     "Rect",
-    "ExactCoord",
     "EmbeddedGraph",
     "GeneratorSpec",
     "GraphGenerationError",
     "generate",
     "restrict",
     "translate",
-    "translate_point",
     "geometry_report",
     "GeometryReport",
     "dumps",
@@ -212,37 +210,13 @@ Region = Ball | Rect
 # graphs
 
 
-@dataclass(frozen=True)
-class ExactCoord:
-    """One vertex: integer coefficients in a named basis plus its embedding.
-
-    Equality and hashing use only (basis_id, coeffs); the float embedding is
-    a derived view and never participates in comparisons.
-    """
-
-    basis_id: str
-    coeffs: tuple[int, ...]
-    embed: tuple[float, float]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactCoord):
-            return NotImplemented
-        return self.basis_id == other.basis_id and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.basis_id, self.coeffs))
-
-
 @dataclass
 class EmbeddedGraph:
     """A finite patch with exact vertex coordinates and an edge list.
 
     ``coeffs`` is an (N, rank) int64 array sorted lexicographically by row;
     ``edges`` is an (M, 2) int64 array with each row (i, j), i < j, sorted
-    lexicographically.  ``origin`` is a float offset added to every embedded
-    vertex; it exists so that two patches can differ by a shift that is not
-    representable in the integer module (used by the patch metric), and it
-    defaults to zero.  The geometry constants r, l_max, d_max are declared
+    lexicographically.  The geometry constants r, l_max, d_max are declared
     values for the infinite graph the patch was cut from; ``geometry_report``
     re-measures them on the patch itself.
     """
@@ -251,9 +225,7 @@ class EmbeddedGraph:
     coeffs: np.ndarray
     edges: np.ndarray
     box: Region | None = None
-    origin: np.ndarray = field(default_factory=lambda: np.zeros(2))
     r: float = 0.0
-    R_dense: float | None = None
     l_max: float = 0.0
     d_max: int = 0
 
@@ -268,8 +240,6 @@ class EmbeddedGraph:
     @cached_property
     def embed(self) -> np.ndarray:
         pts = self.basis.embed(self.coeffs)
-        pts[:, 0] += self.origin[0]
-        pts[:, 1] += self.origin[1]
         pts.flags.writeable = False
         return pts
 
@@ -277,10 +247,6 @@ class EmbeddedGraph:
     def coeff_index(self) -> dict[tuple[int, ...], int]:
         """Map coefficient tuple -> vertex index."""
         return {tuple(int(c) for c in row): i for i, row in enumerate(self.coeffs)}
-
-    @cached_property
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(a), int(b)) for a, b in self.edges}
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -291,12 +257,16 @@ class EmbeddedGraph:
     def vertex_tree(self) -> cKDTree:
         return cKDTree(self.embed)
 
-    def vertex(self, i: int) -> ExactCoord:
-        return ExactCoord(
-            basis_id=self.basis.id,
-            coeffs=tuple(int(c) for c in self.coeffs[i]),
-            embed=(float(self.embed[i, 0]), float(self.embed[i, 1])),
-        )
+    @cached_property
+    def near_boundary(self) -> np.ndarray:
+        """Mask of the vertices within l_max of the patch boundary (none
+        without a box): a cluster owning one may continue past the patch."""
+        if self.box is None:
+            mask = np.zeros(self.n_vertices, dtype=bool)
+        else:
+            mask = self.box.boundary_distance(self.embed) < self.l_max
+        mask.flags.writeable = False
+        return mask
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n_vertices, dtype=np.int64)
@@ -306,14 +276,13 @@ class EmbeddedGraph:
         return deg
 
     def same_structure(self, other: "EmbeddedGraph") -> bool:
-        """Exact structural equality: basis, coefficients, edges, origin."""
+        """Exact structural equality: basis, coefficients, edges."""
         return (
             self.basis.id == other.basis.id
             and self.coeffs.shape == other.coeffs.shape
             and np.array_equal(self.coeffs, other.coeffs)
             and self.edges.shape == other.edges.shape
             and np.array_equal(self.edges, other.edges)
-            and np.array_equal(self.origin, other.origin)
         )
 
     def validate(self) -> None:
@@ -326,7 +295,7 @@ class EmbeddedGraph:
                 raise ValueError("edges must satisfy i < j (no self-loops)")
             if np.any(e < 0) or np.any(e >= self.n_vertices):
                 raise ValueError("edge endpoint out of range")
-            if len(self.edge_set) != self.n_edges:
+            if np.unique(e, axis=0).shape[0] != self.n_edges:
                 raise ValueError("duplicate edges")
             lengths = np.linalg.norm(
                 self.embed[e[:, 0]] - self.embed[e[:, 1]], axis=1
@@ -339,12 +308,6 @@ class EmbeddedGraph:
         if self.d_max and deg.size and int(deg.max()) > self.d_max:
             raise ValueError("vertex degree exceeds declared d_max")
 
-    def with_origin(self, origin: Sequence[float]) -> "EmbeddedGraph":
-        """Copy of the patch embedded with a different float origin offset."""
-        g = replace(self, origin=np.asarray(origin, dtype=float))
-        g.__dict__.pop("embed", None)
-        return g
-
 
 def _finalize(
     basis: Basis,
@@ -352,7 +315,6 @@ def _finalize(
     edges: np.ndarray,
     box: Region | None,
     geometry: dict,
-    origin: np.ndarray | None = None,
 ) -> EmbeddedGraph:
     """Sort vertices lexicographically, remap and sort edges, build the graph."""
     coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1, basis.rank)
@@ -374,7 +336,6 @@ def _finalize(
         coeffs=coeffs,
         edges=edges,
         box=box,
-        origin=np.zeros(2) if origin is None else np.asarray(origin, dtype=float),
         r=geometry["r"],
         l_max=geometry["l_max"],
         d_max=geometry["d_max"],
@@ -714,9 +675,7 @@ def restrict(g: EmbeddedGraph, region: Region) -> EmbeddedGraph:
         coeffs=coeffs,
         edges=edges,
         box=region,
-        origin=g.origin.copy(),
         r=g.r,
-        R_dense=g.R_dense,
         l_max=g.l_max,
         d_max=g.d_max,
     )
@@ -739,54 +698,9 @@ def translate(g: EmbeddedGraph, coeff_shift: Sequence[int]) -> EmbeddedGraph:
         coeffs=g.coeffs + shift,
         edges=g.edges.copy(),
         box=g.box.translated(emb_shift) if g.box is not None else None,
-        origin=g.origin.copy(),
         r=g.r,
-        R_dense=g.R_dense,
         l_max=g.l_max,
         d_max=g.d_max,
-    )
-
-
-def translate_point(g: EmbeddedGraph, xy: Sequence[float], tol: float = 1e-9) -> EmbeddedGraph:
-    """Translate by a plane vector, which must be exactly representable.
-
-    For rank-2 bases the coefficient vector is solved directly.  For rank-4
-    bases the embedding is not invertible, so the vector is resolved against
-    differences of existing patch vertices; a vector that matches none of
-    them within ``tol`` is rejected.
-    """
-    xy = np.asarray(xy, dtype=float)
-    basis = g.basis
-    if basis.rank == 2:
-        sol = np.linalg.solve(basis.vectors.T, xy)
-        rounded = np.rint(sol)
-        if np.max(np.abs(sol - rounded)) > tol:
-            raise ValueError(
-                f"{tuple(xy)} is not an exact lattice translation for basis "
-                f"{basis.id!r}"
-            )
-        return translate(g, rounded.astype(np.int64))
-    if g.n_vertices == 0:
-        raise ValueError("cannot resolve a translation against an empty patch")
-    emb = g.embed
-    # Probe a few central vertices; a representable shift maps at least one
-    # of them onto another patch vertex as long as it is not too large.
-    key_of = {}
-    scale = 1.0 / tol
-    for i in range(g.n_vertices):
-        key_of[(round(emb[i, 0] * scale), round(emb[i, 1] * scale))] = i
-    central = np.argsort(emb[:, 0] ** 2 + emb[:, 1] ** 2)[:32]
-    for i in central:
-        target = emb[i] + xy
-        j = key_of.get((round(target[0] * scale), round(target[1] * scale)))
-        if j is None:
-            continue
-        shift = g.coeffs[j] - g.coeffs[i]
-        check = basis.embed(shift.reshape(1, -1))[0]
-        if np.max(np.abs(check - xy)) <= tol:
-            return translate(g, shift)
-    raise ValueError(
-        f"{tuple(xy)} is not representable in the {basis.id!r} coefficient module"
     )
 
 
@@ -865,8 +779,8 @@ def dumps(g: EmbeddedGraph) -> str:
 def loads(text: str) -> EmbeddedGraph:
     """Parse the line format produced by :func:`dumps`.
 
-    The loaded patch has no box (the serialization does not carry one) and a
-    zero origin; geometry constants are re-measured from the data."""
+    The loaded patch has no box (the serialization does not carry one);
+    geometry constants are re-measured from the data."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty graph serialization")

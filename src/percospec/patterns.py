@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import Ball, EmbeddedGraph, ball_volume
+from .percolation import decompose
 
 __all__ = [
     "CanonicalPattern",
@@ -31,12 +32,9 @@ __all__ = [
     "pattern_at",
     "count_occurrences",
     "occurrence_plan",
-    "coloured_count",
     "frequency_series",
-    "coloured_frequency",
     "positive_lower_frequency_check",
     "density_report",
-    "graph_distance",
 ]
 
 
@@ -265,9 +263,6 @@ def count_occurrences(
     return plan.coloured_count(np.asarray(open_mask, dtype=bool), p.colours)
 
 
-coloured_count = count_occurrences
-
-
 @dataclass
 class FrequencyReport:
     radii: list[float]
@@ -276,12 +271,6 @@ class FrequencyReport:
     frequencies: list[float]
     nu_hat: float
     spread_halfwidth: float
-
-    def as_rows(self, pattern_radius: float) -> list[tuple]:
-        return [
-            (pattern_radius, n, c, v, f)
-            for n, c, v, f in zip(self.radii, self.counts, self.volumes, self.frequencies)
-        ]
 
 
 def frequency_series(
@@ -306,18 +295,6 @@ def frequency_series(
     nu_hat = float(np.mean(tail))
     spread = (max(tail) - min(tail)) / 2.0
     return FrequencyReport(radii, counts, volumes, freqs, nu_hat, spread)
-
-
-def coloured_frequency(
-    p: CanonicalPattern,
-    g: EmbeddedGraph,
-    open_mask: np.ndarray,
-    radii: Sequence[float],
-) -> FrequencyReport:
-    """Frequency series of a coloured pattern in one bond configuration."""
-    if p.colours is None:
-        raise ValueError("pattern has no colours; use frequency_series")
-    return frequency_series(p, g, radii, open_mask)
 
 
 def positive_lower_frequency_check(
@@ -356,27 +333,13 @@ def density_report(
     within l_max of the patch boundary; for a patch with no edges nothing
     touches, so the unbounded density is zero.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     if g.box is None:
         raise ValueError("patch has no box")
     radii = sorted(float(r) for r in radii)
-    n = g.n_vertices
-    if g.n_edges:
-        m = coo_matrix(
-            (np.ones(g.n_edges), (g.edges[:, 0], g.edges[:, 1])), shape=(n, n)
-        )
-        _, labels = connected_components(m, directed=False)
-    else:
-        labels = np.arange(n)
-    touches_boundary = g.box.boundary_distance(g.embed) < g.l_max
-    n_labels = int(labels.max()) + 1 if n else 0
-    cluster_touches = np.zeros(n_labels, dtype=bool)
-    np.maximum.at(cluster_touches, labels, touches_boundary)
-    vertex_unbounded = cluster_touches[labels] if n else np.zeros(0, dtype=bool)
+    dec = decompose(g, np.ones(g.n_edges, dtype=bool))
+    vertex_unbounded = dec.boundary_touching[dec.labels]
 
-    dist0 = np.hypot(g.embed[:, 0], g.embed[:, 1]) if n else np.zeros(0)
+    dist0 = np.hypot(g.embed[:, 0], g.embed[:, 1])
     rho, rho_inf = [], []
     for r in radii:
         inside = dist0 < r
@@ -391,130 +354,3 @@ def density_report(
         rho_hat=float(np.mean(rho[-q:])),
         rho_infinity_hat=float(np.mean(rho_inf[-q:])),
     )
-
-
-# ---------------------------------------------------------------------------
-# patch metric
-
-
-def _usable_radius(g: EmbeddedGraph) -> float:
-    """Radius around the origin within which the patch is a faithful window
-    of its infinite graph."""
-    if g.box is None:
-        raise ValueError("patch has no box")
-    if isinstance(g.box, Ball):
-        c = np.hypot(g.box.center[0], g.box.center[1])
-        return g.box.radius - c
-    return float(
-        min(
-            -g.box.xmin, g.box.xmax, -g.box.ymin, g.box.ymax
-        )
-    )
-
-
-def graph_distance(
-    g1: EmbeddedGraph,
-    g2: EmbeddedGraph,
-    shift_search_radius: float = 2.0,
-    iterations: int = 40,
-) -> float:
-    """Distance in the local matching topology, capped at 2**-1/2.
-
-    Two patches are at distance < eps when small shifts x, y (|x|, |y| < eps)
-    make them agree exactly on the ball of radius 1/eps.  Candidate relative
-    shifts are differences of exact vertex coordinates near the origin (plus
-    the zero shift), the float origins riding along.  The search bisects on
-    eps down to the resolution floor 1/(usable patch radius).
-    """
-    cap = 2.0 ** -0.5
-    if g1.basis.id != g2.basis.id:
-        raise ValueError("patch metric requires a common coefficient basis")
-    floor = 1.0 / min(_usable_radius(g1), _usable_radius(g2))
-    if floor >= cap:
-        return cap
-
-    near1 = np.flatnonzero(
-        np.hypot(g1.embed[:, 0], g1.embed[:, 1]) <= shift_search_radius
-    )
-    near2 = np.flatnonzero(
-        np.hypot(g2.embed[:, 0], g2.embed[:, 1]) <= shift_search_radius
-    )
-    deltas: dict[tuple[int, ...], np.ndarray] = {}
-    zero = tuple(0 for _ in range(g1.basis.rank))
-    origin_gap = g1.origin - g2.origin
-    deltas[zero] = g1.basis.embed(np.zeros((1, g1.basis.rank)))[0] + origin_gap
-    for i in near1:
-        for j in near2:
-            d = tuple(int(c) for c in (g1.coeffs[i] - g2.coeffs[j]))
-            if d not in deltas:
-                deltas[d] = (
-                    g1.basis.embed(np.asarray(d).reshape(1, -1))[0] + origin_gap
-                )
-    # drop shifts that can never fit below the cap
-    deltas = {
-        d: v for d, v in deltas.items() if float(np.hypot(*v)) < 2.0 * cap
-    }
-
-    def agree(eps: float) -> bool:
-        rho = 1.0 / eps
-        for d, vec in deltas.items():
-            if float(np.hypot(*vec)) >= 2.0 * eps:
-                continue
-            mid = vec / 2.0
-            # the comparison ball must stay inside both known windows
-            if rho + float(np.hypot(*mid)) > min(_usable_radius(g1), _usable_radius(g2)) + 1e-9:
-                continue
-            if _patterns_agree(g1, g2, d, vec, mid, rho):
-                return True
-        return False
-
-    if not agree(cap - 1e-12):
-        return cap
-    lo, hi = floor, cap - 1e-12
-    if agree(lo):
-        return lo
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if agree(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _patterns_agree(
-    g1: EmbeddedGraph,
-    g2: EmbeddedGraph,
-    delta_coeffs: tuple[int, ...],
-    delta_vec: np.ndarray,
-    center: np.ndarray,
-    rho: float,
-) -> bool:
-    """Exact equality of g1 and (delta + g2) on the ball B_rho(center)."""
-    d1 = g1.embed - center[None, :]
-    in1 = np.flatnonzero(d1[:, 0] ** 2 + d1[:, 1] ** 2 < rho * rho)
-    d2 = g2.embed + delta_vec[None, :] - center[None, :]
-    in2 = np.flatnonzero(d2[:, 0] ** 2 + d2[:, 1] ** 2 < rho * rho)
-    if in1.size != in2.size:
-        return False
-    shift = np.asarray(delta_coeffs, dtype=np.int64)
-    set1 = {tuple(int(c) for c in g1.coeffs[i]) for i in in1}
-    set2 = {tuple(int(c) for c in (g2.coeffs[j] + shift)) for j in in2}
-    if set1 != set2:
-        return False
-    in1_set = set(int(i) for i in in1)
-    edges1 = {
-        (tuple(int(c) for c in g1.coeffs[a]), tuple(int(c) for c in g1.coeffs[b]))
-        for a, b in g1.edges
-        if int(a) in in1_set and int(b) in in1_set
-    }
-    in2_set = set(int(j) for j in in2)
-    edges2 = {
-        (
-            tuple(int(c) for c in (g2.coeffs[a] + shift)),
-            tuple(int(c) for c in (g2.coeffs[b] + shift)),
-        )
-        for a, b in g2.edges
-        if int(a) in in2_set and int(b) in in2_set
-    }
-    return edges1 == edges2

@@ -112,14 +112,20 @@ class ClusterDecomposition:
     ``labels`` maps each vertex to its cluster id; ``sizes`` counts vertices
     per cluster; ``boundary_touching`` flags clusters owning a vertex within
     l_max of the patch boundary (the finite-patch proxy for "possibly cut
-    off").  The explicit per-cluster vertex lists are materialized lazily.
+    off").  The flags and the explicit per-cluster vertex lists are
+    materialized lazily.
     """
 
     graph: EmbeddedGraph
     labels: np.ndarray
     n_clusters: int
     sizes: np.ndarray
-    boundary_touching: np.ndarray
+
+    @cached_property
+    def boundary_touching(self) -> np.ndarray:
+        touching = np.zeros(self.n_clusters, dtype=bool)
+        touching[self.labels[self.graph.near_boundary]] = True
+        return touching
 
     @cached_property
     def clusters(self) -> list[np.ndarray]:
@@ -146,18 +152,11 @@ def decompose(g: EmbeddedGraph, omega: BondConfiguration | np.ndarray) -> Cluste
         n_clusters, labels = n, np.arange(n, dtype=np.int64)
     labels = labels.astype(np.int64)
     sizes = np.bincount(labels, minlength=n_clusters)
-    if g.box is not None and n:
-        near_boundary = g.box.boundary_distance(g.embed) < g.l_max
-        touching = np.zeros(n_clusters, dtype=bool)
-        np.maximum.at(touching, labels, near_boundary)
-    else:
-        touching = np.zeros(n_clusters, dtype=bool)
     return ClusterDecomposition(
         graph=g,
         labels=labels,
         n_clusters=n_clusters,
         sizes=sizes,
-        boundary_touching=touching,
     )
 
 

@@ -19,7 +19,7 @@ the per-realization cost into bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -257,7 +257,6 @@ class IdsTable:
     counting_radius: float | None
     requested_realizations: int
     truncated_realizations: int
-    graph_signature: dict = field(default_factory=dict)
 
     @property
     def realizations(self) -> int:
@@ -277,10 +276,6 @@ class IdsTable:
     @property
     def zero_index(self) -> int:
         return int(np.searchsorted(self.energies, 0.0))
-
-    @property
-    def n_zero(self) -> float:
-        return float(self.mean[self.zero_index])
 
     def tail(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean and standard error of N(E) - N(0) on the energy grid."""
@@ -334,10 +329,6 @@ def ids_estimate(
         in_ball = ball.contains(g.embed)
         volume = math.pi * counting_radius**2
     window_vertices = int(in_ball.sum())
-    if flag_boundary and g.box is not None:
-        near_edge = g.box.boundary_distance(g.embed) < g.l_max
-    else:
-        near_edge = None
 
     cache = _ShapeCache(grid)
     pair_key = (2, np.array([[0, 1]], dtype=np.int64).tobytes())
@@ -354,12 +345,9 @@ def ids_estimate(
         labels, sizes = dec.labels, dec.sizes
         in_count = np.bincount(labels[in_ball], minlength=dec.n_clusters)
         counted = in_count > 0
-        if near_edge is not None:
-            near = np.zeros(dec.n_clusters, dtype=bool)
-            np.maximum.at(near, labels, near_edge)
-            if bool((counted & near).any()):
-                truncated += 1
-                continue
+        if flag_boundary and bool((counted & dec.boundary_touching).any()):
+            truncated += 1
+            continue
         big = counted & (sizes > max_cluster_size)
         if bool(big.any()):
             raise RuntimeError(
@@ -405,11 +393,6 @@ def ids_estimate(
         counting_radius=counting_radius,
         requested_realizations=params.realizations,
         truncated_realizations=truncated,
-        graph_signature={
-            "basis": g.basis.id,
-            "n_vertices": g.n_vertices,
-            "n_edges": g.n_edges,
-        },
     )
 
 

@@ -182,6 +182,7 @@ def test_criterion_06_coloured_frequency_factorization(patch100):
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_rigorous_lower_bound(big_run):
     """The chain-counting lower bound stays below the measured tail (plus
     4 SE) at every reliable grid point in [0.02, 0.5] — and the check has
@@ -216,6 +217,7 @@ def test_criterion_07_rigorous_lower_bound(big_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_linearized_exponent(big_run):
     """Some decade-wide window of the same run fits the linearized tail law
     at R^2 >= 0.95, and the fit recovers a synthetic slope to 6 digits."""
@@ -304,6 +306,7 @@ def test_criterion_10_monotone_coupling():
     )
 
 
+@pytest.mark.slow
 def test_criterion_11_flc_census_stability():
     """The Penrose r = 1.1 pattern census is saturated: generation radii
     20 and 40 expose identical sets of translation classes."""

@@ -141,6 +141,18 @@ class TestSubcommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_exits_two(self, tmp_path, capsys, seed):
+        code = main(
+            [
+                "ids", "--family", "square", "--radius", "12",
+                "--counting-radius", "8", "--realizations", "2",
+                "--seed", str(seed), "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 2
+        assert "percolation.seed" in capsys.readouterr().err
+
     def test_census_square_stable(self, tmp_path):
         out = tmp_path / "census"
         code = main(

@@ -92,7 +92,7 @@ class TestAperiodic:
             for a, b in tree.query_pairs(1.0 + 1e-9)
             if abs(np.linalg.norm(g.embed[a] - g.embed[b]) - 1.0) <= 1e-9
         }
-        assert pairs == g.edge_set
+        assert pairs == {tuple(e) for e in g.edges}
 
     def test_ammann_beenker_geometry_constants(self):
         g = graphs.generate(GeneratorSpec("ammann_beenker", 9.0))
@@ -197,29 +197,6 @@ class TestTranslate:
         right = graphs.translate(graphs.restrict(g, region), (2, 1))
         assert left.same_structure(right)
 
-    def test_translate_point_square(self):
-        g = graphs.generate(GeneratorSpec("square", 4.0))
-        t = graphs.translate_point(g, (1.0, 0.0))
-        assert t.same_structure(graphs.translate(g, (1, 0)))
-        with pytest.raises(ValueError, match="not an exact lattice translation"):
-            graphs.translate_point(g, (0.3, 0.0))
-
-    def test_translate_point_triangular(self):
-        g = graphs.generate(GeneratorSpec("triangular", 4.0))
-        t = graphs.translate_point(g, (0.5, math.sqrt(3.0) / 2.0))
-        assert t.same_structure(graphs.translate(g, (0, 1)))
-
-    def test_translate_point_penrose_module_vector(self):
-        g = graphs.generate(GeneratorSpec("penrose", 6.0))
-        # zeta_0 = (1, 0) is a module generator
-        t = graphs.translate_point(g, (1.0, 0.0))
-        assert t.same_structure(graphs.translate(g, (1, 0, 0, 0)))
-
-    def test_translate_point_penrose_rejects_nonmodule(self):
-        g = graphs.generate(GeneratorSpec("penrose", 6.0))
-        with pytest.raises(ValueError, match="not representable"):
-            graphs.translate_point(g, (0.5, 0.5))
-
     def test_wrong_rank_rejected(self):
         g = graphs.generate(GeneratorSpec("square", 3.0))
         with pytest.raises(ValueError):
@@ -265,6 +242,12 @@ class TestGeometryReport:
         g.coeffs = np.array([[0, 0], [0, 0]], dtype=np.int64)
         g.__dict__.pop("coeff_index", None)
         with pytest.raises(ValueError, match="duplicate vertex"):
+            g.validate()
+
+    def test_validate_catches_duplicate_edge(self):
+        g = graphs.from_coeffs("square", [(0, 0), (1, 0)], [(0, 1)])
+        g.edges = np.array([[0, 1], [0, 1]], dtype=np.int64)
+        with pytest.raises(ValueError, match="duplicate edges"):
             g.validate()
 
 
