@@ -53,6 +53,8 @@ from .percolation import (
     PercolationParams,
     bounds_report,
     boundary_path_probability,
+    chi_estimate,
+    cluster_size_statistic,
     cluster_size_tail,
     edge_uniforms,
     gamma_rate,
@@ -159,12 +161,8 @@ class ExperimentConfig:
     def generator_spec(self) -> GeneratorSpec:
         return GeneratorSpec(family=self.family, radius=self.radius)
 
-    def percolation_params(self, realizations: int | None = None) -> PercolationParams:
-        return PercolationParams(
-            p=self.p,
-            master_seed=self.master_seed,
-            realizations=self.realizations if realizations is None else realizations,
-        )
+    def percolation_params(self) -> PercolationParams:
+        return PercolationParams(p=self.p, master_seed=self.master_seed, realizations=self.realizations)
 
     def energy_grid(self, d_max: int, volume: float) -> np.ndarray:
         """Log grid from e_max down to e_min at per_decade points per decade,
@@ -372,56 +370,38 @@ def _json_text(obj) -> str:
 # the chunked estimator run shared by `ids` and `lifshits`
 
 
-def run_ids(cfg: ExperimentConfig, g: EmbeddedGraph, grid: np.ndarray) -> IdsTable:
+def run_ids(cfg: ExperimentConfig, g: EmbeddedGraph, grid: np.ndarray, observe=None) -> IdsTable:
     """Estimate the spectral counting table, splitting realizations into
-    contiguous chunks across threads.
+    contiguous chunks on a thread pool of at most one worker per usable CPU.
 
-    Realization streams are keyed by absolute index, so the stacked rows are
-    identical to a single-threaded run no matter the chunking.
+    Realization streams are keyed by absolute index, so stacking the rows of
+    the chunks that kept any reproduces a one-chunk run exactly; the rest
+    were truncated.  ``observe`` goes to every chunk's ``ids_estimate``.
     """
     total = cfg.realizations
     n_chunks = min(cfg.threads, total)
     bounds = np.linspace(0, total, n_chunks + 1).astype(int)
 
-    def one_chunk(start: int, stop: int):
-        params = cfg.percolation_params(realizations=stop - start)
+    def one_chunk(start: int, stop: int) -> IdsTable | None:
+        params = replace(cfg.percolation_params(), realizations=stop - start)
         try:
-            t = ids_estimate(
-                g,
-                params,
-                grid,
-                counting_radius=cfg.counting_radius,
-                realization_offset=start,
-            )
-            return t.rows, t.truncated_realizations, t
+            return ids_estimate(g, params, grid, counting_radius=cfg.counting_radius,
+                                realization_offset=start, observe=observe)
         except AllRealizationsTruncated:
-            return np.empty((0, 0)), stop - start, None
+            return None
 
-    if n_chunks == 1:
-        results = [one_chunk(0, total)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-            results = list(
-                pool.map(lambda se: one_chunk(*se), zip(bounds[:-1], bounds[1:]))
-            )
-
-    truncated = sum(r[1] for r in results)
-    templates = [r[2] for r in results if r[2] is not None]
-    if not templates:
-        raise AllRealizationsTruncated(
-            "every realization had a counted cluster near the patch boundary; "
-            "enlarge the patch or reduce the counting radius"
-        )
-    rows = np.vstack([r[0] for r in results if r[2] is not None])
-    return replace(
-        templates[0],
-        rows=rows,
-        requested_realizations=total,
-        truncated_realizations=truncated,
-    )
+    with ThreadPoolExecutor(max_workers=min(n_chunks, len(os.sched_getaffinity(0)))) as pool:
+        tables = [t for t in pool.map(one_chunk, bounds[:-1], bounds[1:]) if t is not None]
+    if not tables:
+        raise AllRealizationsTruncated()
+    rows = np.vstack([t.rows for t in tables])
+    return replace(tables[0], rows=rows, requested_realizations=total,
+                   truncated_realizations=total - rows.shape[0])
 
 
-def _estimate(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) -> IdsTable:
+def _estimate(
+    cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter, observe=None
+) -> IdsTable:
     """The counting table of ``ids`` and ``lifshits``.  Without a counting
     radius the window is the patch less one boundary layer (recorded in the
     manifest); the energy grid follows the window volume."""
@@ -430,7 +410,12 @@ def _estimate(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) -> 
         writer.manifest.config["counting_radius"] = cfg.counting_radius
     volume = math.pi * cfg.counting_radius**2
     grid = cfg.energy_grid(g.d_max, volume)
-    return run_ids(cfg, g, grid)
+    return run_ids(cfg, g, grid, observe)
+
+
+def _chi_margin(cfg: ExperimentConfig, g: EmbeddedGraph) -> float:
+    """Boundary margin of the vertices that chi averages over."""
+    return min(30.0 * g.l_max, cfg.radius / 2.0)
 
 
 def _ids_outputs(cfg: ExperimentConfig, table: IdsTable, writer: OutputWriter) -> None:
@@ -563,9 +548,7 @@ def cmd_percolate(cfg: ExperimentConfig) -> int:
     sizes = cluster_size_tail(g, params, range(1, cfg.n_max + 1))
     exit_n = range(1, min(cfg.n_max, 12) + 1)
     exits = boundary_path_probability(g, params, exit_n)
-    chi, chi_se = mean_cluster_size(
-        g, params, margin=min(30.0 * g.l_max, cfg.radius / 2.0)
-    )
+    chi, chi_se = mean_cluster_size(g, params, margin=_chi_margin(cfg, g))
     writer.stage("percolate")
 
     rows = []
@@ -610,7 +593,14 @@ def cmd_lifshits(cfg: ExperimentConfig) -> int:
     writer = OutputWriter("lifshits", cfg)
     g = generate(cfg.generator_spec())
     writer.stage("generate")
-    table = _estimate(cfg, g, writer)
+    # chi is taken from the estimator's realizations, row r from realization r
+    chi_row = cluster_size_statistic(g, _chi_margin(cfg, g))
+    chi_rows = np.empty((cfg.realizations, 1))
+
+    def observe(omega, dec) -> None:
+        chi_rows[omega.realization_index] = chi_row(dec)
+
+    table = _estimate(cfg, g, writer, observe)
     writer.stage("ids")
 
     # the top anchor documents total spectral mass; it sits in the bulk and
@@ -619,9 +609,7 @@ def cmd_lifshits(cfg: ExperimentConfig) -> int:
     densities = density_report(
         g, [0.5 * cfg.radius, 0.7 * cfg.radius, 0.9 * cfg.radius]
     )
-    chi, chi_se = mean_cluster_size(
-        g, cfg.percolation_params(), margin=min(30.0 * g.l_max, cfg.radius / 2.0)
-    )
+    chi, chi_se = chi_estimate(chi_rows)
     bounds = bounds_report(cfg.p, g.d_max, g.l_max, chi_hat=chi, chi_stderr=chi_se)
     report = certify_bracketing(
         analysis,

@@ -39,6 +39,8 @@ __all__ = [
     "cluster_size_tail",
     "boundary_path_probability",
     "boundary_path_bound",
+    "cluster_size_statistic",
+    "chi_estimate",
     "mean_cluster_size",
     "gamma_rate",
     "psi_rate",
@@ -301,24 +303,28 @@ def boundary_path_probability(
     )
 
 
-def mean_cluster_size(
-    g: EmbeddedGraph,
-    params: PercolationParams,
-    margin: float | None = None,
-) -> tuple[float, float]:
-    """chi_hat: average |C_v| over interior vertices and realizations,
-    together with its standard error."""
-    if margin is None:
-        margin = 30.0 * max(g.l_max, 1.0)
+def cluster_size_statistic(
+    g: EmbeddedGraph, margin: float
+) -> Callable[[ClusterDecomposition], np.ndarray]:
+    """The per-realization row of chi: mean |C_v| over the vertices farther
+    than ``margin`` from the patch boundary, as a length-1 array."""
     interior = _interior_indices(g, margin)
     if interior.size == 0:
         raise ValueError("no interior vertices at this margin; enlarge the patch")
+    return lambda dec: np.array([dec.sizes[dec.labels[interior]].mean()])
 
-    def stat(dec: ClusterDecomposition) -> np.ndarray:
-        return np.array([dec.sizes[dec.labels[interior]].mean()])
 
-    rows = _per_realization_mean(g, params, stat)
+def chi_estimate(rows: np.ndarray) -> tuple[float, float]:
+    """chi_hat and its standard error from the (realizations, 1) rows."""
     return float(rows.mean()), float(_sem(rows)[0])
+
+
+def mean_cluster_size(
+    g: EmbeddedGraph, params: PercolationParams, margin: float
+) -> tuple[float, float]:
+    """chi_hat: average |C_v| over the vertices farther than ``margin`` from
+    the patch boundary and over realizations, with its standard error."""
+    return chi_estimate(_per_realization_mean(g, params, cluster_size_statistic(g, margin)))
 
 
 def _patch_reach(g: EmbeddedGraph) -> float:

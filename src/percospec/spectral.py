@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .percolation import (
     BondConfiguration,
     ClusterDecomposition,
     PercolationParams,
+    _sem,
     decompose,
     sample,
 )
@@ -54,6 +55,11 @@ __all__ = [
 class AllRealizationsTruncated(RuntimeError):
     """Every realization of a run (or chunk of one) was dropped because a
     counted cluster reached the patch boundary."""
+
+    def __init__(self, message: str = "every realization had a counted cluster near the "
+                 "patch boundary; enlarge the patch or reduce the counting radius"):
+        super().__init__(message)
+
 
 # eigenvalues this close to zero are the kernel of a cluster Laplacian; the
 # smallest genuine positive eigenvalue of a connected cluster on s vertices
@@ -268,10 +274,7 @@ class IdsTable:
 
     @property
     def stderr(self) -> np.ndarray:
-        r = self.rows.shape[0]
-        if r < 2:
-            return np.zeros(self.rows.shape[1])
-        return self.rows.std(axis=0, ddof=1) / math.sqrt(r)
+        return _sem(self.rows)
 
     @property
     def zero_index(self) -> int:
@@ -280,9 +283,7 @@ class IdsTable:
     def tail(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean and standard error of N(E) - N(0) on the energy grid."""
         t = self.rows - self.rows[:, self.zero_index][:, None]
-        r = t.shape[0]
-        se = t.std(axis=0, ddof=1) / math.sqrt(r) if r >= 2 else np.zeros(t.shape[1])
-        return t.mean(axis=0), se
+        return t.mean(axis=0), _sem(t)
 
     def value_at(self, energy: float) -> float:
         """Mean count at the largest grid energy <= the query."""
@@ -300,6 +301,7 @@ def ids_estimate(
     flag_boundary: bool = True,
     max_cluster_size: int = 2000,
     realization_offset: int = 0,
+    observe: Callable[[BondConfiguration, ClusterDecomposition], None] | None = None,
 ) -> IdsTable:
     """Monte Carlo table of the finite-volume spectral count.
 
@@ -316,6 +318,10 @@ def ids_estimate(
     offset .. offset + realizations - 1.  Because every realization is keyed
     by its absolute index, splitting a run into contiguous chunks and
     stacking the resulting rows reproduces the single-call run exactly.
+
+    ``observe(cfg, dec)``, when given, sees every sampled configuration and
+    its decomposition, kept or truncated, so callers can take further
+    statistics of the same realizations without sampling them again.
     """
     grid = np.unique(np.concatenate([[0.0], np.asarray(list(energies), dtype=float)]))
     if grid[0] < 0.0:
@@ -342,6 +348,8 @@ def ids_estimate(
     for r in range(realization_offset, realization_offset + params.realizations):
         cfg = sample(g, params, r)
         dec = decompose(g, cfg)
+        if observe is not None:
+            observe(cfg, dec)
         labels, sizes = dec.labels, dec.sizes
         in_count = np.bincount(labels[in_ball], minlength=dec.n_clusters)
         counted = in_count > 0
@@ -379,10 +387,7 @@ def ids_estimate(
         rows.append(acc / volume)
 
     if not rows:
-        raise AllRealizationsTruncated(
-            "every realization had a counted cluster near the patch boundary; "
-            "enlarge the patch or reduce the counting radius"
-        )
+        raise AllRealizationsTruncated()
     return IdsTable(
         energies=grid,
         rows=np.array(rows),

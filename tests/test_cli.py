@@ -3,10 +3,12 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from percospec import cli
 from percospec.cli import (
     ConfigError,
     ExperimentConfig,
@@ -246,18 +248,58 @@ class TestSubcommands:
 
 class TestDeterminism:
     def test_ids_byte_identical_across_threads(self, tmp_path):
-        base = [
+        ids = [
             "ids", "--family", "square", "--radius", "14",
             "--counting-radius", "10", "--p", "0.25", "--realizations", "30",
             "--seed", "21", "--e-min", "0.08", "--e-max", "0.5",
         ]
-        outs = []
-        for tag, threads in (("a", "1"), ("b", "4"), ("c", "3")):
-            out = tmp_path / tag
-            assert main(base + ["--threads", threads, "--out", str(out)]) == 0
-            outs.append(out)
-        blobs = [(o / "ids.csv").read_bytes() for o in outs]
-        assert blobs[0] == blobs[1] == blobs[2]
+        # chi in lifshits.json comes from the estimator's chunks, so it
+        # must not depend on the chunking either (5 of 110 are truncated)
+        lifshits = [
+            "lifshits", "--family", "square", "--radius", "30",
+            "--counting-radius", "26", "--p", "0.1", "--realizations", "110",
+            "--seed", "7", "--e-min", "0.1", "--e-max", "0.8",
+        ]
+        for base, names, thread_counts in (
+            (ids, ["ids.csv"], ("1", "4", "3")),
+            (lifshits, ["ids.csv", "lifshits.json", "lifshits.csv"], ("1", "3")),
+        ):
+            blobs = []
+            for threads in thread_counts:
+                out = tmp_path / f"{base[0]}-{threads}"
+                assert main(base + ["--threads", threads, "--out", str(out)]) == 0
+                blobs.append([(out / name).read_bytes() for name in names])
+            assert all(b == blobs[0] for b in blobs[1:])
+
+    def test_thread_count_capped_at_usable_cpus(self, tmp_path, monkeypatch):
+        # a serial stand-in for the pool records the worker count without
+        # starting any threads; the chunk layout still follows --threads
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        base = [
+            "ids", "--family", "square", "--radius", "12",
+            "--counting-radius", "8", "--p", "0.2", "--realizations", "64",
+            "--seed", "9",
+        ]
+        assert main(base + ["--threads", "1", "--out", str(tmp_path / "one")]) == 0
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        assert main(base + ["--threads", "64", "--out", str(tmp_path / "many")]) == 0
+        assert workers == [min(64, len(os.sched_getaffinity(0)))]
+        one, many = ((tmp_path / d / "ids.csv").read_bytes() for d in ("one", "many"))
+        assert one == many
 
     def test_manifest_checksums_match_files(self, tmp_path):
         out = tmp_path / "m"
