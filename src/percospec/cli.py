@@ -506,6 +506,13 @@ def cmd_census(cfg: ExperimentConfig) -> int:
     census = extract_r_patterns(g, cfg.pattern_radius)
     half_spec = GeneratorSpec(family=cfg.family, radius=cfg.radius / 2.0)
     census_half = extract_r_patterns(generate(half_spec), cfg.pattern_radius)
+    if census_half.eligible_centers == 0:
+        raise ConfigError(
+            f"patterns.pattern_radius = {cfg.pattern_radius}: no vertex of the "
+            f"half-radius patch lies farther than that from its boundary, so "
+            "the stability check has no pattern to compare (always the case "
+            f"when pattern_radius >= radius/2 = {cfg.radius / 2:g})"
+        )
     writer.stage("census")
 
     area = math.pi * (cfg.radius - cfg.pattern_radius) ** 2

@@ -32,6 +32,7 @@ __all__ = [
     "GraphGenerationError",
     "generate",
     "restrict",
+    "induced_edges",
     "translate",
     "geometry_report",
     "GeometryReport",
@@ -135,6 +136,17 @@ _FAMILY_GEOMETRY = {
     "triangular": {"r": 0.5, "l_max": 1.0, "d_max": 6},
     "penrose": {"r": math.sin(math.pi / 10.0), "l_max": 1.0, "d_max": 7},
     "ammann_beenker": {"r": math.sin(math.pi / 8.0), "l_max": 1.0, "d_max": 8},
+}
+
+# Coefficient steps between the ends of an edge, one per unit edge direction
+# up to sign: two patch vertices are joined iff their coefficient rows differ
+# by one of these.  The ten penrose unit vectors are the +-zeta^k, and
+# zeta^4 = -(e0 + e1 + e2 + e3).
+_UNIT_STEPS = {
+    "square": ((1, 0), (0, 1)),
+    "triangular": ((1, 0), (0, 1), (1, -1)),
+    "penrose": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)),
+    "ammann_beenker": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
 }
 
 
@@ -309,39 +321,6 @@ class EmbeddedGraph:
             raise ValueError("vertex degree exceeds declared d_max")
 
 
-def _finalize(
-    basis: Basis,
-    coeffs: np.ndarray,
-    edges: np.ndarray,
-    box: Region | None,
-    geometry: dict,
-) -> EmbeddedGraph:
-    """Sort vertices lexicographically, remap and sort edges, build the graph."""
-    coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1, basis.rank)
-    n = coeffs.shape[0]
-    if n:
-        order = np.lexsort(coeffs.T[::-1])  # lexicographic by row
-        coeffs = coeffs[order]
-        inv = np.empty(n, dtype=np.int64)
-        inv[order] = np.arange(n)
-    else:
-        inv = np.empty(0, dtype=np.int64)
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.shape[0]:
-        edges = inv[edges]
-        edges = np.sort(edges, axis=1)
-        edges = np.unique(edges, axis=0)
-    return EmbeddedGraph(
-        basis=basis,
-        coeffs=coeffs,
-        edges=edges,
-        box=box,
-        r=geometry["r"],
-        l_max=geometry["l_max"],
-        d_max=geometry["d_max"],
-    )
-
-
 def from_coeffs(
     basis_id: str,
     coeffs: Iterable[Sequence[int]],
@@ -355,7 +334,13 @@ def from_coeffs(
     basis = get_basis(basis_id)
     coeffs = np.asarray(list(coeffs), dtype=np.int64).reshape(-1, basis.rank)
     edges = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-    g = _finalize(basis, coeffs, edges, box, {"r": 0.0, "l_max": 0.0, "d_max": 0})
+    # sort vertices lexicographically, remap and sort edges
+    order = np.lexsort(coeffs.T[::-1])
+    inv = np.empty(len(order), dtype=np.int64)
+    inv[order] = np.arange(len(order))
+    if edges.shape[0]:
+        edges = np.unique(np.sort(inv[edges], axis=1), axis=0)
+    g = EmbeddedGraph(basis=basis, coeffs=coeffs[order], edges=edges, box=box)
     emb = g.embed
     if g.n_edges:
         lengths = np.linalg.norm(emb[g.edges[:, 0]] - emb[g.edges[:, 1]], axis=1)
@@ -424,54 +409,72 @@ def generate(spec: GeneratorSpec) -> EmbeddedGraph:
     coefficient vector.  Repeated calls return identical graphs.
     """
     spec.validate()
-    if spec.family == "square":
-        g = _generate_lattice(spec, "square", [(1, 0), (0, 1)])
-    elif spec.family == "triangular":
-        g = _generate_lattice(spec, "triangular", [(1, 0), (0, 1), (1, -1)])
+    if spec.family in ("square", "triangular"):
+        candidates = _lattice_candidates(spec.radius)
     elif spec.family == "penrose":
-        g = _generate_pentagrid(spec)
+        candidates = _pentagrid_candidates(spec)
     else:
-        g = _generate_cut_and_project(spec)
-    return g
+        candidates = _cut_and_project_candidates(spec)
+    return _patch(spec.family, candidates, spec.radius)
 
 
-def _generate_lattice(
-    spec: GeneratorSpec, basis_id: str, neighbor_steps: list[tuple[int, int]]
-) -> EmbeddedGraph:
-    basis = get_basis(basis_id)
-    n = spec.radius
+def _patch(family: str, candidates: np.ndarray, radius: float) -> EmbeddedGraph:
+    """Induced patch on the candidate rows inside the open ball of ``radius``.
+
+    The kept rows are sorted lexicographically and deduplicated; two rows are
+    joined iff they differ by one of the family's unit steps.  Each row gets an
+    int64 key in a mixed radix whose digit ranges leave one spare value on
+    each side of the coefficient box, so key order is row order and adding a
+    step's key offset never wraps into another row.
+    """
+    basis = get_basis(family)
+    coeffs = np.asarray(candidates, dtype=np.int64).reshape(-1, basis.rank)
+    pts = basis.embed(coeffs)
+    coeffs = coeffs[pts[:, 0] ** 2 + pts[:, 1] ** 2 < radius * radius]
+    low = coeffs.min(axis=0, initial=0) - 1
+    span = coeffs.max(axis=0, initial=0) - low + 2
+    weights = np.cumprod(np.append(1, span[:0:-1]))[::-1]
+    keys, first = np.unique((coeffs - low) @ weights, return_index=True)
+    pairs = []
+    for step in np.asarray(_UNIT_STEPS[family], dtype=np.int64):
+        # every step leads with +1, so its partner has the larger key
+        target = keys + step @ weights
+        j = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
+        i = np.flatnonzero(keys[j] == target)
+        pairs.append(np.stack([i, j[i]], axis=1))
+    edges = np.concatenate(pairs)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    return EmbeddedGraph(
+        basis=basis,
+        coeffs=coeffs[first],
+        edges=edges,
+        box=Ball((0.0, 0.0), radius),
+        **_FAMILY_GEOMETRY[family],
+    )
+
+
+def _lattice_candidates(radius: float) -> np.ndarray:
     # Conservative coefficient range: both basis vectors have unit length and
     # the Gram matrix is well conditioned, so |k| <= 2n + 2 covers the ball.
-    kmax = int(math.ceil(2.0 * n + 2.0))
+    kmax = int(math.ceil(2.0 * radius + 2.0))
     ks = np.arange(-kmax, kmax + 1)
     ki, kj = np.meshgrid(ks, ks, indexing="ij")
-    coeffs = np.stack([ki.ravel(), kj.ravel()], axis=1).astype(np.int64)
-    pts = basis.embed(coeffs)
-    mask = pts[:, 0] ** 2 + pts[:, 1] ** 2 < n * n
-    coeffs = coeffs[mask]
-    index = {(int(a), int(b)): i for i, (a, b) in enumerate(coeffs)}
-    edges = []
-    for (a, b), i in index.items():
-        for da, db in neighbor_steps:
-            j = index.get((a + da, b + db))
-            if j is not None:
-                edges.append((i, j))
-    g = _finalize(
-        basis, coeffs, np.array(edges, dtype=np.int64).reshape(-1, 2),
-        Ball((0.0, 0.0), n), _FAMILY_GEOMETRY[basis_id],
-    )
-    return g
+    return np.stack([ki.ravel(), kj.ravel()], axis=1)
 
 
-def _generate_pentagrid(spec: GeneratorSpec) -> EmbeddedGraph:
-    """Rhombus tiling from a regular pentagrid.
+# Grid-index increments (r, s) of the four corners of a pentagrid rhombus.
+_RHOMBUS_STEPS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=np.int64)
+
+
+def _pentagrid_candidates(spec: GeneratorSpec) -> np.ndarray:
+    """Rhombus corners from a regular pentagrid.
 
     Five line grids with unit normals at angles 2*pi*j/5 and phases gamma_j;
     each pairwise line intersection is dual to one unit-edge rhombus whose
     four corners are integer combinations of the five unit vectors.  Corners
-    are deduplicated exactly through their rank-4 coefficient vectors.
+    are returned as rank-4 coefficient rows, one per rhombus corner, so
+    shared corners repeat exactly.
     """
-    basis = get_basis("penrose")
     n = spec.radius
     gamma = np.array(spec.pentagrid_offsets, dtype=float)
     zeta = np.array(
@@ -481,24 +484,7 @@ def _generate_pentagrid(spec: GeneratorSpec) -> EmbeddedGraph:
         ]
     )
     reach = n + 3.0  # rhombus corners sit within ~2.4 of the grid intersection
-    vertex_ids: dict[tuple[int, int, int, int], int] = {}
-    vertex_rows: list[tuple[int, int, int, int]] = []
-    edge_keys: set[tuple[int, int]] = set()
-
-    def vertex_id(k5: np.ndarray) -> int:
-        key = (
-            int(k5[0] - k5[4]),
-            int(k5[1] - k5[4]),
-            int(k5[2] - k5[4]),
-            int(k5[3] - k5[4]),
-        )
-        vid = vertex_ids.get(key)
-        if vid is None:
-            vid = len(vertex_rows)
-            vertex_ids[key] = vid
-            vertex_rows.append(key)
-        return vid
-
+    corner_rows: list[np.ndarray] = []
     kmax = int(math.ceil(reach + 1.0))
     for r in range(5):
         for s in range(r + 1, 5):
@@ -533,32 +519,12 @@ def _generate_pentagrid(spec: GeneratorSpec) -> EmbeddedGraph:
                             "degenerate pentagrid offsets: three grid lines "
                             f"meet near {x}; perturb the offsets"
                         )
-                    corners = np.empty(4, dtype=np.int64)
-                    for idx, (er, es) in enumerate(
-                        ((0, 0), (1, 0), (0, 1), (1, 1))
-                    ):
-                        k5 = base.copy()
-                        k5[r] = kr + er
-                        k5[s] = ks_ + es
-                        corners[idx] = vertex_id(k5)
-                    for a, b in ((0, 1), (0, 2), (1, 3), (2, 3)):
-                        u, v = corners[a], corners[b]
-                        edge_keys.add((u, v) if u < v else (v, u))
-
-    coeffs = np.array(vertex_rows, dtype=np.int64).reshape(-1, 4)
-    pts = basis.embed(coeffs)
-    keep = pts[:, 0] ** 2 + pts[:, 1] ** 2 < n * n
-    new_index = -np.ones(coeffs.shape[0], dtype=np.int64)
-    new_index[keep] = np.arange(int(keep.sum()))
-    edges = [
-        (new_index[u], new_index[v])
-        for u, v in sorted(edge_keys)
-        if keep[u] and keep[v]
-    ]
-    return _finalize(
-        basis, coeffs[keep], np.array(edges, dtype=np.int64).reshape(-1, 2),
-        Ball((0.0, 0.0), n), _FAMILY_GEOMETRY["penrose"],
-    )
+                    k5 = np.tile(base, (4, 1))
+                    k5[:, r] = kr + _RHOMBUS_STEPS[:, 0]
+                    k5[:, s] = ks_ + _RHOMBUS_STEPS[:, 1]
+                    # rank-4 coefficients: zeta_4 = -(zeta_0 + ... + zeta_3)
+                    corner_rows.append(k5[:, :4] - k5[:, 4:])
+    return np.concatenate(corner_rows) if corner_rows else np.empty((0, 4), np.int64)
 
 
 def _ab_projections() -> tuple[np.ndarray, np.ndarray]:
@@ -574,11 +540,10 @@ def _ab_projections() -> tuple[np.ndarray, np.ndarray]:
     return phys, internal
 
 
-def _generate_cut_and_project(spec: GeneratorSpec) -> EmbeddedGraph:
-    """Octagonal tiling: project Z^4 points whose internal image falls in a
-    regular-octagon window; connect images of points differing by a lattice
-    unit vector (unit physical distance)."""
-    basis = get_basis("ammann_beenker")
+def _cut_and_project_candidates(spec: GeneratorSpec) -> np.ndarray:
+    """Octagonal tiling: the Z^4 points near the ball whose internal image
+    falls in a regular-octagon window (their images are joined by a lattice
+    unit vector, which has unit physical length)."""
     n = spec.radius
     phys, internal = _ab_projections()
     shift = np.asarray(spec.window_shift, dtype=float)
@@ -624,34 +589,19 @@ def _generate_cut_and_project(spec: GeneratorSpec) -> EmbeddedGraph:
         chunk = chunk[window_accept(y)]
         if chunk.shape[0]:
             accepted.append(chunk)
-    if accepted:
-        coeffs = np.concatenate(accepted, axis=0)
-    else:
-        coeffs = np.empty((0, 4), dtype=np.int64)
-
-    pts = coeffs @ phys
-    keep = pts[:, 0] ** 2 + pts[:, 1] ** 2 < n * n
-    coeffs = coeffs[keep]
-    index = {tuple(int(c) for c in row): i for i, row in enumerate(coeffs)}
-    edges = []
-    for row, i in index.items():
-        for axis in range(4):
-            nb = list(row)
-            nb[axis] += 1
-            j = index.get(tuple(nb))
-            if j is not None:
-                d = np.linalg.norm(phys[axis])
-                if abs(d - 1.0) > 1e-9:  # all four steps embed with unit length
-                    continue
-                edges.append((i, j))
-    return _finalize(
-        basis, coeffs, np.array(edges, dtype=np.int64).reshape(-1, 2),
-        Ball((0.0, 0.0), n), _FAMILY_GEOMETRY["ammann_beenker"],
-    )
+    return np.concatenate(accepted) if accepted else np.empty((0, 4), np.int64)
 
 
 # ---------------------------------------------------------------------------
 # operations
+
+
+def induced_edges(g: EmbeddedGraph, members: np.ndarray) -> np.ndarray:
+    """Edges of ``g`` with both ends in ``members`` (ascending vertex ids),
+    in ``g``'s edge order, renumbered to positions in ``members``."""
+    mask = np.zeros(g.n_vertices, dtype=bool)
+    mask[members] = True
+    return np.searchsorted(members, g.edges[mask[g.edges[:, 0]] & mask[g.edges[:, 1]]])
 
 
 def restrict(g: EmbeddedGraph, region: Region) -> EmbeddedGraph:
@@ -661,19 +611,11 @@ def restrict(g: EmbeddedGraph, region: Region) -> EmbeddedGraph:
     identity.  Restriction only ever removes data, so the caller is trusted
     not to pass a region larger than the patch's known extent.
     """
-    mask = region.contains(g.embed)
-    new_index = -np.ones(g.n_vertices, dtype=np.int64)
-    new_index[mask] = np.arange(int(mask.sum()))
-    coeffs = g.coeffs[mask]
-    if g.n_edges:
-        emask = mask[g.edges[:, 0]] & mask[g.edges[:, 1]]
-        edges = new_index[g.edges[emask]]
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
+    members = np.flatnonzero(region.contains(g.embed))
     return EmbeddedGraph(
         basis=g.basis,
-        coeffs=coeffs,
-        edges=edges,
+        coeffs=g.coeffs[members],
+        edges=induced_edges(g, members),
         box=region,
         r=g.r,
         l_max=g.l_max,

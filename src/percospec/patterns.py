@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Ball, EmbeddedGraph, ball_volume
+from .graphs import Ball, EmbeddedGraph, ball_volume, induced_edges
 from .percolation import decompose
 
 __all__ = [
@@ -107,23 +107,12 @@ def canonicalize(
 def pattern_at(g: EmbeddedGraph, center: int, radius: float) -> CanonicalPattern:
     """Induced r-pattern around one vertex (the caller guarantees that the
     ball lies inside the patch)."""
-    members = sorted(g.vertex_tree.query_ball_point(g.embed[center], radius))
-    # strict inequality: the pattern ball is open, mirroring patch cut-off
-    members = [
-        i
-        for i in members
-        if float(np.hypot(*(g.embed[i] - g.embed[center]))) < radius
-    ]
-    member_set = set(members)
-    local = {v: k for k, v in enumerate(members)}
-    edges = [
-        (local[a], local[b])
-        for a, b in g.edges
-        if int(a) in member_set and int(b) in member_set
-    ]
-    return canonicalize(
-        g.basis.id, [g.coeffs[i] for i in members], edges
-    )
+    members = np.sort(g.vertex_tree.query_ball_point(g.embed[center], radius))
+    # strict hypot test: the pattern ball is open (Ball.contains compares
+    # squared distances and rounds differently at exact-distance ties)
+    d = g.embed[members] - g.embed[center]
+    members = members[np.hypot(d[:, 0], d[:, 1]) < radius]
+    return canonicalize(g.basis.id, g.coeffs[members], induced_edges(g, members))
 
 
 @dataclass
@@ -165,10 +154,10 @@ def extract_r_patterns(g: EmbeddedGraph, radius: float) -> PatternCensus:
 
 def _resolve_translate(
     g: EmbeddedGraph, p: CanonicalPattern, anchor_vertex: int
-) -> tuple[int, ...] | None:
-    """Map the pattern anchor onto ``anchor_vertex``; return the tuple of
-    graph edge indices hit by the pattern edges, or None if the translate
-    does not embed as a subgraph."""
+) -> tuple[list[int], list[int]] | None:
+    """Map the pattern anchor onto ``anchor_vertex``; return the graph vertex
+    ids of the pattern vertices and the graph edge indices hit by the pattern
+    edges, or None if the translate does not embed as a subgraph."""
     base = g.coeffs[anchor_vertex]
     idx = g.coeff_index
     vids = []
@@ -188,7 +177,7 @@ def _resolve_translate(
         if e is None:
             return None
         hits.append(e)
-    return tuple(hits)
+    return vids, hits
 
 
 @dataclass
@@ -222,19 +211,10 @@ def occurrence_plan(
     inside = ball.contains(g.embed)
     rows = []
     for anchor in np.flatnonzero(inside):
-        hits = _resolve_translate(g, pu, int(anchor))
-        if hits is None:
-            continue
+        resolved = _resolve_translate(g, pu, int(anchor))
         # all vertices of the translate must lie in the counting ball
-        base = g.coeffs[anchor]
-        ok = True
-        for rel in pu.coords:
-            vid = g.coeff_index[tuple(int(b + r) for b, r in zip(base, rel))]
-            if not inside[vid]:
-                ok = False
-                break
-        if ok:
-            rows.append(hits)
+        if resolved is not None and inside[resolved[0]].all():
+            rows.append(resolved[1])
     edge_hits = (
         np.array(rows, dtype=np.int64).reshape(len(rows), pu.n_edges)
         if rows

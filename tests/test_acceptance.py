@@ -306,7 +306,6 @@ def test_criterion_10_monotone_coupling():
     )
 
 
-@pytest.mark.slow
 def test_criterion_11_flc_census_stability():
     """The Penrose r = 1.1 pattern census is saturated: generation radii
     20 and 40 expose identical sets of translation classes."""

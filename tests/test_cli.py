@@ -171,6 +171,23 @@ class TestSubcommands:
         assert lines[0] == "radius,n,count,volume,frequency"
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("radius,pattern_radius", [("1", "1.5"), ("3", "1.6")])
+    def test_census_without_half_radius_centres_exits_two(
+        self, tmp_path, capsys, radius, pattern_radius
+    ):
+        # an empty half-radius census would compare 0 classes: "stable" at
+        # radius 1 (nothing on either patch), "UNSTABLE" at radius 3
+        out = tmp_path / "census"
+        code = main(
+            [
+                "census", "--family", "square", "--radius", radius,
+                "--pattern-radius", pattern_radius, "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "patterns.pattern_radius" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_percolate_outputs(self, tmp_path):
         out = tmp_path / "perc"
         code = main(

@@ -1,9 +1,10 @@
 """Golden outputs: fixed small runs whose files must not change by a byte.
 
-The digests were recorded from the estimator, the density report and the
-census before their internals were rewritten; a change here means the
-numbers the CLI writes have changed, not just the code that computes them.
-The golden lifshits run also checks what the benchmark's tracer reports.
+The digests were recorded from the estimator, the density report, the
+census and the four patch generators before their internals were rewritten;
+a change here means the numbers the CLI writes have changed, not just the
+code that computes them.  The golden lifshits run also checks what the
+benchmark's tracer reports.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from percospec.cli import main
+from percospec.graphs import GeneratorSpec, dumps, generate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +39,26 @@ CENSUS_SHA256 = {
 }
 
 
+# SHA-256 of dumps(generate(...)) for the radii the suite and the benchmark
+# generate; the triangular radii 1 and 2 sit exactly on lattice distances
+PATCH_SHA256 = {
+    ("square", 40): "be1ea322ad103ddfb98694ed88a38b6dad3ee01ea9ef75f57bb6ca1893d350a3",
+    ("square", 150): "429f8665df9124ebd28814f857705330252b6039fb85cd508f54d9708b3a8409",
+    ("triangular", 1): "0e80112da16714080816f5cc2a0ad5d1d279c0c3d158985eb3cebb9126410054",
+    ("triangular", 2): "8974e2b4ed71f1fbf5672939d0e30b2fe7c0c84564dd1cda255bf4d66ab93e1c",
+    ("triangular", 8): "62fb58bb084d2b172051963d20f9320693e66ac1bc604da36f05dad31c204e1a",
+    ("triangular", 12): "51d4c834188a6554178c7b03983cf4187f9c9eb14ec4cb2d22b477e677b0570f",
+    ("penrose", 12): "bd26c0c6406cd5515d8bfc49be8ffb5f4ca7f49684e33b30238e9eb2dd54d374",
+    ("penrose", 16): "d1518b5e2f07470f0691d1e673c2e51f7271491908a9ef2d22582748554f265f",
+    ("penrose", 20): "9c692e3e1aac701ff82ea913c5124e6d305e79650e1bf0dfe448765fc9a0409e",
+    ("penrose", 40): "b71c059ffc65dc6818794994793aa817e129a210351d424be5d7624f10ef66dc",
+    ("ammann_beenker", 9): "6ec92d98978d49c01bbf1dc3a9ec3d82ebea601ac24b87f7dd5533219f69b866",
+    ("ammann_beenker", 16): "447d69212d7af200bb720b247755f801439c55294403e7e950af9541d2bc8831",
+    ("ammann_beenker", 40): "709c6254cb3e99f70bac9f65cdaa29746970749a51530d94c6f542b92e7c68a8",
+    ("ammann_beenker", 45): "da489eb80231d581d565bebe63f72cecb359a694aff9cf7b547be4cee5ff4feb",
+}
+
+
 def _digests(out, names):
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
@@ -49,6 +71,13 @@ def test_lifshits_outputs_match_golden(tmp_path, threads):
     # realizations are whole chunks
     assert main(LIFSHITS_ARGV + ["--threads", threads, "--out", str(tmp_path)]) == 0
     assert _digests(tmp_path, LIFSHITS_SHA256) == LIFSHITS_SHA256
+
+
+@pytest.mark.parametrize("family,radius", sorted(PATCH_SHA256))
+def test_patch_matches_golden(family, radius):
+    g = generate(GeneratorSpec(family=family, radius=float(radius)))
+    digest = hashlib.sha256(dumps(g).encode()).hexdigest()
+    assert digest == PATCH_SHA256[(family, radius)]
 
 
 def test_penrose_census_matches_golden(tmp_path):

@@ -110,8 +110,8 @@ class TestCensus:
             ("triangular", 12.0, 24.0),
             # rare vertex stars first appear around radius 16; by 20 the
             # census is saturated for both aperiodic families
-            pytest.param("penrose", 20.0, 40.0, marks=pytest.mark.slow),
-            pytest.param("ammann_beenker", 20.0, 40.0, marks=pytest.mark.slow),
+            ("penrose", 20.0, 40.0),
+            ("ammann_beenker", 20.0, 40.0),
         ],
     )
     def test_flc_census_stable_under_patch_growth(self, family, r_small, r_large):
@@ -127,6 +127,32 @@ class TestCensus:
     def test_penrose_has_several_vertex_stars(self, penrose_20):
         census = extract_r_patterns(penrose_20, 1.1)
         assert census.distinct > 1
+
+    @pytest.mark.parametrize(
+        "family,patch_radius,r",
+        [("triangular", 12.0, 1.0), ("triangular", 12.0, 2.0), ("penrose", 16.0, 2.0)],
+    )
+    def test_pattern_at_matches_brute_force_at_ties(self, family, patch_radius, r):
+        # at these radii vertices sit at exactly distance r from a centre, and
+        # the squared-distance test of Ball.contains disagrees with the strict
+        # hypot test at some centres; pattern_at must follow the hypot test
+        g = generate(GeneratorSpec(family=family, radius=patch_radius))
+        eligible = np.flatnonzero(g.box.boundary_distance(g.embed) > r)
+        ball_disagrees = 0
+        for c in eligible:
+            d = g.embed - g.embed[c]
+            members = [int(i) for i in np.flatnonzero(np.hypot(d[:, 0], d[:, 1]) < r)]
+            local = {v: k for k, v in enumerate(members)}
+            edges = [
+                (local[a], local[b])
+                for a, b in g.edges.tolist()
+                if a in local and b in local
+            ]
+            oracle = canonicalize(family, [g.coeffs[i] for i in members], edges)
+            assert pattern_at(g, int(c), r) == oracle
+            in_ball = Ball(tuple(g.embed[c]), r).contains(g.embed)
+            ball_disagrees += not np.array_equal(np.flatnonzero(in_ball), members)
+        assert ball_disagrees > 0
 
     def test_census_hashes_are_distinct(self, square_20):
         census = extract_r_patterns(square_20, 2.1)
