@@ -114,8 +114,8 @@ class ClusterDecomposition:
     ``labels`` maps each vertex to its cluster id; ``sizes`` counts vertices
     per cluster; ``boundary_touching`` flags clusters owning a vertex within
     l_max of the patch boundary (the finite-patch proxy for "possibly cut
-    off").  The flags and the explicit per-cluster vertex lists are
-    materialized lazily.
+    off").  The flags, the vertex grouping by cluster and the explicit
+    per-cluster vertex lists are materialized lazily.
     """
 
     graph: EmbeddedGraph
@@ -130,9 +130,18 @@ class ClusterDecomposition:
         return touching
 
     @cached_property
+    def vertex_order(self) -> np.ndarray:
+        """Vertices grouped by cluster label, ascending within each cluster."""
+        return np.argsort(self.labels, kind="stable")
+
+    @cached_property
+    def vertex_bounds(self) -> np.ndarray:
+        """Cluster k owns ``vertex_order[vertex_bounds[k]:vertex_bounds[k + 1]]``."""
+        return np.concatenate([[0], np.cumsum(self.sizes)])
+
+    @cached_property
     def clusters(self) -> list[np.ndarray]:
-        order = np.argsort(self.labels, kind="stable")
-        bounds = np.searchsorted(self.labels[order], np.arange(self.n_clusters + 1))
+        order, bounds = self.vertex_order, self.vertex_bounds
         return [order[bounds[k] : bounds[k + 1]] for k in range(self.n_clusters)]
 
     def cluster_of(self, v: int) -> np.ndarray:

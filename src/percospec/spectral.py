@@ -13,7 +13,10 @@ need no eigenvectors at all.
 Spectra depend only on the combinatorial shape of a cluster, so eigensolves
 are cached under a translation-invariant shape key; in the subcritical
 regime a handful of shapes covers almost every cluster and the cache turns
-the per-realization cost into bookkeeping.
+the per-realization cost into bookkeeping.  The keys of a realization are
+built in one batch (one sort of its open edges, then one ``np.unique`` per
+cluster size and edge count), so the Python-level work per realization
+grows with the number of distinct shapes, not with the number of clusters.
 """
 
 from __future__ import annotations
@@ -69,13 +72,11 @@ SNAP_TOL = 1e-9
 
 def laplacian_from_edges(n: int, edges: np.ndarray) -> np.ndarray:
     """Dense combinatorial Laplacian D - A on n vertices."""
-    lap = np.zeros((n, n))
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    for a, b in edges:
-        lap[a, a] += 1.0
-        lap[b, b] += 1.0
-        lap[a, b] -= 1.0
-        lap[b, a] -= 1.0
+    a, b = edges[:, 0], edges[:, 1]
+    lap = np.diag(np.bincount(edges.ravel(), minlength=n).astype(float))
+    np.add.at(lap, (a, b), -1.0)
+    np.add.at(lap, (b, a), -1.0)
     return lap
 
 
@@ -175,8 +176,10 @@ class _ShapeCache:
     A shape key is (size, bytes of the locally indexed edge list); local
     indices follow the global vertex order, which is a translation-invariant
     ordering of the coefficient rows, so translated copies of a cluster
-    share a key.  Only eigenvalues and reduced grid vectors are retained;
-    eigenvectors are recomputed for the rare window-straddling clusters.
+    share a key.  ``_key_shapes`` builds the keys of a realization in one
+    batch and looks each distinct shape up once.  Only eigenvalues and
+    reduced grid vectors are retained; eigenvectors are recomputed for the
+    rare window-straddling clusters.
     """
 
     def __init__(self, grid: np.ndarray | None = None):
@@ -215,29 +218,72 @@ class _ShapeCache:
         return got
 
 
-def _cluster_groups(dec: ClusterDecomposition):
-    """Vertex and open-edge slices per cluster, in label order."""
-    labels = dec.labels
-    vorder = np.argsort(labels, kind="stable")
-    vbounds = np.searchsorted(labels[vorder], np.arange(dec.n_clusters + 1))
-    return vorder, vbounds
+@dataclass
+class _Shapes:
+    """Shape keys of some clusters of one realization.
+
+    ``labels`` lists the keyed clusters in ascending order; cluster
+    ``labels[i]`` has the shape ``keys[index[i]]``, whose local edge list is
+    ``edges[index[i]]``.  Each distinct shape appears once in ``keys``.
+    """
+
+    labels: np.ndarray
+    index: np.ndarray
+    keys: list[tuple[int, bytes]]
+    edges: list[np.ndarray]
 
 
-def _edge_groups(g: EmbeddedGraph, open_mask: np.ndarray, dec: ClusterDecomposition):
-    e = g.edges[open_mask]
-    elabels = dec.labels[e[:, 0]]
-    eorder = np.argsort(elabels, kind="stable")
-    ebounds = np.searchsorted(elabels[eorder], np.arange(dec.n_clusters + 1))
-    return e, eorder, ebounds
+def _key_shapes(dec: ClusterDecomposition, open_mask: np.ndarray, chosen: np.ndarray) -> _Shapes:
+    """Exact shape keys of the chosen clusters (a mask over labels; every
+    chosen cluster has at least one open edge), built in one batch.
 
+    A vertex's local index is its rank inside its cluster in ascending
+    vertex order.  The chosen clusters' open edges become (lo, hi) rows in
+    local indices.  Clusters of equal size and edge count form a group;
+    the rows are sorted by group, cluster, lo and hi, so each group is one
+    contiguous run of equal-width cluster blocks, and one ``np.unique``
+    over those blocks finds the group's distinct shapes.
+    """
+    order = dec.vertex_order
+    position = np.empty(order.size, dtype=np.int64)
+    position[order] = np.arange(order.size)
+    e = dec.graph.edges[open_mask]
+    owner = dec.labels[e[:, 0]]
+    keep = chosen[owner]
+    e, owner = e[keep], owner[keep]
+    first = dec.vertex_bounds[owner]
+    a, b = position[e[:, 0]] - first, position[e[:, 1]] - first
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    n_edges = np.bincount(owner, minlength=dec.n_clusters)
+    group = dec.sizes * (e.shape[0] + 1) + n_edges
+    by_row = np.lexsort((hi, lo, owner, group[owner]))
+    rows = np.column_stack([lo[by_row], hi[by_row]])
 
-def _local_shape(e, eorder, ebounds, vslice, label):
-    rows = e[eorder[ebounds[label] : ebounds[label + 1]]]
-    local = np.searchsorted(vslice, rows)
-    lo = np.minimum(local[:, 0], local[:, 1])
-    hi = np.maximum(local[:, 0], local[:, 1])
-    order = np.lexsort((hi, lo))
-    return np.column_stack([lo[order], hi[order]])
+    labels = np.flatnonzero(chosen)
+    by_group = np.argsort(group[labels], kind="stable")
+    grouped = group[labels[by_group]]
+    cuts = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), labels.size]
+
+    index = np.empty(labels.size, dtype=np.int64)
+    keys: list[tuple[int, bytes]] = []
+    edges: list[np.ndarray] = []
+    row = 0
+    for c0, c1 in zip(cuts[:-1], cuts[1:]):
+        members = by_group[c0:c1]
+        label = labels[members[0]]
+        size, m = int(dec.sizes[label]), int(n_edges[label])
+        blocks = rows[row : row + members.size * m].reshape(members.size, 2 * m)
+        row += members.size * m
+        # one opaque item per block: np.unique compares them bytewise, which
+        # is exact and much faster than np.unique(..., axis=0)
+        distinct, inverse = np.unique(blocks.view(f"V{blocks.itemsize * 2 * m}")[:, 0],
+                                      return_inverse=True)
+        index[members] = len(keys) + inverse
+        for block in distinct.view(np.int64).reshape(-1, 2 * m):
+            shape = block.reshape(m, 2)
+            keys.append((size, shape.tobytes()))
+            edges.append(shape)
+    return _Shapes(labels=labels, index=index, keys=keys, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +416,28 @@ def ids_estimate(
         acc += vec_pair * int(np.count_nonzero(size2 & (in_count == 2)))
         acc += vec_pair_half * int(np.count_nonzero(size2 & (in_count == 1)))
 
-        larger = np.flatnonzero(counted & (sizes >= 3))
-        if larger.size:
-            vorder, vbounds = _cluster_groups(dec)
-            e, eorder, ebounds = _edge_groups(g, cfg.open_mask, dec)
-            for label in larger:
-                vslice = vorder[vbounds[label] : vbounds[label + 1]]
-                s = vslice.size
-                shape = _local_shape(e, eorder, ebounds, vslice, label)
-                key = (s, shape.tobytes())
-                if in_count[label] == s:
-                    acc += cache.count_vector(key, s, shape)
-                else:
-                    inside_local = np.flatnonzero(in_ball[vslice])
-                    acc += cache.partial_vector(key, s, shape, inside_local)
+        larger = counted & (sizes >= 3)
+        if larger.any():
+            shapes = _key_shapes(dec, cfg.open_mask, larger)
+            whole = in_count[shapes.labels] == sizes[shapes.labels]
+            vecs = np.empty((shapes.labels.size, grid.size))
+            # straddlers first: a shape first met straddling is solved once,
+            # with eigenvectors, and its eigenvalues then serve the copies
+            # wholly inside the window
+            order, bounds = dec.vertex_order, dec.vertex_bounds
+            for i in np.flatnonzero(~whole):
+                label, j = shapes.labels[i], shapes.index[i]
+                members = order[bounds[label] : bounds[label + 1]]
+                inside = np.flatnonzero(in_ball[members])
+                vecs[i] = cache.partial_vector(shapes.keys[j], members.size, shapes.edges[j], inside)
+            # a shape seen only straddling already has its eigenvalues from
+            # partial_vector, so its count vector costs no eigensolve
+            table = np.array([cache.count_vector(key, key[0], edges)
+                              for key, edges in zip(shapes.keys, shapes.edges)])
+            vecs[whole] = table[shapes.index[whole]]
+            # a running sum down the rows is the same sequence of float
+            # additions as adding each cluster's vector to acc in turn
+            acc = np.add.accumulate(np.vstack([acc, vecs]), axis=0)[-1]
         rows.append(acc / volume)
 
     if not rows:
@@ -467,27 +521,24 @@ def cheeger_check(
     for cfg in configurations:
         dec = decompose(g, cfg)
         sizes = dec.sizes
-        nontrivial = np.flatnonzero(sizes >= 2)
-        if nontrivial.size == 0:
+        nontrivial = sizes >= 2
+        if not nontrivial.any():
             continue
-        vorder, vbounds = _cluster_groups(dec)
-        e, eorder, ebounds = _edge_groups(g, cfg.open_mask, dec)
-        for label in nontrivial:
-            vslice = vorder[vbounds[label] : vbounds[label + 1]]
-            s = int(vslice.size)
-            if s > max_cluster_size:
-                raise RuntimeError(
-                    f"cluster of {s} vertices exceeds the cap {max_cluster_size}"
-                )
-            shape = _local_shape(e, eorder, ebounds, vslice, label)
-            vals = cache.spectrum((s, shape.tobytes()), s, shape)
-            gap = float(vals[1])
-            margin = gap * s * s
-            checked += 1
-            largest = max(largest, s)
+        over = np.flatnonzero(nontrivial & (sizes > max_cluster_size))
+        if over.size:
+            raise RuntimeError(
+                f"cluster of {int(sizes[over[0]])} vertices exceeds the cap {max_cluster_size}"
+            )
+        shapes = _key_shapes(dec, cfg.open_mask, nontrivial)
+        copies = np.bincount(shapes.index, minlength=len(shapes.keys))
+        for key, edges, n_copies in zip(shapes.keys, shapes.edges, copies.tolist()):
+            s = key[0]
+            margin = float(cache.spectrum(key, s, edges)[1]) * s * s
+            checked += n_copies
             min_margin = min(min_margin, margin)
             if margin < 1.0:
-                violations += 1
+                violations += n_copies
+        largest = max(largest, int(sizes.max()))
     return CheegerReport(
         checked=checked,
         violations=violations,

@@ -31,6 +31,17 @@ LIFSHITS_SHA256 = {
     "lifshits.csv": "24739825355c19b8df2764f09f4b49277b00ff768cdabdcabb88d9a491f56a2d",
 }
 
+# aperiodic ids runs: 9 and 7 of the 40 realizations are truncated, and the
+# kept ones have window-straddling clusters of 3 or more vertices
+IDS_ARGV = [
+    "ids", "--radius", "16", "--counting-radius", "12", "--p", "0.15",
+    "--realizations", "40", "--seed", "5",
+]
+IDS_SHA256 = {
+    "ammann_beenker": "f986265d2072111e3550abe4637cb63c254a08ded6cfc36b0d57d006cc540270",
+    "penrose": "48f0aeae61e48c43c6dcd1b49634cbb2f866d6f995d5ecd49f7a63d76ff8fcb6",
+}
+
 CENSUS_ARGV = [
     "census", "--family", "penrose", "--radius", "16", "--pattern-radius", "0.9",
 ]
@@ -71,6 +82,14 @@ def test_lifshits_outputs_match_golden(tmp_path, threads):
     # realizations are whole chunks
     assert main(LIFSHITS_ARGV + ["--threads", threads, "--out", str(tmp_path)]) == 0
     assert _digests(tmp_path, LIFSHITS_SHA256) == LIFSHITS_SHA256
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("family", sorted(IDS_SHA256))
+def test_aperiodic_ids_matches_golden(tmp_path, family, threads):
+    argv = IDS_ARGV + ["--family", family, "--threads", threads, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert _digests(tmp_path, ["ids.csv"]) == {"ids.csv": IDS_SHA256[family]}
 
 
 @pytest.mark.parametrize("family,radius", sorted(PATCH_SHA256))

@@ -1,16 +1,18 @@
 """Tests for cluster Laplacian spectra and the finite-volume spectral count."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from percospec.graphs import GeneratorSpec, from_coeffs, generate
+from percospec.graphs import Ball, GeneratorSpec, from_coeffs, generate
 from percospec.percolation import PercolationParams, decompose, sample
 from percospec.spectral import (
     ChainSpectrum,
+    _ShapeCache,
     chain_gap_bound,
     chain_spectrum,
     cheeger_check,
@@ -282,3 +284,141 @@ def test_property_blocks_vs_full(seed):
     grid = tab.energies
     oracle_counts = np.searchsorted(vals_full, grid, side="right")
     assert np.array_equal(tab.rows[0], oracle_counts.astype(float))
+
+
+# ---------------------------------------------------------------------------
+# the estimator and the gap check against a per-cluster reference loop
+
+
+def _reference_shape(g, open_mask, dec, label):
+    """Shape key of one cluster the slow way: its vertices in ascending
+    order, its open edges renumbered locally, rows sorted by (lo, hi)."""
+    members = np.flatnonzero(dec.labels == label)
+    e = g.edges[open_mask]
+    e = e[dec.labels[e[:, 0]] == label]
+    local = np.searchsorted(members, e)
+    lo, hi = local.min(axis=1), local.max(axis=1)
+    order = np.lexsort((hi, lo))
+    shape = np.column_stack([lo[order], hi[order]])
+    return members, shape, (members.size, shape.tobytes())
+
+
+def _reference_rows(g, params, energies, counting_radius, flag_boundary, max_cluster_size=2000):
+    """ids_estimate rebuilt as one cache lookup per cluster, added in label
+    order; also counts the window-straddling clusters of 3+ vertices."""
+    grid = np.unique(np.concatenate([[0.0], np.asarray(energies, dtype=float)]))
+    if counting_radius is None:
+        in_ball, volume = np.ones(g.n_vertices, dtype=bool), 1.0
+    else:
+        in_ball = Ball((0.0, 0.0), counting_radius).contains(g.embed)
+        volume = math.pi * counting_radius**2
+    cache = _ShapeCache(grid)
+    pair = np.array([[0, 1]], dtype=np.int64)
+    pair_key = (2, pair.tobytes())
+    vec_single = cache.count_vector((1, b""), 1, np.empty((0, 2), np.int64))
+    vec_pair = cache.count_vector(pair_key, 2, pair)
+    vec_pair_half = cache.partial_vector(pair_key, 2, pair, np.array([0]))
+    rows, straddlers = [], 0
+    for r in range(params.realizations):
+        cfg = sample(g, params, r)
+        dec = decompose(g, cfg)
+        sizes = dec.sizes
+        in_count = np.bincount(dec.labels[in_ball], minlength=dec.n_clusters)
+        counted = in_count > 0
+        if flag_boundary and (counted & dec.boundary_touching).any():
+            continue
+        big = counted & (sizes > max_cluster_size)
+        if big.any():
+            raise RuntimeError(
+                f"a counted cluster has {int(sizes[big].max())} vertices "
+                f"(cap {max_cluster_size}); this estimator assumes the "
+                "subcritical regime"
+            )
+        acc = np.zeros(grid.size)
+        acc += vec_single * int(np.count_nonzero(counted & (sizes == 1)))
+        size2 = counted & (sizes == 2)
+        acc += vec_pair * int(np.count_nonzero(size2 & (in_count == 2)))
+        acc += vec_pair_half * int(np.count_nonzero(size2 & (in_count == 1)))
+        for label in np.flatnonzero(counted & (sizes >= 3)):
+            members, shape, key = _reference_shape(g, cfg.open_mask, dec, label)
+            if in_count[label] == members.size:
+                acc += cache.count_vector(key, members.size, shape)
+            else:
+                straddlers += 1
+                inside = np.flatnonzero(in_ball[members])
+                acc += cache.partial_vector(key, members.size, shape, inside)
+        rows.append(acc / volume)
+    return np.array(rows), straddlers
+
+
+def _reference_cheeger(g, configurations, max_cluster_size=2000):
+    checked = violations = largest = 0
+    min_margin = math.inf
+    for cfg in configurations:
+        dec = decompose(g, cfg)
+        for label in np.flatnonzero(dec.sizes >= 2):
+            s = int(dec.sizes[label])
+            if s > max_cluster_size:
+                raise RuntimeError(f"cluster of {s} vertices exceeds the cap {max_cluster_size}")
+            _, shape, key = _reference_shape(g, cfg.open_mask, dec, label)
+            margin = float(eigenvalues(laplacian_from_edges(s, shape))[1]) * s * s
+            checked += 1
+            largest = max(largest, s)
+            min_margin = min(min_margin, margin)
+            violations += margin < 1.0
+    return checked, violations, min_margin, largest
+
+
+ORACLE_CASES = {
+    "square": 0.2,
+    "triangular": 0.12,
+    "penrose": 0.15,
+    "ammann_beenker": 0.15,
+}
+ORACLE_ENERGIES = [0.05, 0.2, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0, 9.0]
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_CASES))
+def oracle_case(request):
+    family = request.param
+    g = generate(GeneratorSpec(family=family, radius=16.0))
+    return g, PercolationParams(p=ORACLE_CASES[family], master_seed=4, realizations=12)
+
+
+class TestBatchedKeyingMatchesPerClusterLoop:
+    def test_windowed_rows_identical(self, oracle_case):
+        g, params = oracle_case
+        want, straddlers = _reference_rows(g, params, ORACLE_ENERGIES, 12.0, True)
+        # the partial-weight path must be exercised, not just the whole shapes
+        assert straddlers > 0
+        tab = ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=12.0)
+        assert tab.rows.tobytes() == want.tobytes()
+
+    def test_whole_patch_rows_identical(self, oracle_case):
+        g, params = oracle_case
+        want, _ = _reference_rows(g, params, ORACLE_ENERGIES, None, False)
+        tab = ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=None, flag_boundary=False)
+        assert tab.rows.tobytes() == want.tobytes()
+
+    def test_cheeger_report_identical(self, oracle_case):
+        g, params = oracle_case
+        cfgs = [sample(g, params, r) for r in range(4)]
+        rep = cheeger_check(g, cfgs)
+        want = _reference_cheeger(g, cfgs)
+        assert (rep.checked, rep.violations, rep.min_margin, rep.largest_cluster) == want
+        assert rep.checked > 0
+
+    def test_tiny_cluster_cap_raises_same_error(self, oracle_case):
+        g, params = oracle_case
+        cfgs = [sample(g, params, r) for r in range(2)]
+        with pytest.raises(RuntimeError) as want:
+            _reference_cheeger(g, cfgs, max_cluster_size=3)
+        with pytest.raises(RuntimeError, match=f"^{re.escape(str(want.value))}$"):
+            cheeger_check(g, cfgs, max_cluster_size=3)
+        with pytest.raises(RuntimeError) as want:
+            _reference_rows(g, params, ORACLE_ENERGIES, 12.0, False, max_cluster_size=3)
+        with pytest.raises(RuntimeError, match=f"^{re.escape(str(want.value))}$"):
+            ids_estimate(
+                g, params, ORACLE_ENERGIES, counting_radius=12.0,
+                flag_boundary=False, max_cluster_size=3,
+            )
