@@ -33,6 +33,7 @@ __all__ = [
     "generate",
     "restrict",
     "induced_edges",
+    "radix_weights",
     "translate",
     "geometry_report",
     "GeometryReport",
@@ -261,11 +262,6 @@ class EmbeddedGraph:
         return {tuple(int(c) for c in row): i for i, row in enumerate(self.coeffs)}
 
     @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Map (i, j) with i < j -> position in the edge array."""
-        return {(int(a), int(b)): k for k, (a, b) in enumerate(self.edges)}
-
-    @cached_property
     def vertex_tree(self) -> cKDTree:
         return cKDTree(self.embed)
 
@@ -314,7 +310,7 @@ class EmbeddedGraph:
             )
             if self.l_max and np.any(lengths > self.l_max + 1e-9):
                 raise ValueError("edge longer than declared l_max")
-        if len(self.coeff_index) != self.n_vertices:
+        if np.unique(self.coeffs, axis=0).shape[0] != self.n_vertices:
             raise ValueError("duplicate vertex coefficients")
         deg = self.degrees()
         if self.d_max and deg.size and int(deg.max()) > self.d_max:
@@ -418,22 +414,29 @@ def generate(spec: GeneratorSpec) -> EmbeddedGraph:
     return _patch(spec.family, candidates, spec.radius)
 
 
+def radix_weights(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Weights of the mixed radix whose digit j ranges over [low_j, high_j]:
+    ``(rows - low) @ weights`` gives every integer row in that box a distinct
+    int64 key, and key order is lexicographic row order."""
+    span = np.asarray(high) - np.asarray(low) + 1
+    return np.cumprod(np.append(1, span[:0:-1]))[::-1]
+
+
 def _patch(family: str, candidates: np.ndarray, radius: float) -> EmbeddedGraph:
     """Induced patch on the candidate rows inside the open ball of ``radius``.
 
     The kept rows are sorted lexicographically and deduplicated; two rows are
     joined iff they differ by one of the family's unit steps.  Each row gets an
-    int64 key in a mixed radix whose digit ranges leave one spare value on
-    each side of the coefficient box, so key order is row order and adding a
-    step's key offset never wraps into another row.
+    int64 key whose radix box leaves one spare value on each side of the
+    coefficient box, so adding a step's key offset never wraps into another
+    row.
     """
     basis = get_basis(family)
     coeffs = np.asarray(candidates, dtype=np.int64).reshape(-1, basis.rank)
     pts = basis.embed(coeffs)
     coeffs = coeffs[pts[:, 0] ** 2 + pts[:, 1] ** 2 < radius * radius]
     low = coeffs.min(axis=0, initial=0) - 1
-    span = coeffs.max(axis=0, initial=0) - low + 2
-    weights = np.cumprod(np.append(1, span[:0:-1]))[::-1]
+    weights = radix_weights(low, coeffs.max(axis=0, initial=0) + 1)
     keys, first = np.unique((coeffs - low) @ weights, return_index=True)
     pairs = []
     for step in np.asarray(_UNIT_STEPS[family], dtype=np.int64):
@@ -471,9 +474,12 @@ def _pentagrid_candidates(spec: GeneratorSpec) -> np.ndarray:
 
     Five line grids with unit normals at angles 2*pi*j/5 and phases gamma_j;
     each pairwise line intersection is dual to one unit-edge rhombus whose
-    four corners are integer combinations of the five unit vectors.  Corners
-    are returned as rank-4 coefficient rows, one per rhombus corner, so
-    shared corners repeat exactly.
+    four corners are integer combinations of the five unit vectors.  For each
+    of the ten grid pairs (r, s), all line pairs (kr, ks) within reach of the
+    ball are intersected at once; the other three grid indices of a rhombus
+    are the ceilings of its intersection's grid coordinates.  Corners are
+    returned as rank-4 coefficient rows, four per rhombus in (r, s, kr, ks)
+    order, so shared corners repeat exactly.
     """
     n = spec.radius
     gamma = np.array(spec.pentagrid_offsets, dtype=float)
@@ -486,45 +492,42 @@ def _pentagrid_candidates(spec: GeneratorSpec) -> np.ndarray:
     reach = n + 3.0  # rhombus corners sit within ~2.4 of the grid intersection
     corner_rows: list[np.ndarray] = []
     kmax = int(math.ceil(reach + 1.0))
+    ks = np.arange(-kmax, kmax + 1)
     for r in range(5):
         for s in range(r + 1, 5):
             det = zeta[r, 0] * zeta[s, 1] - zeta[r, 1] * zeta[s, 0]
-            for kr in range(-kmax, kmax + 1):
-                cr = kr + gamma[r]
-                if abs(cr) > reach:
-                    continue
-                for ks_ in range(-kmax, kmax + 1):
-                    cs = ks_ + gamma[s]
-                    if abs(cs) > reach:
-                        continue
-                    # Solve x . zeta_r = cr, x . zeta_s = cs.
-                    x = (
-                        (cr * zeta[s, 1] - cs * zeta[r, 1]) / det,
-                        (cs * zeta[r, 0] - cr * zeta[s, 0]) / det,
-                    )
-                    if x[0] * x[0] + x[1] * x[1] > reach * reach:
-                        continue
-                    base = np.empty(5, dtype=np.int64)
-                    degenerate = False
-                    for m in range(5):
-                        if m == r or m == s:
-                            continue
-                        t = x[0] * zeta[m, 0] + x[1] * zeta[m, 1] - gamma[m]
-                        if abs(t - round(t)) < 1e-9:
-                            degenerate = True
-                            break
-                        base[m] = int(math.ceil(t))
-                    if degenerate:
-                        raise GraphGenerationError(
-                            "degenerate pentagrid offsets: three grid lines "
-                            f"meet near {x}; perturb the offsets"
-                        )
-                    k5 = np.tile(base, (4, 1))
-                    k5[:, r] = kr + _RHOMBUS_STEPS[:, 0]
-                    k5[:, s] = ks_ + _RHOMBUS_STEPS[:, 1]
-                    # rank-4 coefficients: zeta_4 = -(zeta_0 + ... + zeta_3)
-                    corner_rows.append(k5[:, :4] - k5[:, 4:])
-    return np.concatenate(corner_rows) if corner_rows else np.empty((0, 4), np.int64)
+            kr, ks_ = (
+                k.ravel()
+                for k in np.meshgrid(
+                    ks[np.abs(ks + gamma[r]) <= reach],
+                    ks[np.abs(ks + gamma[s]) <= reach],
+                    indexing="ij",
+                )
+            )
+            cr = kr + gamma[r]
+            cs = ks_ + gamma[s]
+            # Solve x . zeta_r = cr, x . zeta_s = cs.
+            x0 = (cr * zeta[s, 1] - cs * zeta[r, 1]) / det
+            x1 = (cs * zeta[r, 0] - cr * zeta[s, 0]) / det
+            near = x0 * x0 + x1 * x1 <= reach * reach
+            kr, ks_, x0, x1 = kr[near], ks_[near], x0[near], x1[near]
+            others = [m for m in range(5) if m not in (r, s)]
+            t = np.stack([x0 * zeta[m, 0] + x1 * zeta[m, 1] - gamma[m] for m in others], 1)
+            degenerate = np.flatnonzero((np.abs(t - np.round(t)) < 1e-9).any(axis=1))
+            if degenerate.size:
+                x = (x0[degenerate[0]], x1[degenerate[0]])
+                raise GraphGenerationError(
+                    "degenerate pentagrid offsets: three grid lines "
+                    f"meet near {x}; perturb the offsets"
+                )
+            base = np.empty((len(kr), 5), dtype=np.int64)
+            base[:, others] = np.ceil(t)
+            k5 = np.repeat(base, 4, axis=0)
+            k5[:, r] = np.repeat(kr, 4) + np.tile(_RHOMBUS_STEPS[:, 0], len(kr))
+            k5[:, s] = np.repeat(ks_, 4) + np.tile(_RHOMBUS_STEPS[:, 1], len(kr))
+            # rank-4 coefficients: zeta_4 = -(zeta_0 + ... + zeta_3)
+            corner_rows.append(k5[:, :4] - k5[:, 4:])
+    return np.concatenate(corner_rows)
 
 
 def _ab_projections() -> tuple[np.ndarray, np.ndarray]:
@@ -543,7 +546,13 @@ def _ab_projections() -> tuple[np.ndarray, np.ndarray]:
 def _cut_and_project_candidates(spec: GeneratorSpec) -> np.ndarray:
     """Octagonal tiling: the Z^4 points near the ball whose internal image
     falls in a regular-octagon window (their images are joined by a lattice
-    unit vector, which has unit physical length)."""
+    unit vector, which has unit physical length).
+
+    The window is solved for directly rather than scanned: the internal
+    images i2, i3 of e2, e3 are independent, so for each (k0, k1) the
+    (k2, k3) whose image can reach the window's circumscribed disc form one
+    small box, found through the inverse of [i2 i3].  All boxes are
+    enumerated as one array, O(R^2) points, in lexicographic order."""
     n = spec.radius
     phys, internal = _ab_projections()
     shift = np.asarray(spec.window_shift, dtype=float)
@@ -573,23 +582,27 @@ def _cut_and_project_candidates(spec: GeneratorSpec) -> np.ndarray:
     bound = np.abs(minv) @ target
     kmax = int(math.ceil(bound.max()))
 
+    # (k2, k3) = B^{-1} (y - k0 i0 - k1 i1) with B = [i2 i3], and y lies
+    # within the circumradius of center - shift; one spare lattice step on
+    # each side keeps every point the window test could find near its
+    # boundary, so the boundary check sees what a full scan would.
     ks = np.arange(-kmax, kmax + 1)
-    accepted: list[np.ndarray] = []
-    for k0 in ks:  # chunk over the first coordinate to bound memory
-        k1, k2, k3 = np.meshgrid(ks, ks, ks, indexing="ij")
-        chunk = np.stack(
-            [np.full(k1.size, k0), k1.ravel(), k2.ravel(), k3.ravel()], axis=1
-        ).astype(np.int64)
-        x = chunk @ phys
-        mask = x[:, 0] ** 2 + x[:, 1] ** 2 < (n + 1.0) ** 2
-        chunk = chunk[mask]
-        if not chunk.shape[0]:
-            continue
-        y = chunk @ internal
-        chunk = chunk[window_accept(y)]
-        if chunk.shape[0]:
-            accepted.append(chunk)
-    return np.concatenate(accepted) if accepted else np.empty((0, 4), np.int64)
+    k01 = np.stack(np.meshgrid(ks, ks, indexing="ij"), axis=-1).reshape(-1, 2)
+    binv = np.linalg.inv(internal[2:].T)
+    mid = (center - shift - k01 @ internal[:2]) @ binv.T
+    half = apothem / math.cos(math.pi / 8.0) * np.linalg.norm(binv, axis=1) + 1.0
+    steps = np.arange(int(math.ceil(2.0 * half.max())) + 1)
+    low = np.floor(mid - half).astype(np.int64)
+    k = np.empty((len(k01), len(steps), len(steps), 4), dtype=np.int64)
+    k[..., :2] = k01[:, None, None, :]
+    k[..., 2] = low[:, 0, None, None] + steps[:, None]
+    k[..., 3] = low[:, 1, None, None] + steps
+    k = k.reshape(-1, 4)
+    k = k[np.abs(k[:, 2:]).max(axis=1) <= kmax]
+
+    x = k @ phys
+    k = k[x[:, 0] ** 2 + x[:, 1] ** 2 < (n + 1.0) ** 2]
+    return k[window_accept(k @ internal)]
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +700,8 @@ def geometry_report(g: EmbeddedGraph) -> GeometryReport:
     else:
         l_max = 0.0
     deg = g.degrees()
-    hist: dict[int, int] = {}
-    for d in deg:
-        hist[int(d)] = hist.get(int(d), 0) + 1
+    values, counts = np.unique(deg, return_counts=True)
+    hist = dict(zip(values.tolist(), counts.tolist()))
     return GeometryReport(
         vertex_count=g.n_vertices,
         edge_count=g.n_edges,

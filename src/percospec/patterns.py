@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Ball, EmbeddedGraph, ball_volume, induced_edges
+from .graphs import Ball, EmbeddedGraph, ball_volume, induced_edges, radix_weights
 from .percolation import decompose
 
 __all__ = [
@@ -152,32 +152,37 @@ def extract_r_patterns(g: EmbeddedGraph, radius: float) -> PatternCensus:
 # occurrence counting
 
 
-def _resolve_translate(
-    g: EmbeddedGraph, p: CanonicalPattern, anchor_vertex: int
-) -> tuple[list[int], list[int]] | None:
-    """Map the pattern anchor onto ``anchor_vertex``; return the graph vertex
-    ids of the pattern vertices and the graph edge indices hit by the pattern
-    edges, or None if the translate does not embed as a subgraph."""
-    base = g.coeffs[anchor_vertex]
-    idx = g.coeff_index
-    vids = []
-    for rel in p.coords:
-        target = tuple(int(b + r) for b, r in zip(base, rel))
-        vid = idx.get(target)
-        if vid is None:
-            return None
-        vids.append(vid)
-    eidx = g.edge_index
-    hits = []
-    for a, b in p.edges:
-        u, v = vids[a], vids[b]
-        if u > v:
-            u, v = v, u
-        e = eidx.get((u, v))
-        if e is None:
-            return None
-        hits.append(e)
-    return vids, hits
+def _resolve_translates(
+    g: EmbeddedGraph, p: CanonicalPattern, anchors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map the pattern anchor onto each of ``anchors`` at once.  For the
+    translates that embed as subgraphs, in anchor order, return the graph
+    vertex ids of the pattern vertices and the graph edge indices hit by the
+    pattern edges, one row per translate."""
+    rel = np.array(p.coords, dtype=np.int64).reshape(-1, g.basis.rank)
+    low = g.coeffs.min(axis=0, initial=0) + rel.min(axis=0, initial=0)
+    weights = radix_weights(low, g.coeffs.max(axis=0, initial=0) + rel.max(axis=0, initial=0))
+    targets = g.coeffs[anchors][:, None, :] + rel
+    vids, found = _lookup((g.coeffs - low) @ weights, (targets - low) @ weights)
+    vids = vids[found.all(axis=1)]
+    pe = np.array(p.edges, dtype=np.int64).reshape(-1, 2)
+    u, v = vids[:, pe[:, 0]], vids[:, pe[:, 1]]
+    n = g.n_vertices
+    hits, found = _lookup(
+        g.edges[:, 0] * n + g.edges[:, 1], np.minimum(u, v) * n + np.maximum(u, v)
+    )
+    embeds = found.all(axis=1)
+    return vids[embeds], hits[embeds]
+
+
+def _lookup(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each query in the ascending distinct ``keys``, and whether
+    it is there at all.  The keys of coefficient rows and of edges ascend
+    because a patch keeps both sorted lexicographically."""
+    if not len(keys):
+        return np.zeros(queries.shape, np.int64), np.zeros(queries.shape, bool)
+    pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return pos, keys[pos] == queries
 
 
 @dataclass
@@ -207,20 +212,11 @@ def occurrence_plan(
     pu = p.uncoloured()
     if pu.basis_id != g.basis.id:
         return OccurrencePlan(pu, counting_radius, np.empty((0, pu.n_edges), np.int64), 0)
-    ball = Ball((0.0, 0.0), counting_radius)
-    inside = ball.contains(g.embed)
-    rows = []
-    for anchor in np.flatnonzero(inside):
-        resolved = _resolve_translate(g, pu, int(anchor))
-        # all vertices of the translate must lie in the counting ball
-        if resolved is not None and inside[resolved[0]].all():
-            rows.append(resolved[1])
-    edge_hits = (
-        np.array(rows, dtype=np.int64).reshape(len(rows), pu.n_edges)
-        if rows
-        else np.empty((0, pu.n_edges), dtype=np.int64)
-    )
-    return OccurrencePlan(pu, counting_radius, edge_hits, len(rows))
+    inside = Ball((0.0, 0.0), counting_radius).contains(g.embed)
+    vids, hits = _resolve_translates(g, pu, np.flatnonzero(inside))
+    # all vertices of the translate must lie in the counting ball
+    edge_hits = hits[inside[vids].all(axis=1)]
+    return OccurrencePlan(pu, counting_radius, edge_hits, len(edge_hits))
 
 
 def count_occurrences(

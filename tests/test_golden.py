@@ -67,6 +67,28 @@ PATCH_SHA256 = {
     ("ammann_beenker", 16): "447d69212d7af200bb720b247755f801439c55294403e7e950af9541d2bc8831",
     ("ammann_beenker", 40): "709c6254cb3e99f70bac9f65cdaa29746970749a51530d94c6f542b92e7c68a8",
     ("ammann_beenker", 45): "da489eb80231d581d565bebe63f72cecb359a694aff9cf7b547be4cee5ff4feb",
+    ("ammann_beenker", 60): "40c2a3dc7038076e4e53ee28de3ca1caf1cf591fc9f4d24411b2a0ac64c4bf21",
+}
+
+# the same digest for generator parameters away from their defaults: a
+# generic window shift, and dyadic pentagrid offsets that sum to zero
+SPEC_SHA256 = [
+    (
+        GeneratorSpec("ammann_beenker", 30.0, window_shift=(0.0137, -0.0291)),
+        "76f61e88d6876469e884201661af5bf6e87e85e928846b5b2cdf6a0ccb392f2c",
+    ),
+    (
+        GeneratorSpec(
+            "penrose", 24.0, pentagrid_offsets=(0.1875, -0.3125, 0.40625, 0.21875, -0.5)
+        ),
+        "b3f5daf9d7a84eba662da784b47fe4fc6d5816a388b7baa5151a203f4b452357",
+    ),
+]
+
+GENERATE_ARGV = ["generate", "--family", "ammann_beenker", "--radius", "16"]
+GENERATE_SHA256 = {
+    "graph.txt": "447d69212d7af200bb720b247755f801439c55294403e7e950af9541d2bc8831",
+    "geometry.json": "b844080a1ed60feb375e9cc202b5a3801153b9e951874958d16f916f657c19f5",
 }
 
 
@@ -97,6 +119,16 @@ def test_patch_matches_golden(family, radius):
     g = generate(GeneratorSpec(family=family, radius=float(radius)))
     digest = hashlib.sha256(dumps(g).encode()).hexdigest()
     assert digest == PATCH_SHA256[(family, radius)]
+
+
+@pytest.mark.parametrize("spec,digest", SPEC_SHA256, ids=["ammann_beenker", "penrose"])
+def test_nondefault_spec_matches_golden(spec, digest):
+    assert hashlib.sha256(dumps(generate(spec)).encode()).hexdigest() == digest
+
+
+def test_generate_outputs_match_golden(tmp_path):
+    assert main(GENERATE_ARGV + ["--out", str(tmp_path)]) == 0
+    assert _digests(tmp_path, GENERATE_SHA256) == GENERATE_SHA256
 
 
 def test_penrose_census_matches_golden(tmp_path):

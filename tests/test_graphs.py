@@ -125,6 +125,12 @@ class TestAperiodic:
         with pytest.raises(GraphGenerationError, match="degenerate"):
             graphs.generate(spec)
 
+    def test_window_on_lattice_point_rejected(self):
+        # with no shift the window boundary passes through internal images
+        spec = GeneratorSpec("ammann_beenker", 8.0, window_shift=(0.0, 0.0))
+        with pytest.raises(GraphGenerationError, match="window boundary"):
+            graphs.generate(spec)
+
     def test_offsets_must_sum_to_zero(self):
         spec = GeneratorSpec("penrose", 5.0, pentagrid_offsets=(0.3, 0.1, 0.1, 0.1, 0.1))
         with pytest.raises(GraphGenerationError, match="sum to zero"):

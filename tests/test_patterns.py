@@ -217,6 +217,50 @@ class TestOccurrences:
         assert got == full - 1  # the deleted edge sat inside the counting ball
 
 
+def _plan_rows_by_anchor_loop(g, p, counting_radius):
+    """Edge hits of the translates of ``p``, resolved anchor by anchor with
+    coefficient and edge dictionaries."""
+    idx = {tuple(int(c) for c in row): i for i, row in enumerate(g.coeffs)}
+    eidx = {(int(a), int(b)): k for k, (a, b) in enumerate(g.edges)}
+    inside = Ball((0.0, 0.0), counting_radius).contains(g.embed)
+    rows = []
+    for anchor in np.flatnonzero(inside):
+        base = g.coeffs[anchor]
+        vids = [idx.get(tuple(int(b + r) for b, r in zip(base, rel))) for rel in p.coords]
+        if None in vids:
+            continue
+        hits = [eidx.get((min(vids[a], vids[b]), max(vids[a], vids[b]))) for a, b in p.edges]
+        if None in hits or not inside[vids].all():
+            continue
+        rows.append(hits)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(p.edges))
+
+
+@pytest.mark.parametrize("family,radius,counting_radius", [
+    ("square", 20.0, 15.0),
+    ("penrose", 16.0, 12.0),
+])
+def test_occurrence_plan_matches_anchor_loop(family, radius, counting_radius):
+    g = generate(GeneratorSpec(family=family, radius=radius))
+    patterns = [
+        pattern for r in (0.9, 1.1, 1.5, 2.0)
+        for pattern, _ in extract_r_patterns(g, r).most_common(4)
+    ]
+    # a vertex pair the graph holds but never joins, since e0 + e1 is no
+    # unit step: every translate misses its edge
+    pair = [(0,) * g.basis.rank, (1, 1) + (0,) * (g.basis.rank - 2)]
+    assert occurrence_plan(canonicalize(family, pair), g, counting_radius).n_translates > 0
+    patterns.append(canonicalize(family, pair, [(0, 1)]))
+    total = 0
+    for pattern in patterns:
+        plan = occurrence_plan(pattern, g, counting_radius)
+        oracle = _plan_rows_by_anchor_loop(g, pattern, counting_radius)
+        np.testing.assert_array_equal(plan.edge_hits, oracle)
+        assert plan.n_translates == len(oracle)
+        total += len(oracle)
+    assert total > 0 and len(oracle) == 0
+
+
 class TestFrequencies:
     def test_vertex_frequency_tends_to_one(self):
         g = generate(GeneratorSpec(family="square", radius=100.0))
