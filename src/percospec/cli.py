@@ -52,13 +52,14 @@ from .patterns import density_report, extract_r_patterns
 from .percolation import (
     PercolationParams,
     bounds_report,
-    boundary_path_probability,
+    boundary_path_statistic,
     chi_estimate,
     cluster_size_statistic,
-    cluster_size_tail,
+    cluster_size_tail_statistic,
     edge_uniforms,
     gamma_rate,
-    mean_cluster_size,
+    mean_cluster_size,  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
+    per_realization_rows,
     sample,
 )
 from .spectral import (
@@ -548,14 +549,28 @@ def cmd_census(cfg: ExperimentConfig) -> int:
 
 
 def cmd_percolate(cfg: ExperimentConfig) -> int:
+    """Cluster-size tail, boundary-path probability and chi, all three
+    evaluated on one decomposition per realization."""
+    if not (0.0 < cfg.p < 1.0):
+        raise ConfigError(f"percolation.p = {cfg.p}: the decay bounds need 0 < p < 1")
     writer = OutputWriter("percolate", cfg)
     g = generate(cfg.generator_spec())
     writer.stage("generate")
     params = cfg.percolation_params()
-    sizes = cluster_size_tail(g, params, range(1, cfg.n_max + 1))
-    exit_n = range(1, min(cfg.n_max, 12) + 1)
-    exits = boundary_path_probability(g, params, exit_n)
-    chi, chi_se = mean_cluster_size(g, params, margin=_chi_margin(cfg, g))
+    try:
+        size_stat = cluster_size_tail_statistic(g, range(1, cfg.n_max + 1))
+        exit_stat = boundary_path_statistic(g, range(1, min(cfg.n_max, 12) + 1))
+        chi_stat = cluster_size_statistic(g, _chi_margin(cfg, g))
+    except ValueError as exc:
+        raise ConfigError(
+            f"graph.radius = {cfg.radius}, percolation.n_max = {cfg.n_max}: {exc}"
+        ) from exc
+    size_rows, exit_rows, chi_rows = per_realization_rows(
+        g, params, [size_stat, exit_stat, chi_stat]
+    )
+    sizes = size_stat.estimate(size_rows, params)
+    exits = exit_stat.estimate(exit_rows, params)
+    chi, chi_se = chi_estimate(chi_rows)
     writer.stage("percolate")
 
     rows = []

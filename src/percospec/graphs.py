@@ -8,9 +8,9 @@ embedding into the plane is always a derived view; every structural operation
 coefficients, so two vertices are equal iff their coefficient vectors are
 equal.  This keeps long pipelines free of float-comparison drift.
 
-A patch is the restriction of the infinite graph to a region (an open ball by
-default).  Generation is deterministic: the same generator spec produces the
-same vertex order, edge order, and embedding, bit for bit.
+A patch is the restriction of the infinite graph to an open ball.  Generation
+is deterministic: the same generator spec produces the same vertex order, edge
+order, and embedding, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from scipy.spatial import cKDTree
 __all__ = [
     "Basis",
     "Ball",
-    "Rect",
     "EmbeddedGraph",
     "GeneratorSpec",
     "GraphGenerationError",
@@ -34,7 +33,6 @@ __all__ = [
     "restrict",
     "induced_edges",
     "radix_weights",
-    "translate",
     "geometry_report",
     "GeometryReport",
     "dumps",
@@ -175,49 +173,6 @@ class Ball:
         dy = points[:, 1] - self.center[1]
         return self.radius - np.sqrt(dx * dx + dy * dy)
 
-    def translated(self, shift: np.ndarray) -> "Ball":
-        return Ball(
-            center=(self.center[0] + float(shift[0]), self.center[1] + float(shift[1])),
-            radius=self.radius,
-        )
-
-
-@dataclass(frozen=True)
-class Rect:
-    """Closed axis-aligned rectangle."""
-
-    xmin: float
-    ymin: float
-    xmax: float
-    ymax: float
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        return (
-            (points[:, 0] >= self.xmin)
-            & (points[:, 0] <= self.xmax)
-            & (points[:, 1] >= self.ymin)
-            & (points[:, 1] <= self.ymax)
-        )
-
-    def boundary_distance(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        return np.minimum.reduce(
-            [
-                points[:, 0] - self.xmin,
-                self.xmax - points[:, 0],
-                points[:, 1] - self.ymin,
-                self.ymax - points[:, 1],
-            ]
-        )
-
-    def translated(self, shift: np.ndarray) -> "Rect":
-        dx, dy = float(shift[0]), float(shift[1])
-        return Rect(self.xmin + dx, self.ymin + dy, self.xmax + dx, self.ymax + dy)
-
-
-Region = Ball | Rect
-
 
 # ---------------------------------------------------------------------------
 # graphs
@@ -237,7 +192,7 @@ class EmbeddedGraph:
     basis: Basis
     coeffs: np.ndarray
     edges: np.ndarray
-    box: Region | None = None
+    box: Ball | None = None
     r: float = 0.0
     l_max: float = 0.0
     d_max: int = 0
@@ -255,11 +210,6 @@ class EmbeddedGraph:
         pts = self.basis.embed(self.coeffs)
         pts.flags.writeable = False
         return pts
-
-    @cached_property
-    def coeff_index(self) -> dict[tuple[int, ...], int]:
-        """Map coefficient tuple -> vertex index."""
-        return {tuple(int(c) for c in row): i for i, row in enumerate(self.coeffs)}
 
     @cached_property
     def vertex_tree(self) -> cKDTree:
@@ -321,7 +271,7 @@ def from_coeffs(
     basis_id: str,
     coeffs: Iterable[Sequence[int]],
     edges: Iterable[Sequence[int]] = (),
-    box: Region | None = None,
+    box: Ball | None = None,
 ) -> EmbeddedGraph:
     """Build a patch directly from coefficient rows (mainly for tests).
 
@@ -617,7 +567,7 @@ def induced_edges(g: EmbeddedGraph, members: np.ndarray) -> np.ndarray:
     return np.searchsorted(members, g.edges[mask[g.edges[:, 0]] & mask[g.edges[:, 1]]])
 
 
-def restrict(g: EmbeddedGraph, region: Region) -> EmbeddedGraph:
+def restrict(g: EmbeddedGraph, region: Ball) -> EmbeddedGraph:
     """Induced subgraph on the vertices inside ``region``.
 
     The result's box is the region; restricting a patch to its own box is the
@@ -630,29 +580,6 @@ def restrict(g: EmbeddedGraph, region: Region) -> EmbeddedGraph:
         coeffs=g.coeffs[members],
         edges=induced_edges(g, members),
         box=region,
-        r=g.r,
-        l_max=g.l_max,
-        d_max=g.d_max,
-    )
-
-
-def translate(g: EmbeddedGraph, coeff_shift: Sequence[int]) -> EmbeddedGraph:
-    """Translate by an exact element of the coefficient module.
-
-    Vertex order is unchanged (adding a constant preserves lexicographic
-    order), the box shifts by the embedded translation vector.
-    """
-    shift = np.asarray(coeff_shift, dtype=np.int64)
-    if shift.shape != (g.basis.rank,):
-        raise ValueError(
-            f"translation needs {g.basis.rank} integer coefficients, got {shift.shape}"
-        )
-    emb_shift = g.basis.embed(shift.reshape(1, -1))[0]
-    return EmbeddedGraph(
-        basis=g.basis,
-        coeffs=g.coeffs + shift,
-        edges=g.edges.copy(),
-        box=g.box.translated(emb_shift) if g.box is not None else None,
         r=g.r,
         l_max=g.l_max,
         d_max=g.d_max,

@@ -32,11 +32,15 @@ __all__ = [
     "BondConfiguration",
     "ClusterDecomposition",
     "TailEstimate",
+    "TailStatistic",
     "BoundsReport",
     "edge_uniforms",
     "sample",
     "decompose",
+    "per_realization_rows",
+    "cluster_size_tail_statistic",
     "cluster_size_tail",
+    "boundary_path_statistic",
     "boundary_path_probability",
     "boundary_path_bound",
     "cluster_size_statistic",
@@ -114,8 +118,9 @@ class ClusterDecomposition:
     ``labels`` maps each vertex to its cluster id; ``sizes`` counts vertices
     per cluster; ``boundary_touching`` flags clusters owning a vertex within
     l_max of the patch boundary (the finite-patch proxy for "possibly cut
-    off").  The flags, the vertex grouping by cluster and the explicit
-    per-cluster vertex lists are materialized lazily.
+    off").  The flags and the vertex grouping by cluster are materialized
+    lazily; cluster k's vertices are a slice of ``vertex_order``, so no
+    per-cluster list is ever built.
     """
 
     graph: EmbeddedGraph
@@ -138,14 +143,6 @@ class ClusterDecomposition:
     def vertex_bounds(self) -> np.ndarray:
         """Cluster k owns ``vertex_order[vertex_bounds[k]:vertex_bounds[k + 1]]``."""
         return np.concatenate([[0], np.cumsum(self.sizes)])
-
-    @cached_property
-    def clusters(self) -> list[np.ndarray]:
-        order, bounds = self.vertex_order, self.vertex_bounds
-        return [order[bounds[k] : bounds[k + 1]] for k in range(self.n_clusters)]
-
-    def cluster_of(self, v: int) -> np.ndarray:
-        return self.clusters[int(self.labels[v])]
 
 
 def decompose(g: EmbeddedGraph, omega: BondConfiguration | np.ndarray) -> ClusterDecomposition:
@@ -193,28 +190,61 @@ class TailEstimate:
 def _interior_indices(g: EmbeddedGraph, margin: float) -> np.ndarray:
     if g.box is None:
         raise ValueError("patch has no box; interior margin undefined")
-    return np.flatnonzero(g.box.boundary_distance(g.embed) > margin)
+    interior = np.flatnonzero(g.box.boundary_distance(g.embed) > margin)
+    if interior.size == 0:
+        raise ValueError("no interior vertices at this margin; enlarge the patch")
+    return interior
 
 
-def _per_realization_mean(
-    g: EmbeddedGraph,
-    params: PercolationParams,
-    per_vertex: Callable[[ClusterDecomposition], np.ndarray],
-) -> np.ndarray:
-    """Stack the per-realization means of a per-vertex statistic."""
-    rows = []
+Statistic = Callable[[ClusterDecomposition], np.ndarray]
+
+
+def per_realization_rows(
+    g: EmbeddedGraph, params: PercolationParams, stats: Sequence[Statistic]
+) -> list[np.ndarray]:
+    """Sample and decompose each realization once and evaluate every
+    statistic on that decomposition; one (realizations, width) array of
+    rows per statistic."""
+    rows: list[list[np.ndarray]] = [[] for _ in stats]
     for r in range(params.realizations):
         dec = decompose(g, sample(g, params, r))
-        rows.append(per_vertex(dec))
-    return np.array(rows)
+        for stat_rows, stat in zip(rows, stats):
+            stat_rows.append(stat(dec))
+    return [np.array(stat_rows) for stat_rows in rows]
 
 
-def cluster_size_tail(
-    g: EmbeddedGraph,
-    params: PercolationParams,
-    n_values: Sequence[int],
-    margin: float | None = None,
-) -> TailEstimate:
+@dataclass(frozen=True)
+class TailStatistic:
+    """A decay statistic over a ladder of scales, ready to evaluate:
+    calling it on a decomposition gives one realization's row, and
+    ``estimate`` reduces the stacked rows to a ``TailEstimate``."""
+
+    stat: str
+    n_values: np.ndarray
+    interior_vertices: int
+    row: Statistic
+    warnings: tuple[str, ...] = ()
+
+    def __call__(self, dec: ClusterDecomposition) -> np.ndarray:
+        return self.row(dec)
+
+    def estimate(self, rows: np.ndarray, params: PercolationParams) -> TailEstimate:
+        return TailEstimate(
+            stat=self.stat,
+            n_values=self.n_values,
+            estimates=rows.mean(axis=0),
+            stderrs=_sem(rows),
+            realizations=params.realizations,
+            interior_vertices=self.interior_vertices,
+            p=params.p,
+            master_seed=params.master_seed,
+            warnings=list(self.warnings),
+        )
+
+
+def cluster_size_tail_statistic(
+    g: EmbeddedGraph, n_values: Sequence[int], margin: float | None = None
+) -> TailStatistic:
     """P(|C_v| >= n) for each n, averaged over interior vertices.
 
     Interior means farther than max(n) * l_max from the patch boundary, so
@@ -227,32 +257,56 @@ def cluster_size_tail(
     if margin is None:
         margin = float(n_values.max()) * g.l_max
     interior = _interior_indices(g, margin)
-    if interior.size == 0:
-        raise ValueError("no interior vertices at this margin; enlarge the patch")
 
-    def stat(dec: ClusterDecomposition) -> np.ndarray:
+    def row(dec: ClusterDecomposition) -> np.ndarray:
         sz = dec.sizes[dec.labels[interior]]
         return np.array([(sz >= n).mean() for n in n_values])
 
-    rows = _per_realization_mean(g, params, stat)
-    return TailEstimate(
-        stat="cluster_size_tail",
-        n_values=n_values.astype(float),
-        estimates=rows.mean(axis=0),
-        stderrs=_sem(rows),
-        realizations=params.realizations,
-        interior_vertices=int(interior.size),
-        p=params.p,
-        master_seed=params.master_seed,
-    )
+    return TailStatistic("cluster_size_tail", n_values.astype(float), int(interior.size), row)
 
 
-def boundary_path_probability(
+def cluster_size_tail(
     g: EmbeddedGraph,
     params: PercolationParams,
-    n_values: Sequence[float],
+    n_values: Sequence[int],
     margin: float | None = None,
 ) -> TailEstimate:
+    """``cluster_size_tail_statistic`` estimated over ``params``'s realizations."""
+    stat = cluster_size_tail_statistic(g, n_values, margin)
+    (rows,) = per_realization_rows(g, params, [stat])
+    return stat.estimate(rows, params)
+
+
+def _cluster_reach(dec: ClusterDecomposition, interior: np.ndarray) -> np.ndarray:
+    """Largest distance from each ``interior`` vertex to a member of its
+    own cluster.
+
+    The vertices are grouped by cluster size, so a group's clusters are one
+    (clusters, size) block of ``vertex_order``.  A group with a single
+    cluster broadcasts its members against every vertex rather than copying
+    them once per vertex.
+    """
+    emb = dec.graph.embed
+    labels = dec.labels[interior]
+    sizes = dec.sizes[labels]
+    by_size = np.argsort(sizes, kind="stable")
+    grouped = sizes[by_size]
+    cuts = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), sizes.size]
+    reach = np.empty(interior.size)
+    for c0, c1 in zip(cuts[:-1], cuts[1:]):
+        at = by_size[c0:c1]
+        clusters, which = np.unique(labels[at], return_inverse=True)
+        pts = emb[dec.vertex_order[dec.vertex_bounds[clusters][:, None] + np.arange(grouped[c0])]]
+        if clusters.size > 1:
+            pts = pts[which]
+        diff = emb[interior[at]][:, None, :] - pts
+        reach[at] = np.sqrt((diff[..., 0] ** 2 + diff[..., 1] ** 2).max(axis=1))
+    return reach
+
+
+def boundary_path_statistic(
+    g: EmbeddedGraph, n_values: Sequence[float], margin: float | None = None
+) -> TailStatistic:
     """P(an open path leaves the ball B_n(v)) for each n, over interior v.
 
     The event is decided by the maximal Euclidean displacement within the
@@ -262,54 +316,34 @@ def boundary_path_probability(
     n_values = np.asarray(sorted(float(n) for n in n_values))
     if n_values.size == 0 or n_values[0] <= 0:
         raise ValueError("ball radii must be positive")
-    warnings: list[str] = []
     if margin is None:
         margin = float(n_values.max()) * max(g.l_max, 1.0)
     interior = _interior_indices(g, margin)
-    if interior.size == 0:
-        raise ValueError("no interior vertices at this margin; enlarge the patch")
-    usable = _patch_reach(g)
+    warnings = ()
+    usable = 2.0 * g.box.radius
     if n_values.max() > usable:
-        warnings.append(
+        warnings = (
             f"ball radius {n_values.max():g} exceeds the patch reach {usable:g}; "
-            "estimates beyond it are truncated to zero"
+            "estimates beyond it are truncated to zero",
         )
 
-    emb = g.embed
-
-    def stat(dec: ClusterDecomposition) -> np.ndarray:
-        # max displacement from each interior vertex to its cluster
-        reach = np.zeros(interior.size)
-        labels_int = dec.labels[interior]
-        order = np.argsort(labels_int, kind="stable")
-        sorted_labels = labels_int[order]
-        starts = np.flatnonzero(
-            np.r_[True, sorted_labels[1:] != sorted_labels[:-1]]
-        )
-        starts = np.r_[starts, sorted_labels.size]
-        for k in range(starts.size - 1):
-            block = order[starts[k] : starts[k + 1]]
-            label = sorted_labels[starts[k]]
-            members = dec.clusters[label]
-            pts = emb[members]
-            centers = emb[interior[block]]
-            diff = centers[:, None, :] - pts[None, :, :]
-            d2 = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
-            reach[block] = np.sqrt(d2.max(axis=1))
+    def row(dec: ClusterDecomposition) -> np.ndarray:
+        reach = _cluster_reach(dec, interior)
         return np.array([(reach >= n).mean() for n in n_values])
 
-    rows = _per_realization_mean(g, params, stat)
-    return TailEstimate(
-        stat="boundary_path",
-        n_values=n_values,
-        estimates=rows.mean(axis=0),
-        stderrs=_sem(rows),
-        realizations=params.realizations,
-        interior_vertices=int(interior.size),
-        p=params.p,
-        master_seed=params.master_seed,
-        warnings=warnings,
-    )
+    return TailStatistic("boundary_path", n_values, int(interior.size), row, warnings)
+
+
+def boundary_path_probability(
+    g: EmbeddedGraph,
+    params: PercolationParams,
+    n_values: Sequence[float],
+    margin: float | None = None,
+) -> TailEstimate:
+    """``boundary_path_statistic`` estimated over ``params``'s realizations."""
+    stat = boundary_path_statistic(g, n_values, margin)
+    (rows,) = per_realization_rows(g, params, [stat])
+    return stat.estimate(rows, params)
 
 
 def cluster_size_statistic(
@@ -318,8 +352,6 @@ def cluster_size_statistic(
     """The per-realization row of chi: mean |C_v| over the vertices farther
     than ``margin`` from the patch boundary, as a length-1 array."""
     interior = _interior_indices(g, margin)
-    if interior.size == 0:
-        raise ValueError("no interior vertices at this margin; enlarge the patch")
     return lambda dec: np.array([dec.sizes[dec.labels[interior]].mean()])
 
 
@@ -333,17 +365,8 @@ def mean_cluster_size(
 ) -> tuple[float, float]:
     """chi_hat: average |C_v| over the vertices farther than ``margin`` from
     the patch boundary and over realizations, with its standard error."""
-    return chi_estimate(_per_realization_mean(g, params, cluster_size_statistic(g, margin)))
-
-
-def _patch_reach(g: EmbeddedGraph) -> float:
-    if g.box is None:
-        return math.inf
-    from .graphs import Ball
-
-    if isinstance(g.box, Ball):
-        return 2.0 * g.box.radius
-    return math.hypot(g.box.xmax - g.box.xmin, g.box.ymax - g.box.ymin)
+    (rows,) = per_realization_rows(g, params, [cluster_size_statistic(g, margin)])
+    return chi_estimate(rows)
 
 
 def _sem(rows: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from percospec import cli
+from percospec import cli, percolation
 from percospec.cli import (
     ConfigError,
     ExperimentConfig,
@@ -207,6 +207,28 @@ class TestSubcommands:
         lines = (out / "clusters.csv").read_text().strip().splitlines()
         stats = {line.split(",")[0] for line in lines[1:]}
         assert stats == {"cluster_size_tail", "boundary_path", "mean_cluster_size"}
+
+    @pytest.mark.parametrize(
+        "flags,keys",
+        [
+            (["--radius", "45", "--p", "0"], ["percolation.p"]),
+            (["--radius", "45", "--p", "1"], ["percolation.p"]),
+            (["--radius", "15"], ["graph.radius", "percolation.n_max"]),
+            (["--radius", "30", "--n-max", "40"], ["graph.radius", "percolation.n_max"]),
+        ],
+    )
+    def test_percolate_bad_input_exits_two_before_sampling(
+        self, tmp_path, capsys, monkeypatch, flags, keys
+    ):
+        sampled = []
+        monkeypatch.setattr(percolation, "sample", lambda *args: sampled.append(args))
+        out = tmp_path / "perc"
+        code = main(["percolate", "--family", "square", *flags, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys)
+        assert sampled == []
+        assert not out.exists()
 
     def test_ids_csv_structure(self, tmp_path):
         out = tmp_path / "ids"

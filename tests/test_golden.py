@@ -1,7 +1,8 @@
 """Golden outputs: fixed small runs whose files must not change by a byte.
 
 The digests were recorded from the estimator, the density report, the
-census and the four patch generators before their internals were rewritten;
+census, the percolate statistics and the four patch generators before their
+internals were rewritten;
 a change here means the numbers the CLI writes have changed, not just the
 code that computes them.  The golden lifshits run also checks what the
 benchmark's tracer reports.
@@ -49,6 +50,42 @@ CENSUS_SHA256 = {
     "census.csv": "8acacaaef2e8898b141c078547a2dae13efd685e49ced6ab5982773208f67b30",
 }
 
+# percolate on every aperiodic family and on a supercritical square patch
+# whose interior lies in one giant cluster
+PERCOLATE_RUNS = {
+    "square": (
+        ["--family", "square", "--radius", "45", "--p", "0.2",
+         "--realizations", "20", "--seed", "3", "--n-max", "8"],
+        {
+            "clusters.csv": "2fb43b049212c1f3683d62072fb0c201c7317b362167160e23a54f4e1380d288",
+            "bounds.json": "5cb6a4ca9d03a7422362bc62c1020b84fbf8000db1e4b8a6a17d1bf207b6e156",
+        },
+    ),
+    "penrose": (
+        ["--family", "penrose", "--radius", "30", "--p", "0.15",
+         "--realizations", "60", "--seed", "4"],
+        {
+            "clusters.csv": "8707ae5019a8977772751d56cf0f29ce4270275624c028e505640f29277dd5d9",
+            "bounds.json": "d1a3c03a839c6b85682cf9b34416713a97283c60a09863d1668370b080fbb033",
+        },
+    ),
+    "ammann_beenker": (
+        ["--family", "ammann_beenker", "--radius", "24", "--p", "0.13",
+         "--realizations", "30", "--seed", "6"],
+        {
+            "clusters.csv": "f8791a82c41d8da6cecdd11d11be4aad3063745cd655863d08cf5fcea017f1cd",
+            "bounds.json": "d98e3074f42473a5e4fe01c1569a1352c093fb32aefae0437a5d4534f45acd84",
+        },
+    ),
+    "square_supercritical": (
+        ["--family", "square", "--radius", "20", "--p", "0.55",
+         "--realizations", "8", "--seed", "2", "--n-max", "8"],
+        {
+            "clusters.csv": "017ecffdc49a84f4a0c75dea49c689b43238cbfae10b440f2cc6dc1b36cb9c66",
+            "bounds.json": "d3e73c6a8cf8b4d76519b4cebd9d80d477d3b6db6440d1cd32052118c30e7e59",
+        },
+    ),
+}
 
 # SHA-256 of dumps(generate(...)) for the radii the suite and the benchmark
 # generate; the triangular radii 1 and 2 sit exactly on lattice distances
@@ -134,6 +171,13 @@ def test_generate_outputs_match_golden(tmp_path):
 def test_penrose_census_matches_golden(tmp_path):
     assert main(CENSUS_ARGV + ["--out", str(tmp_path)]) == 0
     assert _digests(tmp_path, CENSUS_SHA256) == CENSUS_SHA256
+
+
+@pytest.mark.parametrize("run", sorted(PERCOLATE_RUNS))
+def test_percolate_outputs_match_golden(tmp_path, run):
+    argv, digests = PERCOLATE_RUNS[run]
+    assert main(["percolate", *argv, "--out", str(tmp_path)]) == 0
+    assert _digests(tmp_path, digests) == digests
 
 
 def test_benchmark_tracer_sees_one_pass(tmp_path):

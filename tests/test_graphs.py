@@ -1,4 +1,4 @@
-"""Generator, restriction, translation, geometry, and serialization tests.
+"""Generator, restriction, geometry, and serialization tests.
 
 Expected values are computed by independent in-test enumeration (plain integer
 loops over candidate coordinates) or closed-form geometry, never by calling
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from percospec import graphs
-from percospec.graphs import Ball, GeneratorSpec, GraphGenerationError, Rect
+from percospec.graphs import Ball, GeneratorSpec, GraphGenerationError
 
 
 def square_ball_oracle(radius):
@@ -171,7 +171,7 @@ class TestRestrict:
     def test_restriction_composes_as_intersection(self):
         g = graphs.generate(GeneratorSpec("triangular", 6.0))
         a = Ball((1.0, 0.0), 4.0)
-        b = Rect(-2.0, -2.0, 2.5, 2.5)
+        b = Ball((-0.5, 1.5), 3.0)
         twice = graphs.restrict(graphs.restrict(g, a), b)
         mask = a.contains(g.embed) & b.contains(g.embed)
         assert twice.n_vertices == int(mask.sum())
@@ -182,45 +182,9 @@ class TestRestrict:
     def test_open_ball_excludes_boundary(self):
         # (3, 4) lies at distance exactly 5; the open ball must drop it
         g = graphs.generate(GeneratorSpec("square", 5.0))
-        assert (3, 4) not in g.coeff_index
-        assert (3, 3) in g.coeff_index
-
-
-class TestTranslate:
-    def test_roundtrip_exact(self):
-        g = graphs.generate(GeneratorSpec("penrose", 6.0))
-        t = graphs.translate(graphs.translate(g, (1, -2, 0, 3)), (-1, 2, 0, -3))
-        assert t.same_structure(g)
-
-    def test_square_translation_covariance(self):
-        g = graphs.generate(GeneratorSpec("square", 6.0))
-        shifted = graphs.translate(g, (2, 1))
-        emb_shift = np.array([2.0, 1.0])
-        np.testing.assert_allclose(shifted.embed, g.embed + emb_shift, atol=1e-12)
-        # restriction commutes with translation
-        region = Ball((0.0, 0.0), 3.0)
-        left = graphs.restrict(shifted, region.translated(emb_shift))
-        right = graphs.translate(graphs.restrict(g, region), (2, 1))
-        assert left.same_structure(right)
-
-    def test_wrong_rank_rejected(self):
-        g = graphs.generate(GeneratorSpec("square", 3.0))
-        with pytest.raises(ValueError):
-            graphs.translate(g, (1, 0, 0, 0))
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        dx=st.integers(min_value=-3, max_value=3),
-        dy=st.integers(min_value=-3, max_value=3),
-    )
-    def test_translation_preserves_structure(self, dx, dy):
-        g = graphs.generate(GeneratorSpec("square", 3.5))
-        t = graphs.translate(g, (dx, dy))
-        assert t.n_vertices == g.n_vertices
-        assert np.array_equal(t.edges, g.edges)
-        np.testing.assert_allclose(
-            t.embed, g.embed + np.array([float(dx), float(dy)]), atol=1e-12
-        )
+        coeffs = set(map(tuple, g.coeffs.tolist()))
+        assert (3, 4) not in coeffs
+        assert (3, 3) in coeffs
 
 
 class TestGeometryReport:
@@ -246,7 +210,6 @@ class TestGeometryReport:
     def test_validate_catches_duplicate_vertex(self):
         g = graphs.from_coeffs("square", [(0, 0), (1, 0)], [])
         g.coeffs = np.array([[0, 0], [0, 0]], dtype=np.int64)
-        g.__dict__.pop("coeff_index", None)
         with pytest.raises(ValueError, match="duplicate vertex"):
             g.validate()
 

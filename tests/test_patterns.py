@@ -26,6 +26,11 @@ from percospec.patterns import (
 from percospec.percolation import PercolationParams, sample
 
 
+def _vertex_ids(g):
+    """Vertex id of each coefficient tuple of ``g``."""
+    return {tuple(row): v for v, row in enumerate(g.coeffs.tolist())}
+
+
 @pytest.fixture(scope="module")
 def square_20():
     return generate(GeneratorSpec(family="square", radius=20.0))
@@ -38,8 +43,9 @@ def penrose_20():
 
 class TestCanonicalize:
     def test_translation_invariance(self, square_20):
-        a = pattern_at(square_20, square_20.coeff_index[(0, 0)], 1.2)
-        b = pattern_at(square_20, square_20.coeff_index[(3, -2)], 1.2)
+        idx = _vertex_ids(square_20)
+        a = pattern_at(square_20, idx[(0, 0)], 1.2)
+        b = pattern_at(square_20, idx[(3, -2)], 1.2)
         assert a == b
         assert hash(a) == hash(b)
 
@@ -178,11 +184,11 @@ class TestOccurrences:
         assert got == oracle
 
     def test_cross_pattern_requires_all_vertices(self, square_20):
-        cross = pattern_at(square_20, square_20.coeff_index[(0, 0)], 1.2)
+        idx = _vertex_ids(square_20)
+        cross = pattern_at(square_20, idx[(0, 0)], 1.2)
         got = count_occurrences(cross, square_20, counting_radius=6.0)
         emb = square_20.embed
         inside = np.linalg.norm(emb, axis=1) < 6.0
-        idx = square_20.coeff_index
         oracle = 0
         for cx, cy in square_20.coeffs:
             cx, cy = int(cx), int(cy)
@@ -378,7 +384,7 @@ class TestColoured:
 
 
 def test_pattern_at_open_ball_excludes_radius(square_20):
-    v = square_20.coeff_index[(0, 0)]
+    v = _vertex_ids(square_20)[(0, 0)]
     p = pattern_at(square_20, v, 1.0)
     assert p.n_vertices == 1
     assert p.n_edges == 0

@@ -8,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percospec.graphs import Ball, GeneratorSpec, from_coeffs, generate
+from percospec import percolation
+from percospec.cli import main
 from percospec.percolation import (
     BondConfiguration,
     PercolationParams,
+    _cluster_reach,
     boundary_path_probability,
+    boundary_path_statistic,
     bounds_report,
     bruteforce_cluster_oracle,
     cluster_size_tail,
@@ -125,8 +129,10 @@ class TestDecompose:
         cfg = sample(square_14, PercolationParams(p=0.4, master_seed=3), 0)
         dec = decompose(square_14, cfg)
         assert dec.sizes.sum() == square_14.n_vertices
-        joined = np.sort(np.concatenate(dec.clusters))
-        assert np.array_equal(joined, np.arange(square_14.n_vertices))
+        assert np.array_equal(np.sort(dec.vertex_order), np.arange(square_14.n_vertices))
+        # the k-th slice of vertex_order is exactly cluster k
+        per_slot = np.repeat(np.arange(dec.n_clusters), dec.sizes)
+        assert np.array_equal(dec.labels[dec.vertex_order], per_slot)
 
     def test_open_edges_join_labels(self, square_14):
         cfg = sample(square_14, PercolationParams(p=0.4, master_seed=3), 0)
@@ -134,11 +140,14 @@ class TestDecompose:
         e = square_14.edges[cfg.open_mask]
         assert np.all(dec.labels[e[:, 0]] == dec.labels[e[:, 1]])
 
-    def test_cluster_of_contains_vertex(self, square_14):
+    def test_vertex_bounds_slice_is_own_cluster(self, square_14):
         cfg = sample(square_14, PercolationParams(p=0.4, master_seed=4), 0)
         dec = decompose(square_14, cfg)
         for v in (0, 17, square_14.n_vertices - 1):
-            assert v in dec.cluster_of(v)
+            k = dec.labels[v]
+            members = dec.vertex_order[dec.vertex_bounds[k] : dec.vertex_bounds[k + 1]]
+            assert np.array_equal(members, np.flatnonzero(dec.labels == k))
+            assert v in members
 
     def test_mismatched_mask_rejected(self, square_14):
         with pytest.raises(ValueError):
@@ -256,6 +265,62 @@ class TestTailStatistics:
         assert se > 0.0
         # exact low-density expansion gives chi(0.2) around 2.6 on Z^2
         assert 2.0 < chi < 3.5
+
+
+def _reach_by_cluster_loop(g, dec, interior):
+    """Largest distance from each interior vertex to its cluster, one
+    cluster at a time."""
+    emb = g.embed
+    reach = np.zeros(interior.size)
+    labels = dec.labels[interior]
+    for label in np.unique(labels):
+        block = np.flatnonzero(labels == label)
+        pts = emb[np.flatnonzero(dec.labels == label)]
+        diff = emb[interior[block]][:, None, :] - pts[None, :, :]
+        d2 = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
+        reach[block] = np.sqrt(d2.max(axis=1))
+    return reach
+
+
+class TestReachMatchesPerClusterLoop:
+    @pytest.mark.parametrize(
+        "family,radius,p",
+        [
+            ("square", 18.0, 0.3),
+            ("triangular", 14.0, 0.2),
+            ("penrose", 16.0, 0.2),
+            ("ammann_beenker", 16.0, 0.15),
+            # supercritical: the interior lies mostly in one giant cluster
+            ("square", 14.0, 0.6),
+        ],
+    )
+    def test_reach_and_rows_identical(self, family, radius, p):
+        g = generate(GeneratorSpec(family=family, radius=radius))
+        margin = 3.0
+        interior = np.flatnonzero(g.box.boundary_distance(g.embed) > margin)
+        n_values = np.arange(0.5, 2 * radius, 0.5)
+        stat = boundary_path_statistic(g, n_values, margin=margin)
+        params = PercolationParams(p=p, master_seed=17)
+        for r in range(3):
+            dec = decompose(g, sample(g, params, r))
+            want = _reach_by_cluster_loop(g, dec, interior)
+            assert _cluster_reach(dec, interior).tobytes() == want.tobytes()
+            want_row = np.array([(want >= n).mean() for n in n_values])
+            assert stat(dec).tobytes() == want_row.tobytes()
+
+
+def test_percolate_decomposes_each_realization_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(g, omega):
+        calls.append(omega.realization_index)
+        return decompose(g, omega)
+
+    monkeypatch.setattr(percolation, "decompose", counted)
+    argv = ["percolate", "--family", "square", "--radius", "30", "--p", "0.2",
+            "--realizations", "7", "--n-max", "8", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert calls == list(range(7))
 
 
 class TestBoundsReport:

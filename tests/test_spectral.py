@@ -156,7 +156,8 @@ class TestIdsWholePatch:
         vals_full = eigenvalues(full_laplacian(g, cfg.open_mask))
         dec = decompose(g, cfg)
         pieces = []
-        for members in dec.clusters:
+        for k in range(dec.n_clusters):
+            members = dec.vertex_order[dec.vertex_bounds[k] : dec.vertex_bounds[k + 1]]
             sub = set(int(v) for v in members)
             local = {v: k for k, v in enumerate(sorted(sub))}
             e = [
