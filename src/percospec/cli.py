@@ -39,6 +39,7 @@ from .graphs import (
     dumps,
     generate,
     geometry_report,
+    restrict,
 )
 from .lifshits import (
     InsufficientTailData,
@@ -52,6 +53,7 @@ from .patterns import density_report, extract_r_patterns
 from .percolation import (
     PercolationParams,
     bounds_report,
+    boundary_path_bound,
     boundary_path_statistic,
     chi_estimate,
     cluster_size_statistic,
@@ -60,6 +62,7 @@ from .percolation import (
     gamma_rate,
     mean_cluster_size,  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
     per_realization_rows,
+    psi_rate,
     sample,
 )
 from .spectral import (
@@ -400,14 +403,47 @@ def run_ids(cfg: ExperimentConfig, g: EmbeddedGraph, grid: np.ndarray, observe=N
                    truncated_realizations=total - rows.shape[0])
 
 
+# the default counting radius keeps the chance that a realization is dropped,
+# because a counted cluster reaches the patch boundary, below this
+_ESCAPE_TOLERANCE = 0.01
+
+
+def _escape_margin(cfg: ExperimentConfig, g: EmbeddedGraph) -> float:
+    """l_max plus the smallest integer n with
+    n_vertices * boundary_path_bound(n) <= _ESCAPE_TOLERANCE: a union bound,
+    over every vertex of the patch, on an open path from it leaving the ball
+    of radius n around it.  At p = 0 nothing escapes and the margin is l_max."""
+    if cfg.p == 0.0:
+        return g.l_max
+    if cfg.p * (g.d_max - 1) >= 1.0:
+        raise ConfigError(
+            f"ids.counting_radius unset at percolation.p = {cfg.p}: p (d_max - 1) = "
+            f"{cfg.p * (g.d_max - 1):g} >= 1, so the boundary-path bound gives no "
+            "escape margin; pass --counting-radius"
+        )
+    # the bound is 2 e^{-n psi}: start at the floor of the exact solution
+    psi = psi_rate(cfg.p, g.d_max, g.l_max)
+    n = math.floor(math.log(2.0 * g.n_vertices / _ESCAPE_TOLERANCE) / psi)
+    while g.n_vertices * boundary_path_bound(n, cfg.p, g.d_max, g.l_max) > _ESCAPE_TOLERANCE:
+        n += 1
+    return g.l_max + n
+
+
 def _estimate(
     cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter, observe=None
 ) -> IdsTable:
     """The counting table of ``ids`` and ``lifshits``.  Without a counting
-    radius the window is the patch less one boundary layer (recorded in the
+    radius the window is the patch less the escape margin (recorded in the
     manifest); the energy grid follows the window volume."""
     if cfg.counting_radius is None:
-        cfg.counting_radius = max(cfg.radius - max(cfg.margin, g.l_max), cfg.radius / 2.0)
+        margin = max(_escape_margin(cfg, g), cfg.margin)
+        if cfg.radius - margin <= 0.0:
+            raise ConfigError(
+                f"ids.counting_radius unset and graph.radius = {cfg.radius:g} leaves no "
+                f"window: the escape margin at percolation.p = {cfg.p} is {margin:g}, "
+                f"so the radius must exceed {margin:g}; pass --counting-radius"
+            )
+        cfg.counting_radius = cfg.radius - margin
         writer.manifest.config["counting_radius"] = cfg.counting_radius
     volume = math.pi * cfg.counting_radius**2
     grid = cfg.energy_grid(g.d_max, volume)
@@ -505,8 +541,8 @@ def cmd_census(cfg: ExperimentConfig) -> int:
     g = generate(cfg.generator_spec())
     writer.stage("generate")
     census = extract_r_patterns(g, cfg.pattern_radius)
-    half_spec = GeneratorSpec(family=cfg.family, radius=cfg.radius / 2.0)
-    census_half = extract_r_patterns(generate(half_spec), cfg.pattern_radius)
+    half = restrict(g, Ball((0.0, 0.0), cfg.radius / 2.0))
+    census_half = extract_r_patterns(half, cfg.pattern_radius)
     if census_half.eligible_centers == 0:
         raise ConfigError(
             f"patterns.pattern_radius = {cfg.pattern_radius}: no vertex of the "
@@ -897,7 +933,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--n-max", dest="n_max", type=int, help="largest cluster-size scale")
         else:
             sp.add_argument("--counting-radius", dest="counting_radius", type=float,
-                            help="radius of the counting window (default: radius - margin)")
+                            help="radius of the counting window (default: radius minus the "
+                            "escape margin of the boundary-path bound)")
             sp.add_argument("--e-min", dest="e_min", type=float, help="lowest grid energy")
             sp.add_argument("--e-max", dest="e_max", type=float, help="highest grid energy")
             sp.add_argument("--per-decade", dest="per_decade", type=int,

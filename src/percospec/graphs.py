@@ -36,7 +36,6 @@ __all__ = [
     "geometry_report",
     "GeometryReport",
     "dumps",
-    "loads",
     "ball_volume",
     "get_basis",
 ]
@@ -48,11 +47,8 @@ class GraphGenerationError(ValueError):
     """Raised when a generator spec is invalid or degenerate."""
 
 
-def ball_volume(radius: float, dim: int = 2) -> float:
-    """Lebesgue volume of a ball of the given radius (area, in the plane)."""
-    if dim != 2:
-        half = dim / 2.0
-        return math.pi**half / math.gamma(half + 1.0) * radius**dim
+def ball_volume(radius: float) -> float:
+    """Area of a disc of the given radius."""
     return math.pi * radius * radius
 
 
@@ -646,8 +642,7 @@ def geometry_report(g: EmbeddedGraph) -> GeometryReport:
 
 def dumps(g: EmbeddedGraph) -> str:
     """Line format: ``basis <id> d <dim> n <count> m <count>`` header, then
-    ``v <index> <coeffs...>`` and ``e <i> <j>`` lines.  Integer-exact, so the
-    round trip is bit-exact."""
+    ``v <index> <coeffs...>`` and ``e <i> <j>`` lines, integer-exact."""
     lines = [f"basis {g.basis.id} d 2 n {g.n_vertices} m {g.n_edges}"]
     for i in range(g.n_vertices):
         coeff_str = " ".join(str(int(c)) for c in g.coeffs[i])
@@ -655,45 +650,3 @@ def dumps(g: EmbeddedGraph) -> str:
     for a, b in g.edges:
         lines.append(f"e {int(a)} {int(b)}")
     return "\n".join(lines) + "\n"
-
-
-def loads(text: str) -> EmbeddedGraph:
-    """Parse the line format produced by :func:`dumps`.
-
-    The loaded patch has no box (the serialization does not carry one);
-    geometry constants are re-measured from the data."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty graph serialization")
-    header = lines[0].split()
-    if len(header) != 8 or header[0] != "basis" or header[2] != "d" or header[4] != "n" or header[6] != "m":
-        raise ValueError(f"malformed header: {lines[0]!r}")
-    basis_id = header[1]
-    n_vertices = int(header[5])
-    n_edges = int(header[7])
-    basis = get_basis(basis_id)
-    coeffs = np.zeros((n_vertices, basis.rank), dtype=np.int64)
-    edges = np.zeros((n_edges, 2), dtype=np.int64)
-    seen_v = 0
-    seen_e = 0
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "v":
-            idx = int(parts[1])
-            vals = [int(x) for x in parts[2:]]
-            if len(vals) != basis.rank:
-                raise ValueError(f"vertex line has {len(vals)} coefficients, basis rank is {basis.rank}")
-            coeffs[idx] = vals
-            seen_v += 1
-        elif parts[0] == "e":
-            edges[seen_e] = (int(parts[1]), int(parts[2]))
-            seen_e += 1
-        else:
-            raise ValueError(f"unknown line type: {ln!r}")
-    if seen_v != n_vertices or seen_e != n_edges:
-        raise ValueError(
-            f"header promised {n_vertices} vertices / {n_edges} edges, "
-            f"found {seen_v} / {seen_e}"
-        )
-    g = from_coeffs(basis_id, coeffs, edges, box=None)
-    return g

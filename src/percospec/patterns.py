@@ -1,4 +1,4 @@
-"""Local pattern census, occurrence counting, and empirical frequencies.
+"""Local pattern census, occurrence counting, and vertex densities.
 
 An r-pattern is the induced subgraph on the vertices within distance r of a
 center vertex, stored translation-invariantly: coordinates are integer
@@ -8,9 +8,10 @@ other.  Occurrence counting uses subgraph containment: a translate x + P sits
 inside G when every pattern vertex lands on a graph vertex and every pattern
 edge (with its colour, if any) is present.
 
-Frequencies are counts per unit volume of the counting ball; the census is
-the empirical face of finite local complexity, and the per-radius frequency
-series is the empirical face of pattern frequencies and vertex densities.
+The census is the empirical face of finite local complexity; an occurrence
+plan counts the translates of a pattern, coloured by a bond configuration or
+not, inside a counting ball; the density report gives the vertex densities
+the bracket certification uses.
 """
 
 from __future__ import annotations
@@ -26,14 +27,10 @@ from .percolation import decompose
 __all__ = [
     "CanonicalPattern",
     "PatternCensus",
-    "FrequencyReport",
     "DensityReport",
     "extract_r_patterns",
     "pattern_at",
-    "count_occurrences",
     "occurrence_plan",
-    "frequency_series",
-    "positive_lower_frequency_check",
     "density_report",
 ]
 
@@ -217,74 +214,6 @@ def occurrence_plan(
     # all vertices of the translate must lie in the counting ball
     edge_hits = hits[inside[vids].all(axis=1)]
     return OccurrencePlan(pu, counting_radius, edge_hits, len(edge_hits))
-
-
-def count_occurrences(
-    p: CanonicalPattern,
-    g: EmbeddedGraph,
-    counting_radius: float,
-    open_mask: np.ndarray | None = None,
-) -> int:
-    """Number of exact translates of ``p`` inside the counting ball.
-
-    With a coloured pattern an ``open_mask`` (bond configuration over the
-    graph's edge order) must be supplied, and each pattern edge must match
-    its colour: 1 = open, 0 = closed.
-    """
-    plan = occurrence_plan(p, g, counting_radius)
-    if p.colours is None:
-        return plan.n_translates
-    if open_mask is None:
-        raise ValueError("coloured pattern counting needs a bond configuration")
-    return plan.coloured_count(np.asarray(open_mask, dtype=bool), p.colours)
-
-
-@dataclass
-class FrequencyReport:
-    radii: list[float]
-    counts: list[int]
-    volumes: list[float]
-    frequencies: list[float]
-    nu_hat: float
-    spread_halfwidth: float
-
-
-def frequency_series(
-    p: CanonicalPattern,
-    g: EmbeddedGraph,
-    radii: Sequence[float],
-    open_mask: np.ndarray | None = None,
-) -> FrequencyReport:
-    """Per-volume occurrence counts over a ladder of counting radii, with a
-    tail-extrapolated frequency estimate.
-
-    ``nu_hat`` is the mean over the last quartile of the ladder and the
-    spread is half the max-min range over that quartile."""
-    radii = sorted(float(r) for r in radii)
-    if not radii:
-        raise ValueError("need at least one counting radius")
-    counts = [count_occurrences(p, g, r, open_mask) for r in radii]
-    volumes = [ball_volume(r) for r in radii]
-    freqs = [c / v for c, v in zip(counts, volumes)]
-    q = max(1, len(radii) // 4)
-    tail = freqs[-q:]
-    nu_hat = float(np.mean(tail))
-    spread = (max(tail) - min(tail)) / 2.0
-    return FrequencyReport(radii, counts, volumes, freqs, nu_hat, spread)
-
-
-def positive_lower_frequency_check(
-    p: CanonicalPattern,
-    g: EmbeddedGraph,
-    radii: Sequence[float],
-) -> tuple[bool, float]:
-    """Empirical support for a positive lower pattern frequency: the minimum
-    per-volume frequency over the last half of the radius ladder, and whether
-    it is strictly positive."""
-    report = frequency_series(p, g, radii)
-    half = report.frequencies[len(report.frequencies) // 2 :]
-    lower = float(min(half)) if half else 0.0
-    return lower > 0.0, lower
 
 
 # ---------------------------------------------------------------------------

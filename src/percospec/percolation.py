@@ -89,14 +89,6 @@ class BondConfiguration:
     master_seed: int
     realization_index: int
 
-    @property
-    def n_open(self) -> int:
-        return int(self.open_mask.sum())
-
-    def colours(self) -> np.ndarray:
-        """Edge colours as ints, 1 = open, 0 = closed."""
-        return self.open_mask.astype(np.int64)
-
 
 def sample(
     g: EmbeddedGraph, params: PercolationParams, realization_index: int = 0
@@ -277,14 +269,20 @@ def cluster_size_tail(
     return stat.estimate(rows, params)
 
 
+# (vertex, member) pairs that _cluster_reach holds at once
+_REACH_BLOCK = 1 << 20
+
+
 def _cluster_reach(dec: ClusterDecomposition, interior: np.ndarray) -> np.ndarray:
     """Largest distance from each ``interior`` vertex to a member of its
     own cluster.
 
     The vertices are grouped by cluster size, so a group's clusters are one
-    (clusters, size) block of ``vertex_order``.  A group with a single
-    cluster broadcasts its members against every vertex rather than copying
-    them once per vertex.
+    (clusters, size) block of ``vertex_order``.  Each group is evaluated in
+    blocks of at most ``_REACH_BLOCK`` (vertex, member) pairs, so a giant
+    cluster costs memory linear in its size; a group with a single cluster
+    broadcasts its members against every vertex rather than copying them
+    once per vertex.
     """
     emb = dec.graph.embed
     labels = dec.labels[interior]
@@ -294,13 +292,15 @@ def _cluster_reach(dec: ClusterDecomposition, interior: np.ndarray) -> np.ndarra
     cuts = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), sizes.size]
     reach = np.empty(interior.size)
     for c0, c1 in zip(cuts[:-1], cuts[1:]):
-        at = by_size[c0:c1]
-        clusters, which = np.unique(labels[at], return_inverse=True)
+        group = by_size[c0:c1]
+        clusters, which = np.unique(labels[group], return_inverse=True)
         pts = emb[dec.vertex_order[dec.vertex_bounds[clusters][:, None] + np.arange(grouped[c0])]]
-        if clusters.size > 1:
-            pts = pts[which]
-        diff = emb[interior[at]][:, None, :] - pts
-        reach[at] = np.sqrt((diff[..., 0] ** 2 + diff[..., 1] ** 2).max(axis=1))
+        step = max(1, _REACH_BLOCK // int(grouped[c0]))
+        for b0 in range(0, group.size, step):
+            block = slice(b0, b0 + step)
+            members = pts[which[block]] if clusters.size > 1 else pts
+            diff = emb[interior[group[block]]][:, None, :] - members
+            reach[group[block]] = np.sqrt((diff[..., 0] ** 2 + diff[..., 1] ** 2).max(axis=1))
     return reach
 
 

@@ -331,13 +331,6 @@ class IdsTable:
         t = self.rows - self.rows[:, self.zero_index][:, None]
         return t.mean(axis=0), _sem(t)
 
-    def value_at(self, energy: float) -> float:
-        """Mean count at the largest grid energy <= the query."""
-        i = int(np.searchsorted(self.energies, energy, side="right")) - 1
-        if i < 0:
-            raise ValueError(f"energy {energy} below the grid")
-        return float(self.mean[i])
-
 
 def ids_estimate(
     g: EmbeddedGraph,

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from percospec import cli, percolation
+from percospec import cli, percolation, spectral
 from percospec.cli import (
     ConfigError,
     ExperimentConfig,
@@ -264,6 +264,41 @@ class TestSubcommands:
         table = json.loads((out / "ids.json").read_text())
         assert table["realizations"] + table["truncated_realizations"] == 8
         assert len(table["energies"]) == len(table["mean"])
+
+    def test_ids_default_counting_radius_keeps_realizations(self, tmp_path):
+        # 11277 vertices * 2 e^{-13 ln(10/3)} <= 0.01, so the margin is
+        # l_max + 13 = 14; the old default of radius - 1 dropped all 100
+        out = tmp_path / "ids"
+        code = main(
+            [
+                "ids", "--family", "square", "--radius", "60", "--p", "0.1",
+                "--realizations", "100", "--format", "json", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["counting_radius"] == 46.0
+        table = json.loads((out / "ids.json").read_text())
+        assert table["counting_radius"] == 46.0
+        assert table["truncated_realizations"] == 0
+        assert table["realizations"] == 100
+
+    def test_ids_default_counting_radius_without_window_exits_two(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        sampled = []
+        monkeypatch.setattr(spectral, "sample", lambda *args: sampled.append(args))
+        out = tmp_path / "ids"
+        code = main(
+            [
+                "ids", "--family", "ammann_beenker", "--radius", "20", "--p", "0.1",
+                "--realizations", "10", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "ids.counting_radius" in capsys.readouterr().err
+        assert sampled == []
+        assert not out.exists()
 
     def test_lifshits_insufficient_data_exits_one(self, tmp_path):
         code = main(

@@ -221,35 +221,12 @@ class TestGeometryReport:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("family", ["square", "triangular", "penrose", "ammann_beenker"])
-    def test_roundtrip_bit_exact(self, family):
-        g = graphs.generate(GeneratorSpec(family, 6.0))
-        text = graphs.dumps(g)
-        g2 = graphs.loads(text)
-        assert g2.basis.id == g.basis.id
-        assert np.array_equal(g2.coeffs, g.coeffs)
-        assert np.array_equal(g2.edges, g.edges)
-        assert graphs.dumps(g2) == text
-
     def test_header_format(self):
         g = graphs.generate(GeneratorSpec("square", 2.5))
         first = graphs.dumps(g).splitlines()[0]
         assert first == f"basis square d 2 n {g.n_vertices} m {g.n_edges}"
 
-    def test_malformed_header_rejected(self):
-        with pytest.raises(ValueError, match="malformed header"):
-            graphs.loads("nonsense 1 2 3\n")
-
-    def test_vertex_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            graphs.loads("basis square d 2 n 2 m 0\nv 0 0 0\n")
-
 
 class TestBallVolume:
     def test_plane(self):
         assert graphs.ball_volume(2.0) == pytest.approx(4.0 * math.pi)
-
-    def test_matches_general_formula(self):
-        assert graphs.ball_volume(1.5, dim=2) == pytest.approx(
-            math.pi * 2.25, rel=1e-12
-        )

@@ -13,15 +13,11 @@ from percospec.graphs import (
     generate,
 )
 from percospec.patterns import (
-    FrequencyReport,
     canonicalize,
-    count_occurrences,
     density_report,
     extract_r_patterns,
-    frequency_series,
     occurrence_plan,
     pattern_at,
-    positive_lower_frequency_check,
 )
 from percospec.percolation import PercolationParams, sample
 
@@ -174,7 +170,7 @@ class TestOccurrences:
 
     def test_edge_pattern_count(self, square_20):
         pattern = canonicalize("square", [(0, 0), (1, 0)], [(0, 1)])
-        got = count_occurrences(pattern, square_20, counting_radius=4.0)
+        got = occurrence_plan(pattern, square_20, counting_radius=4.0).n_translates
         emb = square_20.embed
         inside = np.linalg.norm(emb, axis=1) < 4.0
         oracle = 0
@@ -186,7 +182,7 @@ class TestOccurrences:
     def test_cross_pattern_requires_all_vertices(self, square_20):
         idx = _vertex_ids(square_20)
         cross = pattern_at(square_20, idx[(0, 0)], 1.2)
-        got = count_occurrences(cross, square_20, counting_radius=6.0)
+        got = occurrence_plan(cross, square_20, counting_radius=6.0).n_translates
         emb = square_20.embed
         inside = np.linalg.norm(emb, axis=1) < 6.0
         oracle = 0
@@ -200,7 +196,7 @@ class TestOccurrences:
 
     def test_basis_mismatch_counts_zero(self, penrose_20):
         pattern = canonicalize("square", [(0, 0)], [])
-        assert count_occurrences(pattern, penrose_20, counting_radius=5.0) == 0
+        assert occurrence_plan(pattern, penrose_20, counting_radius=5.0).n_translates == 0
 
     def test_missing_edge_blocks_translate(self):
         # a patch with a deleted edge: the edge pattern must skip that spot
@@ -219,7 +215,7 @@ class TestOccurrences:
         for (x, y) in coeffs:
             if (x + 1, y) in idx and emb_inside((x, y)) and emb_inside((x + 1, y)):
                 full += 1
-        got = count_occurrences(pattern, g, counting_radius=3.0)
+        got = occurrence_plan(pattern, g, counting_radius=3.0).n_translates
         assert got == full - 1  # the deleted edge sat inside the counting ball
 
 
@@ -271,32 +267,14 @@ class TestFrequencies:
     def test_vertex_frequency_tends_to_one(self):
         g = generate(GeneratorSpec(family="square", radius=100.0))
         pattern = canonicalize("square", [(0, 0)], [])
-        report = frequency_series(pattern, g, radii=[40.0, 60.0, 80.0, 95.0])
-        assert report.nu_hat == pytest.approx(1.0, abs=0.02)
+        frequency = occurrence_plan(pattern, g, 95.0).n_translates / ball_volume(95.0)
+        assert frequency == pytest.approx(1.0, abs=0.02)
 
     def test_horizontal_edge_frequency_tends_to_one(self):
         g = generate(GeneratorSpec(family="square", radius=100.0))
         pattern = canonicalize("square", [(0, 0), (1, 0)], [(0, 1)])
-        report = frequency_series(pattern, g, radii=[40.0, 60.0, 80.0, 95.0])
-        assert report.nu_hat == pytest.approx(1.0, abs=0.03)
-
-    def test_positive_lower_frequency(self, square_20):
-        pattern = canonicalize("square", [(0, 0)], [])
-        ok, lower = positive_lower_frequency_check(
-            pattern, square_20, radii=[6.0, 9.0, 12.0, 15.0, 18.0]
-        )
-        assert ok
-        assert lower > 0.5
-
-    def test_frequency_report_fields(self, square_20):
-        pattern = canonicalize("square", [(0, 0)], [])
-        report = frequency_series(pattern, square_20, radii=[8.0, 10.0, 12.0, 14.0])
-        assert isinstance(report, FrequencyReport)
-        assert report.spread_halfwidth >= 0
-        assert len(report.radii) == len(report.frequencies) == 4
-        assert report.counts[0] <= report.counts[-1]
-        for c, v, f in zip(report.counts, report.volumes, report.frequencies):
-            assert f == pytest.approx(c / v)
+        frequency = occurrence_plan(pattern, g, 95.0).n_translates / ball_volume(95.0)
+        assert frequency == pytest.approx(1.0, abs=0.03)
 
 
 class TestDensity:
@@ -323,17 +301,18 @@ class TestDensity:
 class TestColoured:
     def _mc_counts(self, pattern, g, p, seed, realizations, radius):
         params = PercolationParams(p=p, master_seed=seed, realizations=realizations)
+        plan = occurrence_plan(pattern, g, radius)
         counts = []
         for r in range(realizations):
             cfg = sample(g, params, r)
-            counts.append(count_occurrences(pattern, g, radius, cfg.open_mask))
+            counts.append(plan.coloured_count(cfg.open_mask, pattern.colours))
         return np.asarray(counts, dtype=float)
 
     def test_all_open_matches_uncoloured(self, square_20):
         pattern = canonicalize("square", [(0, 0), (1, 0)], [(0, 1)])
         coloured = pattern.with_colours((1,))
         counts = self._mc_counts(coloured, square_20, 1.0, 3, 2, 10.0)
-        base = count_occurrences(pattern, square_20, counting_radius=10.0)
+        base = occurrence_plan(pattern, square_20, counting_radius=10.0).n_translates
         assert np.all(counts == base)
 
     def test_all_closed_colour_never_matches_at_p_one(self, square_20):
@@ -346,7 +325,7 @@ class TestColoured:
         pattern = canonicalize("square", [(0, 0), (1, 0)], [(0, 1)])
         coloured = pattern.with_colours((1,))
         counts = self._mc_counts(coloured, square_20, 0.5, 19, 64, 12.0)
-        base = count_occurrences(pattern, square_20, counting_radius=12.0)
+        base = occurrence_plan(pattern, square_20, counting_radius=12.0).n_translates
         sem = counts.std(ddof=1) / np.sqrt(len(counts))
         assert abs(counts.mean() - 0.5 * base) < 4.0 * sem + 1e-9
 
@@ -354,7 +333,7 @@ class TestColoured:
         pattern = canonicalize("square", [(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 2)])
         coloured = pattern.with_colours((1, 0))
         counts = self._mc_counts(coloured, square_20, 0.5, 23, 64, 12.0)
-        base = count_occurrences(pattern, square_20, counting_radius=12.0)
+        base = occurrence_plan(pattern, square_20, counting_radius=12.0).n_translates
         sem = counts.std(ddof=1) / np.sqrt(len(counts))
         assert abs(counts.mean() - 0.25 * base) < 4.0 * sem + 1e-9
 
@@ -366,21 +345,6 @@ class TestColoured:
         got = plan.coloured_count(cfg.open_mask, coloured.colours)
         manual = sum(1 for row in plan.edge_hits if cfg.open_mask[row[0]])
         assert got == manual
-
-    def test_coloured_frequency_series(self, square_20):
-        pattern = canonicalize("square", [(0, 0), (1, 0)], [(0, 1)]).with_colours((1,))
-        cfg = sample(square_20, PercolationParams(p=0.6, master_seed=7), 0)
-        report = frequency_series(pattern, square_20, [6.0, 9.0, 12.0], cfg.open_mask)
-        for r, c in zip(report.radii, report.counts):
-            assert c == count_occurrences(pattern, square_20, r, cfg.open_mask)
-        assert report.frequencies == [
-            c / ball_volume(r) for r, c in zip(report.radii, report.counts)
-        ]
-
-    def test_coloured_counting_requires_mask(self, square_20):
-        pattern = canonicalize("square", [(0, 0), (1, 0)], [(0, 1)]).with_colours((1,))
-        with pytest.raises(ValueError):
-            count_occurrences(pattern, square_20, counting_radius=5.0)
 
 
 def test_pattern_at_open_ball_excludes_radius(square_20):

@@ -197,13 +197,6 @@ class TestIdsWindowed:
         diffs = np.diff(tab.rows, axis=1)
         assert np.all(diffs >= -1e-15)
 
-    def test_value_at_steps(self, patch):
-        params = PercolationParams(p=0.2, master_seed=9, realizations=5)
-        tab = ids_estimate(patch, params, [1.0, 2.0], counting_radius=30.0)
-        assert tab.value_at(1.5) == tab.value_at(1.0)
-        with pytest.raises(ValueError):
-            tab.value_at(-0.5)
-
     def test_truncation_guard_fires_when_window_meets_boundary(self):
         # counting window flush with the patch edge at a supercritical p:
         # spanning clusters touch the boundary, so realizations are dropped
