@@ -68,6 +68,7 @@ from .percolation import (
 from .spectral import (
     AllRealizationsTruncated,
     IdsTable,
+    _ShapeCache,
     bruteforce_ids_oracle,
     chain_spectrum,
     cheeger_check,
@@ -173,6 +174,11 @@ class ExperimentConfig:
         plus the optional high anchor that records the total spectral mass."""
         e_min = self.e_min
         if e_min is None:
+            if not (0.0 < self.p < 1.0):
+                raise ConfigError(
+                    f"percolation.p = {self.p}: the default ids.e_min needs 0 < p < 1; "
+                    "pass --e-min"
+                )
             e_min, _ = default_energy_range(
                 self.p, d_max, self.realizations, volume
             )
@@ -374,32 +380,35 @@ def _json_text(obj) -> str:
 # the chunked estimator run shared by `ids` and `lifshits`
 
 
-def run_ids(cfg: ExperimentConfig, g: EmbeddedGraph, grid: np.ndarray, observe=None) -> IdsTable:
+def run_ids(cfg: ExperimentConfig, g: EmbeddedGraph, grid: np.ndarray,
+            chi_margin: float | None = None) -> IdsTable:
     """Estimate the spectral counting table, splitting realizations into
     contiguous chunks on a thread pool of at most one worker per usable CPU.
 
     Realization streams are keyed by absolute index, so stacking the rows of
-    the chunks that kept any reproduces a one-chunk run exactly; the rest
-    were truncated.  ``observe`` goes to every chunk's ``ids_estimate``.
+    the chunks reproduces a one-chunk run exactly; a chunk that kept no
+    realization adds no rows.  The chunks share one shape cache.
+    ``chi_margin`` goes to every chunk's ``ids_estimate``, and the chi rows
+    of all chunks are stacked in realization order.
     """
     total = cfg.realizations
     n_chunks = min(cfg.threads, total)
     bounds = np.linspace(0, total, n_chunks + 1).astype(int)
+    cache = _ShapeCache(grid)
 
-    def one_chunk(start: int, stop: int) -> IdsTable | None:
+    def one_chunk(start: int, stop: int) -> IdsTable:
         params = replace(cfg.percolation_params(), realizations=stop - start)
-        try:
-            return ids_estimate(g, params, grid, counting_radius=cfg.counting_radius,
-                                realization_offset=start, observe=observe)
-        except AllRealizationsTruncated:
-            return None
+        return ids_estimate(g, params, grid, counting_radius=cfg.counting_radius,
+                            realization_offset=start, chi_margin=chi_margin,
+                            shape_cache=cache, allow_empty=True)
 
     with ThreadPoolExecutor(max_workers=min(n_chunks, len(os.sched_getaffinity(0)))) as pool:
-        tables = [t for t in pool.map(one_chunk, bounds[:-1], bounds[1:]) if t is not None]
-    if not tables:
-        raise AllRealizationsTruncated()
+        tables = list(pool.map(one_chunk, bounds[:-1], bounds[1:]))
     rows = np.vstack([t.rows for t in tables])
-    return replace(tables[0], rows=rows, requested_realizations=total,
+    if rows.shape[0] == 0:
+        raise AllRealizationsTruncated()
+    chi = None if chi_margin is None else np.vstack([t.chi for t in tables])
+    return replace(tables[0], rows=rows, chi=chi, requested_realizations=total,
                    truncated_realizations=total - rows.shape[0])
 
 
@@ -430,7 +439,8 @@ def _escape_margin(cfg: ExperimentConfig, g: EmbeddedGraph) -> float:
 
 
 def _estimate(
-    cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter, observe=None
+    cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter,
+    chi_margin: float | None = None,
 ) -> IdsTable:
     """The counting table of ``ids`` and ``lifshits``.  Without a counting
     radius the window is the patch less the escape margin (recorded in the
@@ -447,7 +457,7 @@ def _estimate(
         writer.manifest.config["counting_radius"] = cfg.counting_radius
     volume = math.pi * cfg.counting_radius**2
     grid = cfg.energy_grid(g.d_max, volume)
-    return run_ids(cfg, g, grid, observe)
+    return run_ids(cfg, g, grid, chi_margin)
 
 
 def _chi_margin(cfg: ExperimentConfig, g: EmbeddedGraph) -> float:
@@ -648,17 +658,13 @@ def cmd_ids(cfg: ExperimentConfig) -> int:
 def cmd_lifshits(cfg: ExperimentConfig) -> int:
     """The full pipeline: estimate the counting table, fit the linearized
     tail, and certify the two-sided bound."""
+    if not (0.0 < cfg.p < 1.0):
+        raise ConfigError(f"percolation.p = {cfg.p}: the tail bounds need 0 < p < 1")
     writer = OutputWriter("lifshits", cfg)
     g = generate(cfg.generator_spec())
     writer.stage("generate")
     # chi is taken from the estimator's realizations, row r from realization r
-    chi_row = cluster_size_statistic(g, _chi_margin(cfg, g))
-    chi_rows = np.empty((cfg.realizations, 1))
-
-    def observe(omega, dec) -> None:
-        chi_rows[omega.realization_index] = chi_row(dec)
-
-    table = _estimate(cfg, g, writer, observe)
+    table = _estimate(cfg, g, writer, _chi_margin(cfg, g))
     writer.stage("ids")
 
     # the top anchor documents total spectral mass; it sits in the bulk and
@@ -667,7 +673,7 @@ def cmd_lifshits(cfg: ExperimentConfig) -> int:
     densities = density_report(
         g, [0.5 * cfg.radius, 0.7 * cfg.radius, 0.9 * cfg.radius]
     )
-    chi, chi_se = chi_estimate(chi_rows)
+    chi, chi_se = chi_estimate(table.chi)
     bounds = bounds_report(cfg.p, g.d_max, g.l_max, chi_hat=chi, chi_stderr=chi_se)
     report = certify_bracketing(
         analysis,

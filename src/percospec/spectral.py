@@ -13,25 +13,29 @@ need no eigenvectors at all.
 Spectra depend only on the combinatorial shape of a cluster, so eigensolves
 are cached under a translation-invariant shape key; in the subcritical
 regime a handful of shapes covers almost every cluster and the cache turns
-the per-realization cost into bookkeeping.  The keys of a realization are
-built in one batch (one sort of its open edges, then one ``np.unique`` per
-cluster size and edge count), so the Python-level work per realization
-grows with the number of distinct shapes, not with the number of clusters.
+the per-realization cost into bookkeeping.  Realizations are counted in
+batches: one block-diagonal decomposition, one keying pass (one sort of
+the open edges, then one ``np.unique`` per cluster size and edge count) and
+one stacked eigensolve per cluster size serve every realization of a batch,
+so the Python-level work grows with the number of distinct shapes, not
+with the number of clusters or realizations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .graphs import Ball, EmbeddedGraph
 from .percolation import (
     BondConfiguration,
-    ClusterDecomposition,
     PercolationParams,
+    _interior_indices,
     _sem,
     decompose,
     sample,
@@ -72,11 +76,21 @@ SNAP_TOL = 1e-9
 
 def laplacian_from_edges(n: int, edges: np.ndarray) -> np.ndarray:
     """Dense combinatorial Laplacian D - A on n vertices."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    a, b = edges[:, 0], edges[:, 1]
-    lap = np.diag(np.bincount(edges.ravel(), minlength=n).astype(float))
-    np.add.at(lap, (a, b), -1.0)
-    np.add.at(lap, (b, a), -1.0)
+    return _laplacians(n, [np.asarray(edges, dtype=np.int64).reshape(-1, 2)])[0]
+
+
+def _laplacians(size: int, shapes: Sequence[np.ndarray]) -> np.ndarray:
+    """Dense Laplacians D - A, stacked, of graphs on ``size`` vertices given
+    by their edge lists."""
+    lap = np.zeros((len(shapes), size, size))
+    which = np.repeat(np.arange(len(shapes)), [e.shape[0] for e in shapes])
+    a, b = np.concatenate(shapes).T
+    np.add.at(lap, (which, a, b), -1.0)
+    np.add.at(lap, (which, b, a), -1.0)
+    degrees = np.bincount(np.concatenate([which * size + a, which * size + b]),
+                          minlength=len(shapes) * size)
+    diagonal = np.arange(size)
+    lap[:, diagonal, diagonal] = degrees.reshape(len(shapes), size)
     return lap
 
 
@@ -111,15 +125,22 @@ def eigenvalues(mat: np.ndarray, residual_tol: float = 1e-8) -> np.ndarray:
 
 def eigensystem(mat: np.ndarray, residual_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (snapped) and orthonormal eigenvectors, verified: the
-    residual ||M v - lambda v|| must not exceed residual_tol * max(1, ||M||)."""
+    residual ||M v - lambda v|| must not exceed residual_tol * max(1, ||M||).
+
+    ``mat`` may also be a stack (c, n, n) of matrices, solved in one call
+    and each checked against its own norm; a matrix gets the same
+    eigenpairs alone or in a stack."""
     mat = np.asarray(mat, dtype=float)
     vals, vecs = np.linalg.eigh(mat)
-    scale = max(1.0, float(np.linalg.norm(mat)) if mat.size else 0.0)
-    resid = np.linalg.norm(mat @ vecs - vecs * vals[None, :], axis=0)
-    worst = float(resid.max()) if resid.size else 0.0
-    if worst > residual_tol * scale:
+    scale = np.maximum(1.0, np.linalg.norm(mat, axis=(-2, -1)))
+    resid = np.linalg.norm(mat @ vecs - vecs * vals[..., None, :], axis=-2)
+    worst = resid.max(axis=-1, initial=0.0)
+    over = worst / (residual_tol * scale)
+    if np.any(over > 1.0):
+        i = np.unravel_index(np.argmax(over), over.shape)
         raise ArithmeticError(
-            f"eigenpair residual {worst:.3e} exceeds {residual_tol:.1e} * {scale:.3e}"
+            f"eigenpair residual {float(worst[i]):.3e} exceeds {residual_tol:.1e} * "
+            f"{float(scale[i]):.3e}"
         )
     return _snap(vals), vecs
 
@@ -170,108 +191,141 @@ def chain_gap_bound(l: int) -> float:
 # cluster shape cache
 
 
+# matrix entries that one stacked eigensolve holds at most
+_SOLVE_ENTRIES = 1 << 18
+
+
+def _count_grid(energies: Sequence[float]) -> np.ndarray:
+    """The estimator's energy grid: the requested energies and zero, sorted
+    and without repeats."""
+    grid = np.unique(np.concatenate([[0.0], np.asarray(list(energies), dtype=float)]))
+    if grid[0] < 0.0:
+        raise ValueError("energies must be nonnegative")
+    return grid
+
+
 class _ShapeCache:
     """Eigen-data per combinatorial cluster shape, bound to one energy grid.
 
     A shape key is (size, bytes of the locally indexed edge list); local
     indices follow the global vertex order, which is a translation-invariant
     ordering of the coefficient rows, so translated copies of a cluster
-    share a key.  ``_key_shapes`` builds the keys of a realization in one
-    batch and looks each distinct shape up once.  Only eigenvalues and
-    reduced grid vectors are retained; eigenvectors are recomputed for the
-    rare window-straddling clusters.
+    share a key.  ``counts[key]`` holds the shape's cumulative eigenvalue
+    counts at each grid energy.  ``vectors[key]`` holds its eigenvectors,
+    kept only for shapes that a cluster straddling the counting window
+    needed; a straddler's window weights are computed from them, so no
+    (shape, window) pair is solved on its own.  Misses are solved in one
+    stacked eigensolve per cluster size.  A shape is solved once, or a
+    second time when it first straddles after a solve that kept no
+    eigenvectors.  The chunks of one run share a cache across threads:
+    entries are only added, and an entry is the same whichever thread
+    solved it.
     """
 
-    def __init__(self, grid: np.ndarray | None = None):
-        self.grid = grid
-        self.eigs: dict = {}
-        self.grid_counts: dict = {}
-        self.partial_counts: dict = {}
+    def __init__(self, energies: Sequence[float]):
+        self.grid = _count_grid(energies)
+        self.counts: dict = {}
+        self.vectors: dict = {}
 
-    def spectrum(self, key, n, local_edges) -> np.ndarray:
-        got = self.eigs.get(key)
-        if got is None:
-            got = eigenvalues(laplacian_from_edges(n, local_edges))
-            self.eigs[key] = got
-        return got
+    def solve(self, keys: list, edges: list, with_vectors: np.ndarray) -> None:
+        """Give every shape its counts, and its eigenvectors where
+        ``with_vectors`` asks for them."""
+        by_size: dict[int, list[int]] = {}
+        for j, key in enumerate(keys):
+            if key not in self.counts or (with_vectors[j] and key not in self.vectors):
+                by_size.setdefault(key[0], []).append(j)
+        for size, missing in by_size.items():
+            step = max(1, _SOLVE_ENTRIES // (size * size))
+            for c0 in range(0, len(missing), step):
+                chunk = missing[c0 : c0 + step]
+                vals, vecs = eigensystem(_laplacians(size, [edges[j] for j in chunk]))
+                # vals ascend, so this is searchsorted(vals, grid, "right")
+                counts = (vals[:, :, None] <= self.grid).sum(axis=1).astype(float)
+                for i, j in enumerate(chunk):
+                    self.counts.setdefault(keys[j], counts[i])
+                    if with_vectors[j]:
+                        # a copy, so the stack is not kept alive
+                        self.vectors[keys[j]] = vecs[i].copy()
 
-    def count_vector(self, key, n, local_edges) -> np.ndarray:
-        """Cumulative eigenvalue counts of the shape at each grid energy."""
-        got = self.grid_counts.get(key)
-        if got is None:
-            vals = self.spectrum(key, n, local_edges)
-            got = np.searchsorted(vals, self.grid, side="right").astype(float)
-            self.grid_counts[key] = got
-        return got
 
-    def partial_vector(self, key, n, local_edges, inside_local) -> np.ndarray:
-        """Cumulative eigenfunction-weighted counts over the inside vertices."""
-        pk = (key, inside_local.tobytes())
-        got = self.partial_counts.get(pk)
-        if got is None:
-            vals, vecs = eigensystem(laplacian_from_edges(n, local_edges))
-            self.eigs.setdefault(key, vals)
-            weights = (vecs[inside_local] ** 2).sum(axis=0)
-            cum = np.concatenate([[0.0], np.cumsum(weights)])
-            got = cum[np.searchsorted(vals, self.grid, side="right")]
-            self.partial_counts[pk] = got
-        return got
+def _window_weighted(vectors: np.ndarray, inside: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Cumulative window-weighted counts of clusters of one size: row i
+    sums, over cluster i's eigenpairs with E_k <= E, the mass of phi_k on
+    its ``inside`` vertices.  ``vectors`` (c, s, s) are the eigenvectors in
+    local vertex order, ``counts`` (c, grid) the shapes' cumulative counts.
+    The masked sum adds the inside rows in vertex order, as summing only
+    those rows would."""
+    weights = (vectors**2 * inside[:, :, None]).sum(axis=1)
+    cum = np.zeros((weights.shape[0], weights.shape[1] + 1))
+    np.cumsum(weights, axis=1, out=cum[:, 1:])
+    return np.take_along_axis(cum, counts.astype(np.intp), axis=1)
 
 
 @dataclass
 class _Shapes:
-    """Shape keys of some clusters of one realization.
+    """Shape keys of some clusters.
 
     ``labels`` lists the keyed clusters in ascending order; cluster
     ``labels[i]`` has the shape ``keys[index[i]]``, whose local edge list is
-    ``edges[index[i]]``.  Each distinct shape appears once in ``keys``.
+    ``edges[index[i]]``, and owns the vertices
+    ``vertices[starts[i]:starts[i + 1]]`` in ascending (local) order.  Each
+    distinct shape appears once in ``keys``.
     """
 
     labels: np.ndarray
     index: np.ndarray
     keys: list[tuple[int, bytes]]
     edges: list[np.ndarray]
+    vertices: np.ndarray
+    starts: np.ndarray
 
 
-def _key_shapes(dec: ClusterDecomposition, open_mask: np.ndarray, chosen: np.ndarray) -> _Shapes:
+def _key_shapes(
+    edges: np.ndarray, labels: np.ndarray, sizes: np.ndarray, chosen: np.ndarray
+) -> _Shapes:
     """Exact shape keys of the chosen clusters (a mask over labels; every
     chosen cluster has at least one open edge), built in one batch.
 
-    A vertex's local index is its rank inside its cluster in ascending
-    vertex order.  The chosen clusters' open edges become (lo, hi) rows in
-    local indices.  Clusters of equal size and edge count form a group;
-    the rows are sorted by group, cluster, lo and hi, so each group is one
-    contiguous run of equal-width cluster blocks, and one ``np.unique``
-    over those blocks finds the group's distinct shapes.
+    ``edges`` are the open edges as rows (u, v), u < v, in ascending order
+    (as ``EmbeddedGraph.edges`` keeps them).  A vertex's local index is its
+    rank inside its cluster in ascending vertex order.  That numbering
+    keeps the vertex order, so a cluster's rows are already sorted by local
+    (lo, hi), and one stable sort by (group, cluster) lines them up, where
+    a group holds the clusters of one size and edge count.  Each group is
+    then one contiguous run of equal-width cluster blocks, and one
+    ``np.unique`` over those blocks finds the group's distinct shapes.
+    Every temporary is sized by the chosen clusters, except one int32
+    array over the vertices.
     """
-    order = dec.vertex_order
-    position = np.empty(order.size, dtype=np.int64)
-    position[order] = np.arange(order.size)
-    e = dec.graph.edges[open_mask]
-    owner = dec.labels[e[:, 0]]
+    chosen_labels = np.flatnonzero(chosen)
+    chosen_sizes = sizes[chosen_labels]
+    vertices = np.flatnonzero(chosen[labels])
+    vertices = vertices[np.argsort(labels[vertices], kind="stable")]
+    starts = np.concatenate([[0], np.cumsum(chosen_sizes)])
+    local = np.empty(labels.size, dtype=np.int32)
+    local[vertices] = np.arange(vertices.size) - np.repeat(starts[:-1], chosen_sizes)
+
+    owner = labels[edges[:, 0]]
     keep = chosen[owner]
-    e, owner = e[keep], owner[keep]
-    first = dec.vertex_bounds[owner]
-    a, b = position[e[:, 0]] - first, position[e[:, 1]] - first
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    n_edges = np.bincount(owner, minlength=dec.n_clusters)
-    group = dec.sizes * (e.shape[0] + 1) + n_edges
-    by_row = np.lexsort((hi, lo, owner, group[owner]))
-    rows = np.column_stack([lo[by_row], hi[by_row]])
+    e = edges[keep]
+    which = np.searchsorted(chosen_labels, owner[keep])
+    n_edges = np.bincount(which, minlength=chosen_labels.size)
+    group = chosen_sizes * (e.shape[0] + 1) + n_edges
+    by_group = np.argsort(group, kind="stable")
+    rank = np.empty(chosen_labels.size, dtype=np.int64)
+    rank[by_group] = np.arange(chosen_labels.size)
+    by_row = np.argsort(rank[which], kind="stable")
+    rows = local[e[by_row]].astype(np.int64)
 
-    labels = np.flatnonzero(chosen)
-    by_group = np.argsort(group[labels], kind="stable")
-    grouped = group[labels[by_group]]
-    cuts = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), labels.size]
-
-    index = np.empty(labels.size, dtype=np.int64)
+    grouped = group[by_group]
+    cuts = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), chosen_labels.size]
+    index = np.empty(chosen_labels.size, dtype=np.int64)
     keys: list[tuple[int, bytes]] = []
-    edges: list[np.ndarray] = []
+    shapes: list[np.ndarray] = []
     row = 0
     for c0, c1 in zip(cuts[:-1], cuts[1:]):
         members = by_group[c0:c1]
-        label = labels[members[0]]
-        size, m = int(dec.sizes[label]), int(n_edges[label])
+        size, m = int(chosen_sizes[members[0]]), int(n_edges[members[0]])
         blocks = rows[row : row + members.size * m].reshape(members.size, 2 * m)
         row += members.size * m
         # one opaque item per block: np.unique compares them bytewise, which
@@ -282,12 +336,19 @@ def _key_shapes(dec: ClusterDecomposition, open_mask: np.ndarray, chosen: np.nda
         for block in distinct.view(np.int64).reshape(-1, 2 * m):
             shape = block.reshape(m, 2)
             keys.append((size, shape.tobytes()))
-            edges.append(shape)
-    return _Shapes(labels=labels, index=index, keys=keys, edges=edges)
+            shapes.append(shape)
+    return _Shapes(labels=chosen_labels, index=index, keys=keys, edges=shapes,
+                   vertices=vertices, starts=starts)
 
 
 # ---------------------------------------------------------------------------
 # the finite-volume estimator
+
+
+# realization-times-vertex slots that one batch of the estimator holds: a
+# patch of n vertices is counted max(1, _BATCH_VERTEX_SLOTS // n)
+# realizations at a time
+_BATCH_VERTEX_SLOTS = 1 << 15
 
 
 @dataclass
@@ -297,7 +358,9 @@ class IdsTable:
     ``rows`` holds one realization per row (already divided by the window
     volume); summaries average across rows.  ``tail`` subtracts the mass at
     zero realization by realization, so its spread reflects the actual
-    estimator noise of N(E) - N(0).
+    estimator noise of N(E) - N(0).  ``chi``, when the run asked for it,
+    holds the mean cluster size of every requested realization, kept or
+    truncated, one (1,)-row each, in realization order.
     """
 
     energies: np.ndarray
@@ -309,6 +372,7 @@ class IdsTable:
     counting_radius: float | None
     requested_realizations: int
     truncated_realizations: int
+    chi: np.ndarray | None = None
 
     @property
     def realizations(self) -> int:
@@ -332,6 +396,70 @@ class IdsTable:
         return t.mean(axis=0), _sem(t)
 
 
+def _decompose_batch(
+    g: EmbeddedGraph, masks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clusters of K realizations (``masks`` is K x n_edges) as one
+    block-diagonal graph in which vertex v of realization k is k n + v.
+
+    Returns the open edges in those ids (ascending, as ``g.edges``), the
+    vertex labels and the first label of each block (K + 1 entries, the
+    last the cluster count).  ``connected_components`` numbers clusters in
+    the order of their lowest vertex, so block k holds realization k's own
+    labels shifted by the cluster count of the blocks before it.
+    """
+    k, n = masks.shape[0], g.n_vertices
+    block, edge = np.nonzero(masks)
+    edges = g.edges[edge] + (block * n)[:, None]
+    if edges.shape[0]:
+        m = coo_matrix((np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(k * n, k * n))
+        n_clusters, labels = connected_components(m, directed=False)
+    else:
+        n_clusters, labels = k * n, np.arange(k * n)
+    return edges, labels, np.append(labels[::n], n_clusters)
+
+
+def _shape_rows(
+    cache: _ShapeCache,
+    edges: np.ndarray,
+    labels: np.ndarray,
+    sizes: np.ndarray,
+    in_count: np.ndarray,
+    inside: np.ndarray,
+    chosen: np.ndarray,
+) -> np.ndarray:
+    """Count vectors of the chosen clusters, in label order: a cluster
+    wholly inside the window adds its shape's counts, one straddling it the
+    window-weighted counts of its ``inside`` vertices."""
+    shapes = _key_shapes(edges, labels, sizes, chosen)
+    straddle = in_count[shapes.labels] < sizes[shapes.labels]
+    with_vectors = np.zeros(len(shapes.keys), dtype=bool)
+    with_vectors[shapes.index[straddle]] = True
+    cache.solve(shapes.keys, shapes.edges, with_vectors)
+    rows = np.array([cache.counts[key] for key in shapes.keys])[shapes.index]
+    cut = np.flatnonzero(straddle)
+    cut_sizes = sizes[shapes.labels[cut]]
+    for size in np.unique(cut_sizes).tolist():
+        some = cut[cut_sizes == size]
+        members = shapes.vertices[shapes.starts[some][:, None] + np.arange(size)]
+        vectors = np.array([cache.vectors[shapes.keys[j]] for j in shapes.index[some]])
+        rows[some] = _window_weighted(vectors, inside[members], rows[some])
+    return rows
+
+
+def _add_in_order(acc: np.ndarray, block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """acc[k] plus the rows of block k, added one at a time in row order:
+    the same float additions as adding each cluster's vector to its
+    realization's running sum in turn.  ``block`` ascends."""
+    per_block = np.bincount(block, minlength=acc.shape[0])
+    start = np.cumsum(per_block) - per_block
+    padded = np.zeros((acc.shape[0], int(per_block.max()) + 1, acc.shape[1]))
+    padded[:, 0] = acc
+    padded[block, np.arange(block.size) - start[block] + 1] = rows
+    # trailing zero rows leave a sum unchanged
+    return np.add.accumulate(padded, axis=1)[:, -1]
+
+
 def ids_estimate(
     g: EmbeddedGraph,
     params: PercolationParams,
@@ -340,7 +468,9 @@ def ids_estimate(
     flag_boundary: bool = True,
     max_cluster_size: int = 2000,
     realization_offset: int = 0,
-    observe: Callable[[BondConfiguration, ClusterDecomposition], None] | None = None,
+    chi_margin: float | None = None,
+    shape_cache: _ShapeCache | None = None,
+    allow_empty: bool = False,
 ) -> IdsTable:
     """Monte Carlo table of the finite-volume spectral count.
 
@@ -358,13 +488,21 @@ def ids_estimate(
     by its absolute index, splitting a run into contiguous chunks and
     stacking the resulting rows reproduces the single-call run exactly.
 
-    ``observe(cfg, dec)``, when given, sees every sampled configuration and
-    its decomposition, kept or truncated, so callers can take further
-    statistics of the same realizations without sampling them again.
+    Realizations are counted in batches (``_BATCH_VERTEX_SLOTS``): one
+    decomposition, one shape-keying pass and one stacked eigensolve per
+    cluster size serve a whole batch, and each realization's clusters are
+    still added in label order, so a row does not depend on the batching.
+    ``shape_cache`` lets several calls on the same grid share their solved
+    shapes.  With ``chi_margin`` the table's ``chi`` holds each
+    realization's mean cluster size over the vertices farther than that
+    from the patch boundary.  A run that keeps no realization raises
+    ``AllRealizationsTruncated``, unless ``allow_empty``: then its table has
+    no rows but still holds the truncation count and the chi rows.
     """
-    grid = np.unique(np.concatenate([[0.0], np.asarray(list(energies), dtype=float)]))
-    if grid[0] < 0.0:
-        raise ValueError("energies must be nonnegative")
+    cache = _ShapeCache(energies) if shape_cache is None else shape_cache
+    grid = _count_grid(energies)
+    if not np.array_equal(cache.grid, grid):
+        raise ValueError("the shape cache is bound to another energy grid")
     n = g.n_vertices
     if counting_radius is None:
         in_ball = np.ones(n, dtype=bool)
@@ -373,79 +511,79 @@ def ids_estimate(
         ball = Ball((0.0, 0.0), counting_radius)
         in_ball = ball.contains(g.embed)
         volume = math.pi * counting_radius**2
-    window_vertices = int(in_ball.sum())
+    near = np.flatnonzero(g.near_boundary)
+    interior = None if chi_margin is None else _interior_indices(g, chi_margin)
 
-    cache = _ShapeCache(grid)
-    pair_key = (2, np.array([[0, 1]], dtype=np.int64).tobytes())
-    pair_edges = np.array([[0, 1]], dtype=np.int64)
-    vec_single = cache.count_vector((1, b""), 1, np.empty((0, 2), np.int64))
-    vec_pair = cache.count_vector(pair_key, 2, pair_edges)
-    vec_pair_half = cache.partial_vector(pair_key, 2, pair_edges, np.array([0]))
+    single, pair = (1, b""), (2, np.array([[0, 1]], dtype=np.int64).tobytes())
+    cache.solve([single, pair], [np.empty((0, 2), np.int64), np.array([[0, 1]])], [False, True])
+    vec_single, vec_pair = cache.counts[single], cache.counts[pair]
+    vec_pair_half = _window_weighted(cache.vectors[pair][None], np.array([[True, False]]),
+                                     vec_pair[None])[0]
 
-    rows = []
+    rows, chi = [], []
     truncated = 0
-    for r in range(realization_offset, realization_offset + params.realizations):
-        cfg = sample(g, params, r)
-        dec = decompose(g, cfg)
-        if observe is not None:
-            observe(cfg, dec)
-        labels, sizes = dec.labels, dec.sizes
-        in_count = np.bincount(labels[in_ball], minlength=dec.n_clusters)
+    stop = realization_offset + params.realizations
+    per_batch = max(1, _BATCH_VERTEX_SLOTS // n)
+    for b0 in range(realization_offset, stop, per_batch):
+        batch = range(b0, min(b0 + per_batch, stop))
+        masks = np.array([sample(g, params, r).open_mask for r in batch])
+        k = masks.shape[0]
+        edges, labels, first = _decompose_batch(g, masks)
+        sizes = np.bincount(labels, minlength=first[-1])
+        by_vertex = labels.reshape(k, n)
+        if interior is not None:
+            chi.extend(row.mean() for row in sizes[by_vertex[:, interior]])
+
+        def blocks(clusters: np.ndarray) -> np.ndarray:
+            # the realization of each cluster a mask over labels selects
+            return np.searchsorted(first, np.flatnonzero(clusters), side="right") - 1
+
+        inside = np.tile(in_ball, k)
+        in_count = np.bincount(labels[inside], minlength=sizes.size)
         counted = in_count > 0
-        if flag_boundary and bool((counted & dec.boundary_touching).any()):
-            truncated += 1
-            continue
+        dropped = np.zeros(k, dtype=bool)
+        if flag_boundary:
+            touching = np.zeros(sizes.size, dtype=bool)
+            touching[by_vertex[:, near]] = True
+            dropped[blocks(counted & touching)] = True
+            truncated += int(dropped.sum())
+            counted &= np.repeat(~dropped, np.diff(first))
         big = counted & (sizes > max_cluster_size)
         if bool(big.any()):
+            # the message names the first kept realization with such a cluster
+            own = slice(*first[blocks(big)[0] :][:2])
             raise RuntimeError(
-                f"a counted cluster has {int(sizes[big].max())} vertices "
+                f"a counted cluster has {int(sizes[own][big[own]].max())} vertices "
                 f"(cap {max_cluster_size}); this estimator assumes the "
                 "subcritical regime"
             )
-        acc = np.zeros(grid.size)
+        acc = np.zeros((k, grid.size))
         # vectorized shapes: singletons and single edges
-        acc += vec_single * int(np.count_nonzero(counted & (sizes == 1)))
+        acc += vec_single * np.bincount(blocks(counted & (sizes == 1)), minlength=k)[:, None]
         size2 = counted & (sizes == 2)
-        acc += vec_pair * int(np.count_nonzero(size2 & (in_count == 2)))
-        acc += vec_pair_half * int(np.count_nonzero(size2 & (in_count == 1)))
-
+        acc += vec_pair * np.bincount(blocks(size2 & (in_count == 2)), minlength=k)[:, None]
+        acc += vec_pair_half * np.bincount(blocks(size2 & (in_count == 1)), minlength=k)[:, None]
         larger = counted & (sizes >= 3)
         if larger.any():
-            shapes = _key_shapes(dec, cfg.open_mask, larger)
-            whole = in_count[shapes.labels] == sizes[shapes.labels]
-            vecs = np.empty((shapes.labels.size, grid.size))
-            # straddlers first: a shape first met straddling is solved once,
-            # with eigenvectors, and its eigenvalues then serve the copies
-            # wholly inside the window
-            order, bounds = dec.vertex_order, dec.vertex_bounds
-            for i in np.flatnonzero(~whole):
-                label, j = shapes.labels[i], shapes.index[i]
-                members = order[bounds[label] : bounds[label + 1]]
-                inside = np.flatnonzero(in_ball[members])
-                vecs[i] = cache.partial_vector(shapes.keys[j], members.size, shapes.edges[j], inside)
-            # a shape seen only straddling already has its eigenvalues from
-            # partial_vector, so its count vector costs no eigensolve
-            table = np.array([cache.count_vector(key, key[0], edges)
-                              for key, edges in zip(shapes.keys, shapes.edges)])
-            vecs[whole] = table[shapes.index[whole]]
-            # a running sum down the rows is the same sequence of float
-            # additions as adding each cluster's vector to acc in turn
-            acc = np.add.accumulate(np.vstack([acc, vecs]), axis=0)[-1]
-        rows.append(acc / volume)
+            cluster_rows = _shape_rows(cache, edges, labels, sizes, in_count, inside, larger)
+            acc = _add_in_order(acc, blocks(larger), cluster_rows)
+        rows.append(acc[~dropped] / volume)
 
-    if not rows:
-        raise AllRealizationsTruncated()
-    return IdsTable(
+    table = IdsTable(
         energies=grid,
-        rows=np.array(rows),
+        rows=np.concatenate(rows),
         volume=volume,
-        window_vertices=window_vertices,
+        window_vertices=int(in_ball.sum()),
         p=params.p,
         master_seed=params.master_seed,
         counting_radius=counting_radius,
         requested_realizations=params.realizations,
         truncated_realizations=truncated,
+        chi=None if interior is None else np.array(chi).reshape(-1, 1),
     )
+    if table.realizations == 0 and not allow_empty:
+        raise AllRealizationsTruncated()
+    return table
 
 
 def bruteforce_ids_oracle(
@@ -466,7 +604,7 @@ def bruteforce_ids_oracle(
     m = g.n_edges
     if m > max_edges:
         raise ValueError(f"{m} edges exceeds the enumeration cap {max_edges}")
-    grid = np.unique(np.concatenate([[0.0], np.asarray(list(energies), dtype=float)]))
+    grid = _count_grid(energies)
     mean = np.zeros(grid.size)
     second = np.zeros(grid.size)
     for bits in product((False, True), repeat=m):
@@ -506,7 +644,7 @@ def cheeger_check(
 ) -> CheegerReport:
     """Verify E_1(C) >= 1/|C|^2 for every nontrivial cluster of each
     configuration (E_1 = smallest nonzero Laplacian eigenvalue)."""
-    cache = _ShapeCache()
+    gaps: dict = {}
     checked = 0
     violations = 0
     min_margin = math.inf
@@ -522,11 +660,13 @@ def cheeger_check(
             raise RuntimeError(
                 f"cluster of {int(sizes[over[0]])} vertices exceeds the cap {max_cluster_size}"
             )
-        shapes = _key_shapes(dec, cfg.open_mask, nontrivial)
+        shapes = _key_shapes(g.edges[cfg.open_mask], dec.labels, sizes, nontrivial)
         copies = np.bincount(shapes.index, minlength=len(shapes.keys))
         for key, edges, n_copies in zip(shapes.keys, shapes.edges, copies.tolist()):
             s = key[0]
-            margin = float(cache.spectrum(key, s, edges)[1]) * s * s
+            if key not in gaps:
+                gaps[key] = float(eigenvalues(laplacian_from_edges(s, edges))[1])
+            margin = gaps[key] * s * s
             checked += n_copies
             min_margin = min(min_margin, margin)
             if margin < 1.0:

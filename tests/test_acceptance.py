@@ -22,7 +22,6 @@ from percospec.percolation import (
     bounds_report,
     edge_uniforms,
     gamma_rate,
-    mean_cluster_size,
     boundary_path_probability,
     sample,
 )

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 import os
 
 import numpy as np
@@ -299,6 +298,36 @@ class TestSubcommands:
         assert "ids.counting_radius" in capsys.readouterr().err
         assert sampled == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ids", "lifshits"])
+    def test_p_zero_without_e_min_exits_two(self, tmp_path, capsys, command):
+        out = tmp_path / command
+        code = main(
+            [
+                command, "--family", "square", "--radius", "20", "--counting-radius", "10",
+                "--p", "0", "--realizations", "5", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "percolation.p" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ids_p_zero_with_e_min_counts_singletons(self, tmp_path):
+        # no open edge in any realization: every window vertex is a
+        # singleton, so N(E) is the window density at every energy
+        out = tmp_path / "ids"
+        code = main(
+            [
+                "ids", "--family", "square", "--radius", "20", "--counting-radius", "10",
+                "--p", "0", "--realizations", "5", "--e-min", "0.1", "--format", "json",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        table = json.loads((out / "ids.json").read_text())
+        assert table["realizations"] == 5
+        density = table["window_vertices"] / table["volume"]
+        assert np.allclose(table["mean"], density)
 
     def test_lifshits_insufficient_data_exits_one(self, tmp_path):
         code = main(

@@ -9,8 +9,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from percospec import graphs

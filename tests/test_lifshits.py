@@ -7,9 +7,7 @@ import pytest
 
 from percospec import lifshits
 from percospec.lifshits import (
-    BracketReport,
     InsufficientTailData,
-    TailAnalysis,
     certify_bracketing,
     chain_length_for_energy,
     default_energy_range,

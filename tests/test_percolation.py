@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from percospec.graphs import Ball, GeneratorSpec, from_coeffs, generate
+from percospec.graphs import GeneratorSpec, from_coeffs, generate
 from percospec import percolation
 from percospec.cli import main
 from percospec.percolation import (
-    BondConfiguration,
     PercolationParams,
     _cluster_reach,
     boundary_path_probability,

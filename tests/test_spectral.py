@@ -2,17 +2,20 @@
 
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from percospec import spectral
 from percospec.graphs import Ball, GeneratorSpec, from_coeffs, generate
-from percospec.percolation import PercolationParams, decompose, sample
+from percospec.percolation import PercolationParams, cluster_size_statistic, decompose, sample
 from percospec.spectral import (
-    ChainSpectrum,
-    _ShapeCache,
+    AllRealizationsTruncated,
     chain_gap_bound,
     chain_spectrum,
     cheeger_check,
@@ -297,22 +300,44 @@ def _reference_shape(g, open_mask, dec, label):
     return members, shape, (members.size, shape.tobytes())
 
 
+class _ReferenceCache:
+    """The per-cluster cache of the unbatched estimator: eigenvalues kept per
+    shape, and a fresh eigensystem for every straddling cluster."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.eigs = {}
+
+    def count_vector(self, key, n, local_edges):
+        if key not in self.eigs:
+            self.eigs[key] = eigenvalues(laplacian_from_edges(n, local_edges))
+        return np.searchsorted(self.eigs[key], self.grid, side="right").astype(float)
+
+    def partial_vector(self, n, local_edges, inside_local):
+        vals, vecs = eigensystem(laplacian_from_edges(n, local_edges))
+        weights = (vecs[inside_local] ** 2).sum(axis=0)
+        cum = np.concatenate([[0.0], np.cumsum(weights)])
+        return cum[np.searchsorted(vals, self.grid, side="right")]
+
+
 def _reference_rows(g, params, energies, counting_radius, flag_boundary, max_cluster_size=2000):
-    """ids_estimate rebuilt as one cache lookup per cluster, added in label
-    order; also counts the window-straddling clusters of 3+ vertices."""
+    """ids_estimate rebuilt as one realization at a time and one cache
+    lookup per cluster, added in label order.  Returns the rows, the kept
+    realization indices and the number of window-straddling clusters of
+    3+ vertices."""
     grid = np.unique(np.concatenate([[0.0], np.asarray(energies, dtype=float)]))
     if counting_radius is None:
         in_ball, volume = np.ones(g.n_vertices, dtype=bool), 1.0
     else:
         in_ball = Ball((0.0, 0.0), counting_radius).contains(g.embed)
         volume = math.pi * counting_radius**2
-    cache = _ShapeCache(grid)
+    cache = _ReferenceCache(grid)
     pair = np.array([[0, 1]], dtype=np.int64)
     pair_key = (2, pair.tobytes())
     vec_single = cache.count_vector((1, b""), 1, np.empty((0, 2), np.int64))
     vec_pair = cache.count_vector(pair_key, 2, pair)
-    vec_pair_half = cache.partial_vector(pair_key, 2, pair, np.array([0]))
-    rows, straddlers = [], 0
+    vec_pair_half = cache.partial_vector(2, pair, np.array([0]))
+    rows, kept, straddlers = [], [], 0
     for r in range(params.realizations):
         cfg = sample(g, params, r)
         dec = decompose(g, cfg)
@@ -340,9 +365,10 @@ def _reference_rows(g, params, energies, counting_radius, flag_boundary, max_clu
             else:
                 straddlers += 1
                 inside = np.flatnonzero(in_ball[members])
-                acc += cache.partial_vector(key, members.size, shape, inside)
+                acc += cache.partial_vector(members.size, shape, inside)
         rows.append(acc / volume)
-    return np.array(rows), straddlers
+        kept.append(r)
+    return np.array(rows).reshape(-1, grid.size), kept, straddlers
 
 
 def _reference_cheeger(g, configurations, max_cluster_size=2000):
@@ -382,7 +408,7 @@ def oracle_case(request):
 class TestBatchedKeyingMatchesPerClusterLoop:
     def test_windowed_rows_identical(self, oracle_case):
         g, params = oracle_case
-        want, straddlers = _reference_rows(g, params, ORACLE_ENERGIES, 12.0, True)
+        want, _, straddlers = _reference_rows(g, params, ORACLE_ENERGIES, 12.0, True)
         # the partial-weight path must be exercised, not just the whole shapes
         assert straddlers > 0
         tab = ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=12.0)
@@ -390,7 +416,7 @@ class TestBatchedKeyingMatchesPerClusterLoop:
 
     def test_whole_patch_rows_identical(self, oracle_case):
         g, params = oracle_case
-        want, _ = _reference_rows(g, params, ORACLE_ENERGIES, None, False)
+        want, _, _ = _reference_rows(g, params, ORACLE_ENERGIES, None, False)
         tab = ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=None, flag_boundary=False)
         assert tab.rows.tobytes() == want.tobytes()
 
@@ -416,3 +442,132 @@ class TestBatchedKeyingMatchesPerClusterLoop:
                 g, params, ORACLE_ENERGIES, counting_radius=12.0,
                 flag_boundary=False, max_cluster_size=3,
             )
+
+
+# ---------------------------------------------------------------------------
+# batches of realizations against the one-realization-at-a-time loop
+
+
+BATCH_SIZES = (1, 2, 5)
+BATCH_RUN = 13  # realizations: not a multiple of 2 or 5
+CHI_MARGIN = 4.0
+
+
+def _set_batch_size(monkeypatch, g, k):
+    monkeypatch.setattr(spectral, "_BATCH_VERTEX_SLOTS", k * g.n_vertices)
+
+
+def _chi_rows(g, params):
+    chi_row = cluster_size_statistic(g, CHI_MARGIN)
+    return np.array([chi_row(decompose(g, sample(g, params, r)))
+                     for r in range(params.realizations)])
+
+
+class TestBatchesMatchPerRealizationLoop:
+    """Every batch size gives the rows, truncation count and chi rows of
+    the loop that counts one realization at a time."""
+
+    def test_windowed_rows_chi_and_truncations(self, oracle_case, monkeypatch):
+        g, params = oracle_case
+        params = replace(params, realizations=BATCH_RUN)
+        # a window close to the patch edge drops many realizations
+        want, kept, _ = _reference_rows(g, params, ORACLE_ENERGIES, 13.0, True)
+        dropped = set(range(BATCH_RUN)) - set(kept)
+        # truncated realizations on both sides of a two-realization batch
+        # boundary, and a two-realization batch with none kept
+        assert any(b - 1 in dropped and b in dropped for b in range(2, BATCH_RUN, 2))
+        assert any({b, b + 1} <= dropped for b in range(0, BATCH_RUN - 1, 2))
+        chi = _chi_rows(g, params)
+        for k in BATCH_SIZES:
+            _set_batch_size(monkeypatch, g, k)
+            tab = ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=13.0,
+                               chi_margin=CHI_MARGIN)
+            assert tab.rows.tobytes() == want.tobytes()
+            assert tab.truncated_realizations == len(dropped)
+            assert tab.chi.tobytes() == chi.tobytes()
+
+    def test_whole_patch_rows(self, oracle_case, monkeypatch):
+        g, params = oracle_case
+        params = replace(params, realizations=BATCH_RUN)
+        want, _, _ = _reference_rows(g, params, ORACLE_ENERGIES, None, False)
+        for k in BATCH_SIZES:
+            _set_batch_size(monkeypatch, g, k)
+            tab = ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=None,
+                               flag_boundary=False)
+            assert tab.rows.tobytes() == want.tobytes()
+            assert tab.truncated_realizations == 0
+
+    def test_no_open_edges(self, oracle_case, monkeypatch):
+        g, params = oracle_case
+        params = replace(params, p=0.0, realizations=BATCH_RUN)
+        want, _, _ = _reference_rows(g, params, ORACLE_ENERGIES, 12.0, True)
+        for k in BATCH_SIZES:
+            _set_batch_size(monkeypatch, g, k)
+            tab = ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=12.0,
+                               chi_margin=CHI_MARGIN)
+            assert tab.rows.tobytes() == want.tobytes()
+            assert np.all(tab.chi == 1.0)
+
+    def test_cluster_cap_error_from_first_kept_realization(self, oracle_case, monkeypatch):
+        g, params = oracle_case
+        params = replace(params, realizations=BATCH_RUN)
+        with pytest.raises(RuntimeError) as want:
+            _reference_rows(g, params, ORACLE_ENERGIES, 13.0, True, max_cluster_size=3)
+        for k in BATCH_SIZES:
+            _set_batch_size(monkeypatch, g, k)
+            with pytest.raises(RuntimeError, match=f"^{re.escape(str(want.value))}$"):
+                ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=13.0, max_cluster_size=3)
+
+    def test_all_truncated_run_keeps_its_table_when_allowed(self, monkeypatch):
+        g = generate(GeneratorSpec(family="square", radius=12.0))
+        params = PercolationParams(p=0.9, master_seed=2, realizations=5)
+        _set_batch_size(monkeypatch, g, 2)
+        with pytest.raises(AllRealizationsTruncated):
+            ids_estimate(g, params, [1.0], counting_radius=11.9, chi_margin=CHI_MARGIN)
+        table = ids_estimate(g, params, [1.0], counting_radius=11.9, chi_margin=CHI_MARGIN,
+                             allow_empty=True)
+        assert table.realizations == 0
+        assert table.rows.shape == (0, 2)
+        assert table.truncated_realizations == 5
+        assert table.chi.tobytes() == _chi_rows(g, params).tobytes()
+
+    def test_shared_cache_gives_the_same_rows(self, oracle_case):
+        g, params = oracle_case
+        cache = spectral._ShapeCache(ORACLE_ENERGIES)
+        alone = ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=12.0)
+        halves = [
+            ids_estimate(g, replace(params, realizations=6), ORACLE_ENERGIES,
+                         counting_radius=12.0, realization_offset=start, shape_cache=cache)
+            for start in (6, 0)
+        ]
+        assert np.vstack([halves[1].rows, halves[0].rows]).tobytes() == alone.rows.tobytes()
+        with pytest.raises(ValueError, match="another energy grid"):
+            ids_estimate(g, params, [0.5], shape_cache=cache)
+
+
+def test_shared_cache_under_thread_switching():
+    # more threads than cores, switching often, all filling one cache: no
+    # entry may be lost and no row may change
+    g = generate(GeneratorSpec(family="penrose", radius=16.0))
+    params = PercolationParams(p=0.15, master_seed=4, realizations=24)
+    serial_cache = spectral._ShapeCache(ORACLE_ENERGIES)
+    serial = ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=12.0,
+                          shape_cache=serial_cache)
+    shared = spectral._ShapeCache(ORACLE_ENERGIES)
+
+    def chunk(start):
+        return ids_estimate(g, replace(params, realizations=3), ORACLE_ENERGIES,
+                            counting_radius=12.0, realization_offset=start,
+                            shape_cache=shared, allow_empty=True)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(chunk, start) for start in range(0, 24, 3)]
+            tables = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert np.vstack([t.rows for t in tables]).tobytes() == serial.rows.tobytes()
+    assert shared.counts.keys() == serial_cache.counts.keys()
+    assert shared.vectors.keys() == serial_cache.vectors.keys()
