@@ -421,8 +421,9 @@ def _escape_margin(cfg: ExperimentConfig, g: EmbeddedGraph) -> float:
     """l_max plus the smallest integer n with
     n_vertices * boundary_path_bound(n) <= _ESCAPE_TOLERANCE: a union bound,
     over every vertex of the patch, on an open path from it leaving the ball
-    of radius n around it.  At p = 0 nothing escapes and the margin is l_max."""
-    if cfg.p == 0.0:
+    of radius n around it.  At p = 0, or on a patch with no vertices,
+    nothing escapes and the margin is l_max."""
+    if cfg.p == 0.0 or g.n_vertices == 0:
         return g.l_max
     if cfg.p * (g.d_max - 1) >= 1.0:
         raise ConfigError(

@@ -283,22 +283,8 @@ def from_coeffs(
     if edges.shape[0]:
         edges = np.unique(np.sort(inv[edges], axis=1), axis=0)
     g = EmbeddedGraph(basis=basis, coeffs=coeffs[order], edges=edges, box=box)
-    emb = g.embed
-    if g.n_edges:
-        lengths = np.linalg.norm(emb[g.edges[:, 0]] - emb[g.edges[:, 1]], axis=1)
-        l_max = float(lengths.max())
-    else:
-        l_max = 0.0
-    if g.n_vertices >= 2:
-        tree = cKDTree(emb)
-        dist, _ = tree.query(emb, k=2)
-        r_half = float(dist[:, 1].min()) / 2.0
-    else:
-        r_half = math.inf
-    deg = g.degrees()
-    g.r = r_half
-    g.l_max = l_max
-    g.d_max = int(deg.max()) if deg.size else 0
+    report = geometry_report(g)
+    g.r, g.l_max, g.d_max = report.r, report.l_max, report.d_max
     return g
 
 
@@ -368,6 +354,16 @@ def radix_weights(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     return np.cumprod(np.append(1, span[:0:-1]))[::-1]
 
 
+def _lookup(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each query in the ascending distinct ``keys``, and whether
+    it is there at all.  The keys of coefficient rows and of edges ascend
+    because a patch keeps both sorted lexicographically."""
+    if not len(keys):
+        return np.zeros(queries.shape, np.int64), np.zeros(queries.shape, bool)
+    pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return pos, keys[pos] == queries
+
+
 def _patch(family: str, candidates: np.ndarray, radius: float) -> EmbeddedGraph:
     """Induced patch on the candidate rows inside the open ball of ``radius``.
 
@@ -387,9 +383,8 @@ def _patch(family: str, candidates: np.ndarray, radius: float) -> EmbeddedGraph:
     pairs = []
     for step in np.asarray(_UNIT_STEPS[family], dtype=np.int64):
         # every step leads with +1, so its partner has the larger key
-        target = keys + step @ weights
-        j = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
-        i = np.flatnonzero(keys[j] == target)
+        j, found = _lookup(keys, keys + step @ weights)
+        i = np.flatnonzero(found)
         pairs.append(np.stack([i, j[i]], axis=1))
     edges = np.concatenate(pairs)
     edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]

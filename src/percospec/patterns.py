@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Ball, EmbeddedGraph, ball_volume, induced_edges, radix_weights
+from .graphs import Ball, EmbeddedGraph, _lookup, ball_volume, induced_edges, radix_weights
 from .percolation import decompose
 
 __all__ = [
@@ -170,16 +170,6 @@ def _resolve_translates(
     )
     embeds = found.all(axis=1)
     return vids[embeds], hits[embeds]
-
-
-def _lookup(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Position of each query in the ascending distinct ``keys``, and whether
-    it is there at all.  The keys of coefficient rows and of edges ascend
-    because a patch keeps both sorted lexicographically."""
-    if not len(keys):
-        return np.zeros(queries.shape, np.int64), np.zeros(queries.shape, bool)
-    pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
-    return pos, keys[pos] == queries
 
 
 @dataclass

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -37,6 +37,7 @@ __all__ = [
     "edge_uniforms",
     "sample",
     "decompose",
+    "realization_batches",
     "per_realization_rows",
     "cluster_size_tail_statistic",
     "cluster_size_tail",
@@ -105,25 +106,36 @@ def sample(
 
 @dataclass
 class ClusterDecomposition:
-    """Connected components of the open subgraph.
+    """Connected components of the open subgraphs of K realizations, taken
+    together as one block-diagonal graph in which vertex v of realization k
+    is k n + v (n the patch's vertex count).
 
-    ``labels`` maps each vertex to its cluster id; ``sizes`` counts vertices
-    per cluster; ``boundary_touching`` flags clusters owning a vertex within
-    l_max of the patch boundary (the finite-patch proxy for "possibly cut
-    off").  The flags and the vertex grouping by cluster are materialized
-    lazily; cluster k's vertices are a slice of ``vertex_order``, so no
-    per-cluster list is ever built.
+    ``labels`` maps each of the K n vertices to its cluster id; ``sizes``
+    counts vertices per cluster; ``edges`` are the open edges in those ids,
+    ascending as ``EmbeddedGraph.edges``; realization k owns the clusters
+    ``first[k]:first[k + 1]``.  ``boundary_touching`` flags clusters owning
+    a vertex within l_max of the patch boundary (the finite-patch proxy for
+    "possibly cut off").  The flags and the vertex grouping by cluster are
+    materialized lazily; cluster k's vertices are a slice of
+    ``vertex_order``, so no per-cluster list is ever built.
     """
 
     graph: EmbeddedGraph
     labels: np.ndarray
     n_clusters: int
     sizes: np.ndarray
+    edges: np.ndarray
+    first: np.ndarray
+
+    @property
+    def by_block(self) -> np.ndarray:
+        """``labels`` as a (K, n) array, one realization per row."""
+        return self.labels.reshape(self.first.size - 1, self.graph.n_vertices)
 
     @cached_property
     def boundary_touching(self) -> np.ndarray:
         touching = np.zeros(self.n_clusters, dtype=bool)
-        touching[self.labels[self.graph.near_boundary]] = True
+        touching[self.by_block[:, self.graph.near_boundary]] = True
         return touching
 
     @cached_property
@@ -137,27 +149,59 @@ class ClusterDecomposition:
         return np.concatenate([[0], np.cumsum(self.sizes)])
 
 
-def decompose(g: EmbeddedGraph, omega: BondConfiguration | np.ndarray) -> ClusterDecomposition:
-    """Cluster decomposition of the open subgraph (isolated vertices are
-    size-1 clusters)."""
-    open_mask = omega.open_mask if isinstance(omega, BondConfiguration) else np.asarray(omega, dtype=bool)
-    if open_mask.shape != (g.n_edges,):
-        raise ValueError("bond configuration does not match the edge count")
-    n = g.n_vertices
-    e = g.edges[open_mask]
-    if e.shape[0]:
-        m = coo_matrix((np.ones(e.shape[0]), (e[:, 0], e[:, 1])), shape=(n, n))
+def _decompose(g: EmbeddedGraph, masks: np.ndarray) -> ClusterDecomposition:
+    """Clusters of the K realizations whose open edges are the rows of
+    ``masks`` (K x n_edges).  ``connected_components`` numbers clusters in
+    the order of their lowest vertex, so block k holds realization k's own
+    labels shifted by the cluster count of the blocks before it."""
+    k, n = masks.shape[0], g.n_vertices
+    if k == 1:
+        # no np.nonzero index arrays over a large patch's mask
+        edges = g.edges[masks[0]]
+    else:
+        block, edge = np.nonzero(masks)
+        edges = g.edges[edge] + (block * n)[:, None]
+    if edges.shape[0]:
+        m = coo_matrix((np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(k * n, k * n))
         n_clusters, labels = connected_components(m, directed=False)
     else:
-        n_clusters, labels = n, np.arange(n, dtype=np.int64)
-    labels = labels.astype(np.int64)
-    sizes = np.bincount(labels, minlength=n_clusters)
+        n_clusters, labels = k * n, np.arange(k * n)
+    first = np.full(k + 1, n_clusters)
+    first[:-1] = labels[::n] if n else 0
     return ClusterDecomposition(
         graph=g,
         labels=labels,
         n_clusters=n_clusters,
-        sizes=sizes,
+        sizes=np.bincount(labels, minlength=n_clusters),
+        edges=edges,
+        first=first,
     )
+
+
+def decompose(g: EmbeddedGraph, omega: BondConfiguration | np.ndarray) -> ClusterDecomposition:
+    """Cluster decomposition of one realization's open subgraph (isolated
+    vertices are size-1 clusters)."""
+    open_mask = omega.open_mask if isinstance(omega, BondConfiguration) else np.asarray(omega, dtype=bool)
+    if open_mask.shape != (g.n_edges,):
+        raise ValueError("bond configuration does not match the edge count")
+    return _decompose(g, open_mask[None])
+
+
+# realization-times-vertex slots that one batch holds: a patch of n
+# vertices is sampled and decomposed max(1, _BATCH_VERTEX_SLOTS // n)
+# realizations at a time
+_BATCH_VERTEX_SLOTS = 1 << 15
+
+
+def realization_batches(
+    g: EmbeddedGraph, params: PercolationParams, start: int, stop: int
+) -> Iterator[ClusterDecomposition]:
+    """Realizations ``start`` .. ``stop - 1``, sampled one at a time and
+    decomposed a batch at a time, in order: one decomposition per batch."""
+    per_batch = max(1, _BATCH_VERTEX_SLOTS // max(g.n_vertices, 1))
+    for b0 in range(start, stop, per_batch):
+        batch = range(b0, min(b0 + per_batch, stop))
+        yield _decompose(g, np.array([sample(g, params, r).open_mask for r in batch]))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +232,7 @@ def _interior_indices(g: EmbeddedGraph, margin: float) -> np.ndarray:
     return interior
 
 
+# maps the decomposition of K realizations to their (K, width) rows
 Statistic = Callable[[ClusterDecomposition], np.ndarray]
 
 
@@ -198,17 +243,28 @@ def per_realization_rows(
     statistic on that decomposition; one (realizations, width) array of
     rows per statistic."""
     rows: list[list[np.ndarray]] = [[] for _ in stats]
-    for r in range(params.realizations):
-        dec = decompose(g, sample(g, params, r))
+    for dec in realization_batches(g, params, 0, params.realizations):
         for stat_rows, stat in zip(rows, stats):
             stat_rows.append(stat(dec))
-    return [np.array(stat_rows) for stat_rows in rows]
+    return [np.concatenate(stat_rows) for stat_rows in rows]
+
+
+def _fraction_at_least(x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Row by row, the fraction of the entries of ``x`` (K, m) at or above
+    each of the ascending ``thresholds``.  The counts are exact integers,
+    so count / m has the bits of the mean of the 0/1 indicators."""
+    k, m = x.shape
+    width = thresholds.size + 1
+    # how many thresholds each entry reaches
+    reached = np.searchsorted(thresholds, x, side="right") + width * np.arange(k)[:, None]
+    counts = np.bincount(reached.ravel(), minlength=k * width).reshape(k, width)
+    return counts[:, :0:-1].cumsum(axis=1)[:, ::-1] / m
 
 
 @dataclass(frozen=True)
 class TailStatistic:
     """A decay statistic over a ladder of scales, ready to evaluate:
-    calling it on a decomposition gives one realization's row, and
+    calling it on a decomposition gives one row per realization, and
     ``estimate`` reduces the stacked rows to a ``TailEstimate``."""
 
     stat: str
@@ -251,8 +307,7 @@ def cluster_size_tail_statistic(
     interior = _interior_indices(g, margin)
 
     def row(dec: ClusterDecomposition) -> np.ndarray:
-        sz = dec.sizes[dec.labels[interior]]
-        return np.array([(sz >= n).mean() for n in n_values])
+        return _fraction_at_least(dec.sizes[dec.by_block[:, interior]], n_values)
 
     return TailStatistic("cluster_size_tail", n_values.astype(float), int(interior.size), row)
 
@@ -275,7 +330,7 @@ _REACH_BLOCK = 1 << 20
 
 def _cluster_reach(dec: ClusterDecomposition, interior: np.ndarray) -> np.ndarray:
     """Largest distance from each ``interior`` vertex to a member of its
-    own cluster.
+    own cluster, as (K, interior) rows, one per realization.
 
     The vertices are grouped by cluster size, so a group's clusters are one
     (clusters, size) block of ``vertex_order``.  Each group is evaluated in
@@ -284,24 +339,27 @@ def _cluster_reach(dec: ClusterDecomposition, interior: np.ndarray) -> np.ndarra
     broadcasts its members against every vertex rather than copying them
     once per vertex.
     """
-    emb = dec.graph.embed
-    labels = dec.labels[interior]
+    emb, n = dec.graph.embed, dec.graph.n_vertices
+    # block vertex ids; vertex v of any realization sits at emb[v % n]
+    vertices = (n * np.arange(dec.first.size - 1)[:, None] + interior).ravel()
+    labels = dec.labels[vertices]
     sizes = dec.sizes[labels]
     by_size = np.argsort(sizes, kind="stable")
     grouped = sizes[by_size]
     cuts = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), sizes.size]
-    reach = np.empty(interior.size)
+    reach = np.empty(vertices.size)
     for c0, c1 in zip(cuts[:-1], cuts[1:]):
         group = by_size[c0:c1]
         clusters, which = np.unique(labels[group], return_inverse=True)
-        pts = emb[dec.vertex_order[dec.vertex_bounds[clusters][:, None] + np.arange(grouped[c0])]]
+        owned = dec.vertex_order[dec.vertex_bounds[clusters][:, None] + np.arange(grouped[c0])]
+        pts = emb[owned % n]
         step = max(1, _REACH_BLOCK // int(grouped[c0]))
         for b0 in range(0, group.size, step):
             block = slice(b0, b0 + step)
             members = pts[which[block]] if clusters.size > 1 else pts
-            diff = emb[interior[group[block]]][:, None, :] - members
+            diff = emb[vertices[group[block]] % n][:, None, :] - members
             reach[group[block]] = np.sqrt((diff[..., 0] ** 2 + diff[..., 1] ** 2).max(axis=1))
-    return reach
+    return reach.reshape(-1, interior.size)
 
 
 def boundary_path_statistic(
@@ -328,8 +386,7 @@ def boundary_path_statistic(
         )
 
     def row(dec: ClusterDecomposition) -> np.ndarray:
-        reach = _cluster_reach(dec, interior)
-        return np.array([(reach >= n).mean() for n in n_values])
+        return _fraction_at_least(_cluster_reach(dec, interior), n_values)
 
     return TailStatistic("boundary_path", n_values, int(interior.size), row, warnings)
 
@@ -349,10 +406,11 @@ def boundary_path_probability(
 def cluster_size_statistic(
     g: EmbeddedGraph, margin: float
 ) -> Callable[[ClusterDecomposition], np.ndarray]:
-    """The per-realization row of chi: mean |C_v| over the vertices farther
-    than ``margin`` from the patch boundary, as a length-1 array."""
+    """The per-realization rows of chi: mean |C_v| over the vertices farther
+    than ``margin`` from the patch boundary, one (1,)-row per realization."""
     interior = _interior_indices(g, margin)
-    return lambda dec: np.array([dec.sizes[dec.labels[interior]].mean()])
+    # the sizes are integers, so the sums are exact in any order
+    return lambda dec: dec.sizes[dec.by_block[:, interior]].mean(axis=1, keepdims=True)
 
 
 def chi_estimate(rows: np.ndarray) -> tuple[float, float]:

@@ -28,17 +28,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .graphs import Ball, EmbeddedGraph
 from .percolation import (
     BondConfiguration,
     PercolationParams,
-    _interior_indices,
+    _decompose,
     _sem,
-    decompose,
-    sample,
+    cluster_size_statistic,
+    decompose,  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
+    realization_batches,
+    sample,  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
 )
 
 __all__ = [
@@ -345,12 +345,6 @@ def _key_shapes(
 # the finite-volume estimator
 
 
-# realization-times-vertex slots that one batch of the estimator holds: a
-# patch of n vertices is counted max(1, _BATCH_VERTEX_SLOTS // n)
-# realizations at a time
-_BATCH_VERTEX_SLOTS = 1 << 15
-
-
 @dataclass
 class IdsTable:
     """Per-realization spectral counts N(E) on a fixed energy grid.
@@ -394,29 +388,6 @@ class IdsTable:
         """Mean and standard error of N(E) - N(0) on the energy grid."""
         t = self.rows - self.rows[:, self.zero_index][:, None]
         return t.mean(axis=0), _sem(t)
-
-
-def _decompose_batch(
-    g: EmbeddedGraph, masks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clusters of K realizations (``masks`` is K x n_edges) as one
-    block-diagonal graph in which vertex v of realization k is k n + v.
-
-    Returns the open edges in those ids (ascending, as ``g.edges``), the
-    vertex labels and the first label of each block (K + 1 entries, the
-    last the cluster count).  ``connected_components`` numbers clusters in
-    the order of their lowest vertex, so block k holds realization k's own
-    labels shifted by the cluster count of the blocks before it.
-    """
-    k, n = masks.shape[0], g.n_vertices
-    block, edge = np.nonzero(masks)
-    edges = g.edges[edge] + (block * n)[:, None]
-    if edges.shape[0]:
-        m = coo_matrix((np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(k * n, k * n))
-        n_clusters, labels = connected_components(m, directed=False)
-    else:
-        n_clusters, labels = k * n, np.arange(k * n)
-    return edges, labels, np.append(labels[::n], n_clusters)
 
 
 def _shape_rows(
@@ -488,8 +459,8 @@ def ids_estimate(
     by its absolute index, splitting a run into contiguous chunks and
     stacking the resulting rows reproduces the single-call run exactly.
 
-    Realizations are counted in batches (``_BATCH_VERTEX_SLOTS``): one
-    decomposition, one shape-keying pass and one stacked eigensolve per
+    Realizations are counted in the batches of ``realization_batches``:
+    one decomposition, one shape-keying pass and one stacked eigensolve per
     cluster size serve a whole batch, and each realization's clusters are
     still added in label order, so a row does not depend on the batching.
     ``shape_cache`` lets several calls on the same grid share their solved
@@ -503,16 +474,14 @@ def ids_estimate(
     grid = _count_grid(energies)
     if not np.array_equal(cache.grid, grid):
         raise ValueError("the shape cache is bound to another energy grid")
-    n = g.n_vertices
     if counting_radius is None:
-        in_ball = np.ones(n, dtype=bool)
+        in_ball = np.ones(g.n_vertices, dtype=bool)
         volume = 1.0
     else:
         ball = Ball((0.0, 0.0), counting_radius)
         in_ball = ball.contains(g.embed)
         volume = math.pi * counting_radius**2
-    near = np.flatnonzero(g.near_boundary)
-    interior = None if chi_margin is None else _interior_indices(g, chi_margin)
+    chi_row = None if chi_margin is None else cluster_size_statistic(g, chi_margin)
 
     single, pair = (1, b""), (2, np.array([[0, 1]], dtype=np.int64).tobytes())
     cache.solve([single, pair], [np.empty((0, 2), np.int64), np.array([[0, 1]])], [False, True])
@@ -523,16 +492,11 @@ def ids_estimate(
     rows, chi = [], []
     truncated = 0
     stop = realization_offset + params.realizations
-    per_batch = max(1, _BATCH_VERTEX_SLOTS // n)
-    for b0 in range(realization_offset, stop, per_batch):
-        batch = range(b0, min(b0 + per_batch, stop))
-        masks = np.array([sample(g, params, r).open_mask for r in batch])
-        k = masks.shape[0]
-        edges, labels, first = _decompose_batch(g, masks)
-        sizes = np.bincount(labels, minlength=first[-1])
-        by_vertex = labels.reshape(k, n)
-        if interior is not None:
-            chi.extend(row.mean() for row in sizes[by_vertex[:, interior]])
+    for dec in realization_batches(g, params, realization_offset, stop):
+        labels, sizes, first = dec.labels, dec.sizes, dec.first
+        k = first.size - 1
+        if chi_row is not None:
+            chi.append(chi_row(dec))
 
         def blocks(clusters: np.ndarray) -> np.ndarray:
             # the realization of each cluster a mask over labels selects
@@ -543,9 +507,7 @@ def ids_estimate(
         counted = in_count > 0
         dropped = np.zeros(k, dtype=bool)
         if flag_boundary:
-            touching = np.zeros(sizes.size, dtype=bool)
-            touching[by_vertex[:, near]] = True
-            dropped[blocks(counted & touching)] = True
+            dropped[blocks(counted & dec.boundary_touching)] = True
             truncated += int(dropped.sum())
             counted &= np.repeat(~dropped, np.diff(first))
         big = counted & (sizes > max_cluster_size)
@@ -565,7 +527,7 @@ def ids_estimate(
         acc += vec_pair_half * np.bincount(blocks(size2 & (in_count == 1)), minlength=k)[:, None]
         larger = counted & (sizes >= 3)
         if larger.any():
-            cluster_rows = _shape_rows(cache, edges, labels, sizes, in_count, inside, larger)
+            cluster_rows = _shape_rows(cache, dec.edges, labels, sizes, in_count, inside, larger)
             acc = _add_in_order(acc, blocks(larger), cluster_rows)
         rows.append(acc[~dropped] / volume)
 
@@ -579,7 +541,7 @@ def ids_estimate(
         counting_radius=counting_radius,
         requested_realizations=params.realizations,
         truncated_realizations=truncated,
-        chi=None if interior is None else np.array(chi).reshape(-1, 1),
+        chi=None if chi_row is None else np.concatenate(chi),
     )
     if table.realizations == 0 and not allow_empty:
         raise AllRealizationsTruncated()
@@ -643,38 +605,29 @@ def cheeger_check(
     max_cluster_size: int = 2000,
 ) -> CheegerReport:
     """Verify E_1(C) >= 1/|C|^2 for every nontrivial cluster of each
-    configuration (E_1 = smallest nonzero Laplacian eigenvalue)."""
-    gaps: dict = {}
-    checked = 0
-    violations = 0
-    min_margin = math.inf
-    largest = 0
-    for cfg in configurations:
-        dec = decompose(g, cfg)
-        sizes = dec.sizes
-        nontrivial = sizes >= 2
-        if not nontrivial.any():
-            continue
-        over = np.flatnonzero(nontrivial & (sizes > max_cluster_size))
-        if over.size:
-            raise RuntimeError(
-                f"cluster of {int(sizes[over[0]])} vertices exceeds the cap {max_cluster_size}"
-            )
-        shapes = _key_shapes(g.edges[cfg.open_mask], dec.labels, sizes, nontrivial)
-        copies = np.bincount(shapes.index, minlength=len(shapes.keys))
-        for key, edges, n_copies in zip(shapes.keys, shapes.edges, copies.tolist()):
-            s = key[0]
-            if key not in gaps:
-                gaps[key] = float(eigenvalues(laplacian_from_edges(s, edges))[1])
-            margin = gaps[key] * s * s
-            checked += n_copies
-            min_margin = min(min_margin, margin)
-            if margin < 1.0:
-                violations += n_copies
-        largest = max(largest, int(sizes.max()))
+    configuration (E_1 = smallest nonzero Laplacian eigenvalue).  The
+    configurations are decomposed and shape-keyed together, and each
+    distinct shape is solved once."""
+    masks = np.array([cfg.open_mask for cfg in configurations], dtype=bool)
+    dec = _decompose(g, masks.reshape(-1, g.n_edges))
+    sizes = dec.sizes
+    nontrivial = sizes >= 2
+    if not nontrivial.any():
+        return CheegerReport(checked=0, violations=0, min_margin=math.inf, largest_cluster=0)
+    over = np.flatnonzero(nontrivial & (sizes > max_cluster_size))
+    if over.size:
+        raise RuntimeError(
+            f"cluster of {int(sizes[over[0]])} vertices exceeds the cap {max_cluster_size}"
+        )
+    shapes = _key_shapes(dec.edges, dec.labels, sizes, nontrivial)
+    copies = np.bincount(shapes.index, minlength=len(shapes.keys))
+    margins = np.array([
+        float(eigenvalues(laplacian_from_edges(s, edges))[1]) * s * s
+        for (s, _), edges in zip(shapes.keys, shapes.edges)
+    ])
     return CheegerReport(
-        checked=checked,
-        violations=violations,
-        min_margin=min_margin,
-        largest_cluster=largest,
+        checked=int(copies.sum()),
+        violations=int(copies[margins < 1.0].sum()),
+        min_margin=float(margins.min()),
+        largest_cluster=int(sizes.max()),
     )

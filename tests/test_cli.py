@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from percospec import cli, percolation, spectral
+from percospec import cli, percolation
 from percospec.cli import (
     ConfigError,
     ExperimentConfig,
@@ -286,7 +286,7 @@ class TestSubcommands:
         self, tmp_path, capsys, monkeypatch
     ):
         sampled = []
-        monkeypatch.setattr(spectral, "sample", lambda *args: sampled.append(args))
+        monkeypatch.setattr(percolation, "sample", lambda *args: sampled.append(args))
         out = tmp_path / "ids"
         code = main(
             [
@@ -297,6 +297,20 @@ class TestSubcommands:
         assert code == 2
         assert "ids.counting_radius" in capsys.readouterr().err
         assert sampled == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ids", "lifshits"])
+    def test_default_counting_radius_on_empty_patch_exits_two(self, tmp_path, capsys, command):
+        # a Penrose patch of radius 0.6 has no vertices
+        out = tmp_path / command
+        code = main(
+            [
+                command, "--family", "penrose", "--radius", "0.6", "--p", "0.1",
+                "--realizations", "3", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "ids.counting_radius" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ids", "lifshits"])

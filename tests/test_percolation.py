@@ -1,6 +1,7 @@
 """Tests for bond sampling, cluster decomposition, and decay statistics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,12 +18,16 @@ from percospec.percolation import (
     boundary_path_statistic,
     bounds_report,
     bruteforce_cluster_oracle,
+    cluster_size_statistic,
     cluster_size_tail,
+    cluster_size_tail_statistic,
     decompose,
     edge_uniforms,
     mean_cluster_size,
+    per_realization_rows,
     sample,
 )
+from percospec.spectral import CheegerReport, cheeger_check
 
 
 @pytest.fixture(scope="module")
@@ -314,18 +319,99 @@ class TestReachMatchesPerClusterLoop:
 
 
 def test_percolate_decomposes_each_realization_once(tmp_path, monkeypatch):
-    calls = []
+    sampled, decomposed = [], []
+    decompose_batch = percolation._decompose
 
-    def counted(g, omega):
-        calls.append(omega.realization_index)
-        return decompose(g, omega)
+    def counted_sample(g, params, r):
+        sampled.append(r)
+        return sample(g, params, r)
 
-    monkeypatch.setattr(percolation, "decompose", counted)
+    def counted_decompose(g, masks):
+        decomposed.append(masks.shape[0])
+        return decompose_batch(g, masks)
+
+    monkeypatch.setattr(percolation, "sample", counted_sample)
+    monkeypatch.setattr(percolation, "_decompose", counted_decompose)
     argv = ["percolate", "--family", "square", "--radius", "30", "--p", "0.2",
             "--realizations", "7", "--n-max", "8", "--out", str(tmp_path)]
     assert main(argv) == 0
-    assert calls == list(range(7))
+    assert sampled == list(range(7))
+    # the batched decompositions hold every realization once
+    assert sum(decomposed) == 7
 
+
+# ---------------------------------------------------------------------------
+# batches of realizations against one realization at a time
+
+
+BATCH_SIZES = (1, 2, 5)
+BATCH_RUN = 13  # realizations: not a multiple of 2 or 5
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        ("square", 16.0, 0.2),
+        ("triangular", 16.0, 0.12),
+        ("penrose", 16.0, 0.15),
+        ("ammann_beenker", 16.0, 0.15),
+        # supercritical: most interior vertices share one giant cluster
+        ("square", 14.0, 0.6),
+    ],
+    ids=lambda case: f"{case[0]}-p{case[2]}",
+)
+def batch_case(request):
+    family, radius, p = request.param
+    g = generate(GeneratorSpec(family=family, radius=radius))
+    return g, PercolationParams(p=p, master_seed=6, realizations=BATCH_RUN)
+
+
+class TestBatchesMatchOneRealizationAtATime:
+    """Every batch size gives the rows of the loop that decomposes one
+    realization at a time, and the gap check of a list of configurations
+    is that of one call per configuration."""
+
+    def test_statistic_rows_identical(self, batch_case, monkeypatch):
+        g, params = batch_case
+        stats = [
+            cluster_size_tail_statistic(g, range(1, 9), margin=4.0),
+            boundary_path_statistic(g, np.arange(0.5, 12.0, 0.5), margin=4.0),
+            cluster_size_statistic(g, 4.0),
+        ]
+        decs = [decompose(g, sample(g, params, r)) for r in range(BATCH_RUN)]
+        want = [np.concatenate([stat(dec) for dec in decs]) for stat in stats]
+        for k in BATCH_SIZES:
+            monkeypatch.setattr(percolation, "_BATCH_VERTEX_SLOTS", k * g.n_vertices)
+            rows = per_realization_rows(g, params, stats)
+            assert [r.shape for r in rows] == [w.shape for w in want]
+            assert [r.tobytes() for r in rows] == [w.tobytes() for w in want]
+
+    def test_cheeger_report_identical(self, batch_case):
+        g, params = batch_case
+        cfgs = [sample(g, params, r) for r in range(BATCH_RUN)]
+        alone = [cheeger_check(g, [cfg]) for cfg in cfgs]
+        assert cheeger_check(g, cfgs) == CheegerReport(
+            checked=sum(rep.checked for rep in alone),
+            violations=sum(rep.violations for rep in alone),
+            min_margin=min(rep.min_margin for rep in alone),
+            largest_cluster=max(rep.largest_cluster for rep in alone),
+        )
+
+    def test_cheeger_cap_error_identical(self, batch_case):
+        g, params = batch_case
+        cfgs = [sample(g, params, r) for r in range(BATCH_RUN)]
+        # the first configuration passes alone, so the error must come
+        # from a later one
+        cap = cheeger_check(g, cfgs[:1]).largest_cluster
+        messages = []
+        for cfg in cfgs:
+            try:
+                cheeger_check(g, [cfg], max_cluster_size=cap)
+            except RuntimeError as exc:
+                messages.append(str(exc))
+        assert messages
+        with pytest.raises(RuntimeError, match=f"^{re.escape(messages[0])}$"):
+            cheeger_check(g, cfgs, max_cluster_size=cap)
 
 class TestBoundsReport:
     def test_critical_thresholds_are_exact(self):

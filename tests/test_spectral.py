@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from percospec import spectral
+from percospec import percolation, spectral
 from percospec.graphs import Ball, GeneratorSpec, from_coeffs, generate
 from percospec.percolation import PercolationParams, cluster_size_statistic, decompose, sample
 from percospec.spectral import (
@@ -454,7 +454,7 @@ CHI_MARGIN = 4.0
 
 
 def _set_batch_size(monkeypatch, g, k):
-    monkeypatch.setattr(spectral, "_BATCH_VERTEX_SLOTS", k * g.n_vertices)
+    monkeypatch.setattr(percolation, "_BATCH_VERTEX_SLOTS", k * g.n_vertices)
 
 
 def _chi_rows(g, params):
