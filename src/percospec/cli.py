@@ -26,7 +26,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,11 +84,17 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (exit code 2)."""
 
 
+# the counting window stays at least this far inside the generated patch
+_WINDOW_MARGIN = 1.0
+# a grid energy in the bulk that records the total spectral mass
+_TOP_ANCHOR = 9.0
+
+
 @dataclass
 class ExperimentConfig:
     """Flat description of one experiment, merged from INI config and flags.
 
-    ``counting_radius`` plus the truncation ``margin`` may not exceed the
+    ``counting_radius`` plus ``_WINDOW_MARGIN`` may not exceed the
     generation ``radius``: the counting window must sit strictly inside the
     generated patch or boundary effects silently corrupt the spectra.
     """
@@ -104,15 +110,22 @@ class ExperimentConfig:
     e_min: float | None = None
     e_max: float = 0.5
     per_decade: int = 12
-    top_anchor: float | None = 9.0
-    margin: float = 1.0
     out_dir: str = "runs/out"
     fmt: str = "csv"
     threads: int = 1
 
-    def validate(self) -> None:
+    def validate(self, command: str) -> None:
+        """Every input rule that needs no patch, for a run of ``command``."""
         problems: list[str] = []
-        if not (0.0 <= self.p <= 1.0):
+        # the decay and tail bounds, and the default energy grid of ids,
+        # need 0 < p < 1
+        if command in ("percolate", "lifshits") or (command == "ids" and self.e_min is None):
+            if not (0.0 < self.p < 1.0):
+                problems.append(
+                    f"percolation.p = {self.p}: {command} needs 0 < p < 1"
+                    + (" unless --e-min is given" if command == "ids" else "")
+                )
+        elif not (0.0 <= self.p <= 1.0):
             problems.append(f"percolation.p = {self.p}: must lie in [0, 1]")
         if self.radius <= 0.0:
             problems.append(f"graph.radius = {self.radius}: must be positive")
@@ -121,10 +134,10 @@ class ExperimentConfig:
                 problems.append(
                     f"ids.counting_radius = {self.counting_radius}: must be positive"
                 )
-            elif self.counting_radius + self.margin > self.radius:
+            elif self.counting_radius + _WINDOW_MARGIN > self.radius:
                 problems.append(
                     f"ids.counting_radius = {self.counting_radius}: counting radius "
-                    f"+ margin {self.margin} exceeds generation radius {self.radius}"
+                    f"+ margin {_WINDOW_MARGIN} exceeds generation radius {self.radius}"
                 )
         if self.pattern_radius <= 0.0:
             problems.append(
@@ -148,10 +161,6 @@ class ExperimentConfig:
             )
         if self.per_decade < 1:
             problems.append(f"ids.per_decade = {self.per_decade}: must be >= 1")
-        if self.top_anchor is not None and self.top_anchor <= 0.0:
-            problems.append(f"ids.top_anchor = {self.top_anchor}: must be positive")
-        if self.margin < 0.0:
-            problems.append(f"ids.margin = {self.margin}: must be nonnegative")
         if self.fmt not in ("csv", "json"):
             problems.append(f"output.format = {self.fmt!r}: must be 'csv' or 'json'")
         if self.threads < 1:
@@ -171,53 +180,64 @@ class ExperimentConfig:
 
     def energy_grid(self, d_max: int, volume: float) -> np.ndarray:
         """Log grid from e_max down to e_min at per_decade points per decade,
-        plus the optional high anchor that records the total spectral mass."""
+        plus the high anchor that records the total spectral mass."""
         e_min = self.e_min
         if e_min is None:
-            if not (0.0 < self.p < 1.0):
-                raise ConfigError(
-                    f"percolation.p = {self.p}: the default ids.e_min needs 0 < p < 1; "
-                    "pass --e-min"
-                )
-            e_min, _ = default_energy_range(
-                self.p, d_max, self.realizations, volume
+            e_min = min(
+                default_energy_range(self.p, d_max, self.realizations, volume),
+                self.e_max / 2.0,
             )
-            e_min = min(e_min, self.e_max / 2.0)
         ratio = 10.0 ** (-1.0 / self.per_decade)
         energies = []
         e = self.e_max
         while e >= e_min * (1.0 - 1e-12):
             energies.append(e)
             e *= ratio
-        if self.top_anchor is not None:
-            energies.append(self.top_anchor)
+        energies.append(_TOP_ANCHOR)
         return np.unique(np.asarray(energies))
 
 
 # ---------------------------------------------------------------------------
-# config file / flag merging
+# the settings: INI key, field and flag of each, declared once
 
 
-_CONFIG_LAYOUT = {
-    "graph": {"family": ("family", str), "radius": ("radius", float)},
-    "patterns": {"pattern_radius": ("pattern_radius", float)},
-    "percolation": {
-        "p": ("p", float),
-        "realizations": ("realizations", int),
-        "seed": ("master_seed", int),
-        "n_max": ("n_max", int),
-    },
-    "ids": {
-        "counting_radius": ("counting_radius", float),
-        "e_min": ("e_min", float),
-        "e_max": ("e_max", float),
-        "per_decade": ("per_decade", int),
-        "top_anchor": ("top_anchor", float),
-        "margin": ("margin", float),
-    },
-    "output": {"dir": ("out_dir", str), "format": ("fmt", str)},
-    "run": {"threads": ("threads", int)},
-}
+class _Setting(NamedTuple):
+    section: str
+    key: str
+    field: str
+    type: Callable[[str], object]
+    flag: str
+    help: str
+    commands: tuple[str, ...]
+
+
+_ALL = ("generate", "census", "percolate", "ids", "lifshits", "verify")
+_SAMPLED = ("percolate", "ids", "lifshits")
+_ESTIMATED = ("ids", "lifshits")
+
+_SETTINGS = [
+    _Setting("graph", "family", "family", str, "--family",
+             "graph family: square, triangular, penrose, ammann_beenker", _ALL),
+    _Setting("graph", "radius", "radius", float, "--radius", "generation radius of the patch", _ALL),
+    _Setting("patterns", "pattern_radius", "pattern_radius", float, "--pattern-radius",
+             "pattern ball radius", ("census",)),
+    _Setting("percolation", "p", "p", float, "--p", "bond probability", _SAMPLED),
+    _Setting("percolation", "realizations", "realizations", int, "--realizations",
+             "number of bond realizations", _SAMPLED),
+    _Setting("percolation", "seed", "master_seed", int, "--seed", "master seed for all randomness", _ALL),
+    _Setting("percolation", "n_max", "n_max", int, "--n-max", "largest cluster-size scale", ("percolate",)),
+    _Setting("ids", "counting_radius", "counting_radius", float, "--counting-radius",
+             "radius of the counting window (default: radius minus the escape margin "
+             "of the boundary-path bound)", _ESTIMATED),
+    _Setting("ids", "e_min", "e_min", float, "--e-min", "lowest grid energy", _ESTIMATED),
+    _Setting("ids", "e_max", "e_max", float, "--e-max", "highest grid energy", _ESTIMATED),
+    _Setting("ids", "per_decade", "per_decade", int, "--per-decade",
+             "grid points per decade of energy", _ESTIMATED),
+    _Setting("output", "dir", "out_dir", str, "--out", "output directory", _ALL),
+    _Setting("output", "format", "fmt", str, "--format", "primary table format: csv or json", _ALL),
+    _Setting("run", "threads", "threads", int, "--threads",
+             "worker cap; results identical for any value", _ALL),
+]
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -230,23 +250,25 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    layout: dict[str, dict[str, _Setting]] = {}
+    for s in _SETTINGS:
+        layout.setdefault(s.section, {})[s.key] = s
     cfg = ExperimentConfig()
     for section in parser.sections():
-        if section not in _CONFIG_LAYOUT:
+        if section not in layout:
             raise ConfigError(
                 f"{path}: unknown section [{section}]; "
-                f"expected one of {sorted(_CONFIG_LAYOUT)}"
+                f"expected one of {sorted(layout)}"
             )
-        layout = _CONFIG_LAYOUT[section]
         for key, raw in parser.items(section):
-            if key not in layout:
+            if key not in layout[section]:
                 raise ConfigError(
                     f"{path}: unknown key {key!r} in [{section}]; "
-                    f"expected one of {sorted(layout)}"
+                    f"expected one of {sorted(layout[section])}"
                 )
-            attr, cast = layout[key]
+            setting = layout[section][key]
             try:
-                setattr(cfg, attr, cast(raw))
+                setattr(cfg, setting.field, setting.type(raw))
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}: [{section}] {key} = {raw!r}: {exc}"
@@ -256,25 +278,10 @@ def load_config(path: str) -> ExperimentConfig:
 
 def merge_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     """Apply command-line overrides; flags win over the config file."""
-    overrides = {
-        "family": args.family,
-        "radius": args.radius,
-        "counting_radius": getattr(args, "counting_radius", None),
-        "pattern_radius": getattr(args, "pattern_radius", None),
-        "p": getattr(args, "p", None),
-        "realizations": getattr(args, "realizations", None),
-        "master_seed": args.seed,
-        "n_max": getattr(args, "n_max", None),
-        "e_min": getattr(args, "e_min", None),
-        "e_max": getattr(args, "e_max", None),
-        "per_decade": getattr(args, "per_decade", None),
-        "out_dir": args.out,
-        "fmt": args.format,
-        "threads": args.threads,
-    }
-    for attr, value in overrides.items():
+    for s in _SETTINGS:
+        value = getattr(args, s.field, None)
         if value is not None:
-            setattr(cfg, attr, value)
+            setattr(cfg, s.field, value)
     return cfg
 
 
@@ -445,9 +452,10 @@ def _estimate(
 ) -> IdsTable:
     """The counting table of ``ids`` and ``lifshits``.  Without a counting
     radius the window is the patch less the escape margin (recorded in the
-    manifest); the energy grid follows the window volume."""
+    manifest).  A window that holds no vertex is a configuration error; the
+    energy grid follows the window volume."""
     if cfg.counting_radius is None:
-        margin = max(_escape_margin(cfg, g), cfg.margin)
+        margin = max(_escape_margin(cfg, g), _WINDOW_MARGIN)
         if cfg.radius - margin <= 0.0:
             raise ConfigError(
                 f"ids.counting_radius unset and graph.radius = {cfg.radius:g} leaves no "
@@ -456,6 +464,11 @@ def _estimate(
             )
         cfg.counting_radius = cfg.radius - margin
         writer.manifest.config["counting_radius"] = cfg.counting_radius
+    if not Ball((0.0, 0.0), cfg.counting_radius).contains(g.embed).any():
+        raise ConfigError(
+            f"ids.counting_radius = {cfg.counting_radius:g}: the counting window "
+            f"holds no vertex of the {cfg.family} patch"
+        )
     volume = math.pi * cfg.counting_radius**2
     grid = cfg.energy_grid(g.d_max, volume)
     return run_ids(cfg, g, grid, chi_margin)
@@ -527,10 +540,7 @@ def _ids_outputs(cfg: ExperimentConfig, table: IdsTable, writer: OutputWriter) -
 # subcommands
 
 
-def cmd_generate(cfg: ExperimentConfig) -> int:
-    writer = OutputWriter("generate", cfg)
-    g = generate(cfg.generator_spec())
-    writer.stage("generate")
+def cmd_generate(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) -> int:
     report = geometry_report(g)
     writer.stage("geometry")
     writer.add("graph.txt", dumps(g))
@@ -544,13 +554,10 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_census(cfg: ExperimentConfig) -> int:
+def cmd_census(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) -> int:
     """Pattern census at the configured radius, plus a finite-local-
     complexity stability verdict: the census on the half-radius patch must
     already contain every translation class seen on the full patch."""
-    writer = OutputWriter("census", cfg)
-    g = generate(cfg.generator_spec())
-    writer.stage("generate")
     census = extract_r_patterns(g, cfg.pattern_radius)
     half = restrict(g, Ball((0.0, 0.0), cfg.radius / 2.0))
     census_half = extract_r_patterns(half, cfg.pattern_radius)
@@ -595,14 +602,9 @@ def cmd_census(cfg: ExperimentConfig) -> int:
     return 0 if census.distinct == census_half.distinct else 1
 
 
-def cmd_percolate(cfg: ExperimentConfig) -> int:
+def cmd_percolate(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) -> int:
     """Cluster-size tail, boundary-path probability and chi, all three
     evaluated on one decomposition per realization."""
-    if not (0.0 < cfg.p < 1.0):
-        raise ConfigError(f"percolation.p = {cfg.p}: the decay bounds need 0 < p < 1")
-    writer = OutputWriter("percolate", cfg)
-    g = generate(cfg.generator_spec())
-    writer.stage("generate")
     params = cfg.percolation_params()
     try:
         size_stat = cluster_size_tail_statistic(g, range(1, cfg.n_max + 1))
@@ -640,10 +642,7 @@ def cmd_percolate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_ids(cfg: ExperimentConfig) -> int:
-    writer = OutputWriter("ids", cfg)
-    g = generate(cfg.generator_spec())
-    writer.stage("generate")
+def cmd_ids(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) -> int:
     table = _estimate(cfg, g, writer)
     writer.stage("ids")
     _ids_outputs(cfg, table, writer)
@@ -656,14 +655,9 @@ def cmd_ids(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_lifshits(cfg: ExperimentConfig) -> int:
+def cmd_lifshits(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) -> int:
     """The full pipeline: estimate the counting table, fit the linearized
     tail, and certify the two-sided bound."""
-    if not (0.0 < cfg.p < 1.0):
-        raise ConfigError(f"percolation.p = {cfg.p}: the tail bounds need 0 < p < 1")
-    writer = OutputWriter("lifshits", cfg)
-    g = generate(cfg.generator_spec())
-    writer.stage("generate")
     # chi is taken from the estimator's realizations, row r from realization r
     table = _estimate(cfg, g, writer, _chi_margin(cfg, g))
     writer.stage("ids")
@@ -835,7 +829,7 @@ def _check_bracket_consistency() -> tuple[bool, str]:
     worst = np.inf
     for e in np.logspace(-2, 0.7, 30):
         lb = lower_bound(float(e), 0.1, 4, 1.0)
-        ub = upper_bound(float(e), 0.1, 1.0, 2.0, lambda_decay=0.2)
+        ub = upper_bound(float(e), 0.1, 1.0, lambda_decay=0.2)
         worst = min(worst, ub / lb)
     return worst >= 1.0, f"min upper/lower ratio {worst:.3e}"
 
@@ -873,8 +867,7 @@ _VERIFY_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def cmd_verify(cfg: ExperimentConfig) -> int:
-    writer = OutputWriter("verify", cfg)
+def cmd_verify(cfg: ExperimentConfig, writer: OutputWriter) -> int:
     results = []
     width = max(len(name) for name, _ in _VERIFY_CHECKS)
     all_ok = True
@@ -899,13 +892,15 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 # argument parsing and entry point
 
 
+# name -> (command, help); every command but verify runs on the patch the
+# configuration describes
 _COMMANDS = {
-    "generate": cmd_generate,
-    "census": cmd_census,
-    "percolate": cmd_percolate,
-    "ids": cmd_ids,
-    "lifshits": cmd_lifshits,
-    "verify": cmd_verify,
+    "generate": (cmd_generate, "generate a patch and its geometry report"),
+    "census": (cmd_census, "r-pattern census and FLC stability verdict"),
+    "percolate": (cmd_percolate, "cluster statistics and decay-constant report"),
+    "ids": (cmd_ids, "Monte Carlo spectral counting table"),
+    "lifshits": (cmd_lifshits, "counting table, tail fit, and bracket certification"),
+    "verify": (cmd_verify, "run fast invariant checks and print a table"),
 }
 
 
@@ -915,38 +910,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Percolation, pattern, and spectral-tail experiments "
         "on periodic and aperiodic planar graphs.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="INI experiment file (flags win)")
-    common.add_argument("--seed", type=int, help="master seed for all randomness")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--threads", type=int, help="worker cap; results identical for any value")
-    common.add_argument("--format", choices=["csv", "json"], help="primary table format")
-    common.add_argument("--family", help="graph family: square, triangular, penrose, ammann_beenker")
-    common.add_argument("--radius", type=float, help="generation radius of the patch")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    sp = sub.add_parser("generate", parents=[common], help="generate a patch and its geometry report")
-    sp = sub.add_parser("census", parents=[common], help="r-pattern census and FLC stability verdict")
-    sp.add_argument("--pattern-radius", dest="pattern_radius", type=float, help="pattern ball radius")
-    for name, hlp in (
-        ("percolate", "cluster statistics and decay-constant report"),
-        ("ids", "Monte Carlo spectral counting table"),
-        ("lifshits", "counting table, tail fit, and bracket certification"),
-    ):
-        sp = sub.add_parser(name, parents=[common], help=hlp)
-        sp.add_argument("--p", type=float, help="bond probability")
-        sp.add_argument("--realizations", type=int, help="number of bond realizations")
-        if name == "percolate":
-            sp.add_argument("--n-max", dest="n_max", type=int, help="largest cluster-size scale")
-        else:
-            sp.add_argument("--counting-radius", dest="counting_radius", type=float,
-                            help="radius of the counting window (default: radius minus the "
-                            "escape margin of the boundary-path bound)")
-            sp.add_argument("--e-min", dest="e_min", type=float, help="lowest grid energy")
-            sp.add_argument("--e-max", dest="e_max", type=float, help="highest grid energy")
-            sp.add_argument("--per-decade", dest="per_decade", type=int,
-                            help="grid points per decade of energy")
-    sub.add_parser("verify", parents=[common], help="run fast invariant checks and print a table")
+    for command, (_, hlp) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=hlp)
+        sp.add_argument("--config", help="INI experiment file (flags win)")
+        for s in _SETTINGS:
+            if command in s.commands:
+                sp.add_argument(s.flag, dest=s.field, type=s.type, metavar=s.key.upper(),
+                                help=f"{s.help} [{s.section}] {s.key}")
     return parser
 
 
@@ -955,14 +926,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         cfg = merge_flags(cfg, args)
-        if args.out is None and args.config is None:
+        if args.out_dir is None and args.config is None:
             cfg.out_dir = os.path.join("runs", args.command)
-        cfg.validate()
+        cfg.validate(args.command)
     except ConfigError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
         return 2
+    command, _ = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](cfg)
+        writer = OutputWriter(args.command, cfg)
+        if command is cmd_verify:
+            return cmd_verify(cfg, writer)
+        g = generate(cfg.generator_spec())
+        writer.stage("generate")
+        return command(cfg, g, writer)
     except ConfigError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
         return 2

@@ -55,14 +55,13 @@ def lower_bound(energy: float, p: float, d_max: int, rho_inf: float) -> float:
     return rho_inf * math.exp(-2.0 * g) * math.exp(-4.0 * g * x) / (2.0 + 4.0 * x)
 
 
-def upper_bound(
-    energy: float,
-    p: float,
-    rho: float,
-    dimension_const: float = 2.0,
-    *,
-    lambda_decay: float,
-) -> float:
+_UPPER_BOUND_D = 2.0
+
+# a grid point enters the tail fit only with a relative standard error below this
+_MAX_REL_STDERR = 0.5
+
+
+def upper_bound(energy: float, p: float, rho: float, *, lambda_decay: float) -> float:
     """Cluster-size-decay upper bound rho D exp(-lambda E^{-1/2}).
 
     The p-dependence enters entirely through lambda(p) (and in principle
@@ -74,9 +73,9 @@ def upper_bound(
         raise ValueError("p must lie strictly between 0 and 1")
     if lambda_decay <= 0.0:
         raise ValueError("lambda must be positive")
-    if rho < 0.0 or dimension_const <= 0.0:
-        raise ValueError("rho must be nonnegative and D positive")
-    return rho * dimension_const * math.exp(-lambda_decay * energy**-0.5)
+    if rho < 0.0:
+        raise ValueError("rho must be nonnegative")
+    return rho * _UPPER_BOUND_D * math.exp(-lambda_decay * energy**-0.5)
 
 
 def chain_length_for_energy(energy: float) -> int:
@@ -100,17 +99,16 @@ def reliability_floor(realizations: int, volume: float) -> float:
 
 def default_energy_range(
     p: float, d_max: int, realizations: int, volume: float
-) -> tuple[float, float]:
-    """Energy window where the run can resolve the tail.
+) -> float:
+    """Lowest energy where the run can resolve the tail.
 
     The longest chain the run expects to observe has length about
     L = ln(realizations * volume) / gamma; chains of that length populate
-    energies down to 10 / L^2.  The top end stays at 0.5, below the bulk
-    of the spectrum.
+    energies down to 10 / L^2.
     """
     g = gamma_rate(p, d_max)
     L = max(2.0, math.log(max(realizations * volume, math.e)) / g)
-    return 10.0 / (L * L), 0.5
+    return 10.0 / (L * L)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +165,6 @@ def tail_fit(
     table: IdsTable,
     e_range: tuple[float, float] | None = None,
     min_points: int = 8,
-    max_rel_stderr: float = 0.5,
 ) -> TailAnalysis:
     """Fit the linearized tail law over the reliable part of the grid.
 
@@ -192,7 +189,7 @@ def tail_fit(
         (energies >= lo)
         & (energies <= hi)
         & (tail >= floor)
-        & (rel < max_rel_stderr)
+        & (rel < _MAX_REL_STDERR)
     )
     n_fit = int(reliable.sum())
     if n_fit < min_points:
@@ -329,7 +326,7 @@ def certify_bracketing(
     se = analysis.stderr[sel]
     lower = np.array([lower_bound(e, p, d_max, rho_inf) for e in energies])
     upper = np.array(
-        [upper_bound(e, p, rho, 2.0, lambda_decay=lambda_emp) for e in energies]
+        [upper_bound(e, p, rho, lambda_decay=lambda_emp) for e in energies]
     )
     rigorous_margin = tail + 4.0 * se - lower
     rigorous_ok = rigorous_margin >= 0.0

@@ -122,11 +122,10 @@ class PatternCensus:
     def distinct(self) -> int:
         return len(self.counts)
 
-    def most_common(self, k: int | None = None) -> list[tuple[CanonicalPattern, int]]:
-        items = sorted(
+    def most_common(self) -> list[tuple[CanonicalPattern, int]]:
+        return sorted(
             self.counts.items(), key=lambda kv: (-kv[1], kv[0].coords, kv[0].edges)
         )
-        return items if k is None else items[:k]
 
 
 def extract_r_patterns(g: EmbeddedGraph, radius: float) -> PatternCensus:

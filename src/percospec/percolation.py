@@ -557,12 +557,15 @@ def bounds_report(
 # exact enumeration oracle
 
 
+# the exact oracles enumerate all 2^m bond configurations for m up to this
+_MAX_ENUMERATED_EDGES = 20
+
+
 def bruteforce_cluster_oracle(
     g: EmbeddedGraph,
     p: float,
     vertex: int,
     n_values: Sequence[int] = (),
-    max_edges: int = 20,
 ) -> dict:
     """Exact expectations by enumerating all 2^m bond configurations.
 
@@ -571,8 +574,8 @@ def bruteforce_cluster_oracle(
     p^(#open) (1-p)^(#closed).  Only feasible for small patches.
     """
     m = g.n_edges
-    if m > max_edges:
-        raise ValueError(f"{m} edges exceeds the enumeration cap {max_edges}")
+    if m > _MAX_ENUMERATED_EDGES:
+        raise ValueError(f"{m} edges exceeds the enumeration cap {_MAX_ENUMERATED_EDGES}")
     n_values = [int(n) for n in n_values]
     tail = {n: 0.0 for n in n_values}
     mean_size = 0.0

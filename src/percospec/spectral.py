@@ -32,6 +32,7 @@ import numpy as np
 from .graphs import Ball, EmbeddedGraph
 from .percolation import (
     BondConfiguration,
+    _MAX_ENUMERATED_EDGES,
     PercolationParams,
     _decompose,
     _sem,
@@ -73,6 +74,13 @@ class AllRealizationsTruncated(RuntimeError):
 # is at least 1/s^2, far above this for any cluster we ever solve
 SNAP_TOL = 1e-9
 
+# an eigenpair is accepted when its residual ||M v - lambda v|| is at most
+# this times max(1, ||M||)
+_RESIDUAL_TOL = 1e-8
+
+# the dense whole-patch Laplacian is built for at most this many vertices
+_DENSE_VERTICES = 4000
+
 
 def laplacian_from_edges(n: int, edges: np.ndarray) -> np.ndarray:
     """Dense combinatorial Laplacian D - A on n vertices."""
@@ -94,17 +102,17 @@ def _laplacians(size: int, shapes: Sequence[np.ndarray]) -> np.ndarray:
     return lap
 
 
-def full_laplacian(g: EmbeddedGraph, open_mask: np.ndarray, max_vertices: int = 4000) -> np.ndarray:
+def full_laplacian(g: EmbeddedGraph, open_mask: np.ndarray) -> np.ndarray:
     """Dense Laplacian of the open subgraph of the whole patch.
 
     Block-diagonal over clusters, so its spectrum equals the union of the
     per-cluster spectra; kept as an independent route for cross-checks.
     Dense, hence capped to small patches.
     """
-    if g.n_vertices > max_vertices:
+    if g.n_vertices > _DENSE_VERTICES:
         raise ValueError(
             f"{g.n_vertices} vertices is too large for a dense Laplacian "
-            f"(cap {max_vertices})"
+            f"(cap {_DENSE_VERTICES})"
         )
     open_mask = np.asarray(open_mask, dtype=bool)
     return laplacian_from_edges(g.n_vertices, g.edges[open_mask])
@@ -116,16 +124,16 @@ def _snap(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-def eigenvalues(mat: np.ndarray, residual_tol: float = 1e-8) -> np.ndarray:
+def eigenvalues(mat: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, kernel snapped to zero,
     with an a-posteriori residual check on every eigenpair."""
-    vals, vecs = eigensystem(mat, residual_tol=residual_tol)
+    vals, vecs = eigensystem(mat)
     return vals
 
 
-def eigensystem(mat: np.ndarray, residual_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def eigensystem(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (snapped) and orthonormal eigenvectors, verified: the
-    residual ||M v - lambda v|| must not exceed residual_tol * max(1, ||M||).
+    residual ||M v - lambda v|| must not exceed _RESIDUAL_TOL * max(1, ||M||).
 
     ``mat`` may also be a stack (c, n, n) of matrices, solved in one call
     and each checked against its own norm; a matrix gets the same
@@ -135,11 +143,11 @@ def eigensystem(mat: np.ndarray, residual_tol: float = 1e-8) -> tuple[np.ndarray
     scale = np.maximum(1.0, np.linalg.norm(mat, axis=(-2, -1)))
     resid = np.linalg.norm(mat @ vecs - vecs * vals[..., None, :], axis=-2)
     worst = resid.max(axis=-1, initial=0.0)
-    over = worst / (residual_tol * scale)
+    over = worst / (_RESIDUAL_TOL * scale)
     if np.any(over > 1.0):
         i = np.unravel_index(np.argmax(over), over.shape)
         raise ArithmeticError(
-            f"eigenpair residual {float(worst[i]):.3e} exceeds {residual_tol:.1e} * "
+            f"eigenpair residual {float(worst[i]):.3e} exceeds {_RESIDUAL_TOL:.1e} * "
             f"{float(scale[i]):.3e}"
         )
     return _snap(vals), vecs
@@ -552,7 +560,6 @@ def bruteforce_ids_oracle(
     g: EmbeddedGraph,
     p: float,
     energies: Sequence[float],
-    max_edges: int = 20,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact mean and variance of the whole-patch eigenvalue count.
 
@@ -564,8 +571,8 @@ def bruteforce_ids_oracle(
     from itertools import product
 
     m = g.n_edges
-    if m > max_edges:
-        raise ValueError(f"{m} edges exceeds the enumeration cap {max_edges}")
+    if m > _MAX_ENUMERATED_EDGES:
+        raise ValueError(f"{m} edges exceeds the enumeration cap {_MAX_ENUMERATED_EDGES}")
     grid = _count_grid(energies)
     mean = np.zeros(grid.size)
     second = np.zeros(grid.size)

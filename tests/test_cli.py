@@ -1,8 +1,11 @@
 """Tests for config handling, the subcommands, and the determinism contract."""
 
 import hashlib
+import importlib.util
 import json
 import os
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +28,9 @@ def write_config(tmp_path, text):
 
 
 class TestConfig:
-    def test_defaults_validate(self):
-        ExperimentConfig().validate()
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_defaults_validate(self, command):
+        ExperimentConfig().validate(command)
 
     def test_load_sections(self, tmp_path):
         path = write_config(
@@ -83,24 +87,26 @@ class TestConfig:
         assert cfg.master_seed == 77
 
     def test_window_must_fit_inside_patch(self):
+        # the window keeps a margin of 1 inside the patch
         cfg = ExperimentConfig(radius=20.0, counting_radius=25.0)
         with pytest.raises(ConfigError, match="exceeds generation radius"):
-            cfg.validate()
-        cfg = ExperimentConfig(radius=20.0, counting_radius=19.5, margin=1.0)
+            cfg.validate("ids")
+        cfg = ExperimentConfig(radius=20.0, counting_radius=19.5)
         with pytest.raises(ConfigError, match="exceeds generation radius"):
-            cfg.validate()
-        ExperimentConfig(radius=20.0, counting_radius=19.0, margin=1.0).validate()
+            cfg.validate("ids")
+        ExperimentConfig(radius=20.0, counting_radius=19.0).validate("ids")
 
     def test_invalid_fields_collected(self):
         cfg = ExperimentConfig(p=1.5, fmt="yaml", threads=0, family="hexagonal")
         with pytest.raises(ConfigError) as err:
-            cfg.validate()
+            cfg.validate("generate")
         msg = str(err.value)
         for fragment in ("percolation.p", "output.format", "run.threads", "graph.family"):
             assert fragment in msg
 
     def test_energy_grid(self):
-        cfg = ExperimentConfig(e_min=0.05, e_max=0.5, per_decade=12, top_anchor=9.0)
+        # the grid ends in the top anchor 9
+        cfg = ExperimentConfig(e_min=0.05, e_max=0.5, per_decade=12)
         grid = cfg.energy_grid(4, 1e4)
         assert grid[-1] == 9.0
         assert grid.max() == 9.0 and grid.min() >= 0.05
@@ -114,6 +120,69 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["ids", "--wat", "3"])
         assert exc.value.code == 2
+
+
+# an INI value and a different flag value for a setting of each type
+SAMPLE_VALUES = {float: ("0.37", 0.41), int: ("7", 11), str: ("from-ini", "from-flag")}
+
+
+class TestSettings:
+    def test_one_row_per_field(self):
+        names = [s.field for s in cli._SETTINGS]
+        assert sorted(names) == sorted(f.name for f in fields(ExperimentConfig))
+        assert len(set(names)) == len(names) == 14
+        assert len({(s.section, s.key) for s in cli._SETTINGS}) == 14
+        assert len({s.flag for s in cli._SETTINGS}) == 14
+
+    @pytest.mark.parametrize("setting", cli._SETTINGS, ids=lambda s: s.flag)
+    def test_ini_key_and_flag_set_the_field(self, tmp_path, setting):
+        ini_value, flag_value = SAMPLE_VALUES[setting.type]
+        path = write_config(tmp_path, f"[{setting.section}]\n{setting.key} = {ini_value}\n")
+        from_ini = load_config(path)
+        assert getattr(from_ini, setting.field) == setting.type(ini_value)
+        for command in cli._COMMANDS:
+            # a subcommand has a destination for each flag it takes
+            args = build_parser().parse_args([command])
+            assert hasattr(args, setting.field) == (command in setting.commands)
+        for command in setting.commands:
+            args = build_parser().parse_args(
+                [command, "--config", path, setting.flag, str(flag_value)]
+            )
+            cfg = merge_flags(load_config(path), args)
+            assert getattr(cfg, setting.field) == flag_value
+
+    # the configuration each benchmark workload runs with, at seed 3
+    WORKLOAD_CONFIGS = {
+        "census-penrose": {
+            "family": "penrose", "radius": 20.0, "counting_radius": None,
+            "pattern_radius": 0.9, "p": 0.2, "realizations": 100, "master_seed": 1,
+            "n_max": 20, "e_min": None, "e_max": 0.5, "per_decade": 12,
+            "out_dir": "out", "fmt": "csv", "threads": 1,
+        },
+        "ids-ab": {
+            "family": "ammann_beenker", "radius": 45.0, "counting_radius": 38.0,
+            "pattern_radius": 1.1, "p": 0.13, "realizations": 300, "master_seed": 3,
+            "n_max": 20, "e_min": None, "e_max": 0.8, "per_decade": 12,
+            "out_dir": "out", "fmt": "csv", "threads": 2,
+        },
+        "lifshits-square": {
+            "family": "square", "radius": 150.0, "counting_radius": 140.0,
+            "pattern_radius": 1.1, "p": 0.1, "realizations": 100, "master_seed": 3,
+            "n_max": 20, "e_min": 0.05, "e_max": 0.8, "per_decade": 12,
+            "out_dir": "out", "fmt": "csv", "threads": 1,
+        },
+    }
+
+    def test_benchmark_workloads_parse_unchanged(self, monkeypatch):
+        bench = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.syspath_prepend(str(bench))
+        spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        assert sorted(run.WORKLOADS) == sorted(self.WORKLOAD_CONFIGS)
+        for workload, expected in self.WORKLOAD_CONFIGS.items():
+            args = build_parser().parse_args(run.child_argv(workload, 3, Path("out")))
+            assert asdict(merge_flags(ExperimentConfig(), args)) == expected, workload
 
 
 class TestSubcommands:
@@ -311,6 +380,23 @@ class TestSubcommands:
         )
         assert code == 2
         assert "ids.counting_radius" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ids", "lifshits"])
+    def test_window_without_vertices_exits_two(self, tmp_path, capsys, monkeypatch, command):
+        # no Penrose vertex lies within 0.1 of the origin, so every N(E) would be 0
+        sampled = []
+        monkeypatch.setattr(percolation, "sample", lambda *args: sampled.append(args))
+        out = tmp_path / command
+        code = main(
+            [
+                command, "--family", "penrose", "--radius", "20", "--counting-radius", "0.1",
+                "--p", "0.1", "--realizations", "3", "--e-min", "0.05", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "ids.counting_radius" in capsys.readouterr().err
+        assert sampled == []
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ids", "lifshits"])

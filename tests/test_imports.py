@@ -1,0 +1,59 @@
+"""No module imports a name it never uses.
+
+A stand-in for a linter's unused-import rule (F401): every file under
+``src/``, ``tests/`` and ``scripts/`` is parsed with ``ast``, and a name an
+import binds must be read somewhere in the file, be listed in ``__all__``,
+or sit on a line marked ``# noqa: F401``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(
+    path.relative_to(ROOT).as_posix()
+    for folder in ("src", "tests", "scripts")
+    for path in (ROOT / folder).rglob("*.py")
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """``line: name`` for each imported name the source never uses."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}  # name -> line of the alias that binds it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    return [
+        f"{line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+        if name not in used | exported and "# noqa: F401" not in lines[line - 1]
+    ]
+
+
+def test_scan_covers_every_tree():
+    assert {path.split("/")[0] for path in FILES} == {"src", "tests", "scripts"}
+
+
+def test_scan_finds_an_unused_import():
+    source = "import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\nloads('1')\n"
+    assert unused_imports(source) == ["1: os", "3: dumps"]
+
+
+@pytest.mark.parametrize("path", FILES)
+def test_no_unused_imports(path):
+    assert unused_imports((ROOT / path).read_text()) == []

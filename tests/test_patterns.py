@@ -83,7 +83,7 @@ class TestCensus:
     def test_square_r12_single_cross(self, square_20):
         census = extract_r_patterns(square_20, 1.2)
         assert census.distinct == 1
-        pattern, count = census.most_common(1)[0]
+        pattern, count = census.most_common()[0]
         assert pattern.n_vertices == 5
         assert pattern.n_edges == 4
         assert count == census.eligible_centers
@@ -93,7 +93,7 @@ class TestCensus:
         # a 3x3 block of 9 vertices carrying 12 nearest-neighbour edges
         census = extract_r_patterns(square_20, 1.5)
         assert census.distinct == 1
-        pattern, _ = census.most_common(1)[0]
+        pattern, _ = census.most_common()[0]
         assert pattern.n_vertices == 9
         assert pattern.n_edges == 12
 
@@ -246,7 +246,7 @@ def test_occurrence_plan_matches_anchor_loop(family, radius, counting_radius):
     g = generate(GeneratorSpec(family=family, radius=radius))
     patterns = [
         pattern for r in (0.9, 1.1, 1.5, 2.0)
-        for pattern, _ in extract_r_patterns(g, r).most_common(4)
+        for pattern, _ in extract_r_patterns(g, r).most_common()[:4]
     ]
     # a vertex pair the graph holds but never joins, since e0 + e1 is no
     # unit step: every translate misses its edge
