@@ -905,14 +905,17 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: an abbreviated flag could silently set another
+    # setting (census --p would be --pattern-radius)
     parser = argparse.ArgumentParser(
         prog="percospec",
         description="Percolation, pattern, and spectral-tail experiments "
         "on periodic and aperiodic planar graphs.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, hlp) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=hlp)
+        sp = sub.add_parser(command, help=hlp, allow_abbrev=False)
         sp.add_argument("--config", help="INI experiment file (flags win)")
         for s in _SETTINGS:
             if command in s.commands:

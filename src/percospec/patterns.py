@@ -231,7 +231,9 @@ def density_report(
         raise ValueError("patch has no box")
     radii = sorted(float(r) for r in radii)
     dec = decompose(g, np.ones(g.n_edges, dtype=bool))
-    vertex_unbounded = dec.boundary_touching[dec.labels]
+    # an isolated vertex is unbounded iff it is near the boundary itself
+    vertex_unbounded = g.near_boundary.copy()
+    vertex_unbounded[dec.touched] = dec.boundary_touching[dec.labels]
 
     dist0 = np.hypot(g.embed[:, 0], g.embed[:, 1])
     rho, rho_inf = [], []

@@ -110,68 +110,94 @@ class ClusterDecomposition:
     together as one block-diagonal graph in which vertex v of realization k
     is k n + v (n the patch's vertex count).
 
-    ``labels`` maps each of the K n vertices to its cluster id; ``sizes``
-    counts vertices per cluster; ``edges`` are the open edges in those ids,
-    ascending as ``EmbeddedGraph.edges``; realization k owns the clusters
-    ``first[k]:first[k + 1]``.  ``boundary_touching`` flags clusters owning
-    a vertex within l_max of the patch boundary (the finite-patch proxy for
-    "possibly cut off").  The flags and the vertex grouping by cluster are
-    materialized lazily; cluster k's vertices are a slice of
-    ``vertex_order``, so no per-cluster list is ever built.
+    Only the vertices an open edge touches are held: ``touched`` lists their
+    block ids in ascending order and ``labels`` their cluster ids.  Every
+    other vertex is an isolated size-1 cluster and stays implicit, so the
+    clusters numbered here are the nontrivial ones: ``sizes`` counts their
+    vertices, realization k owns the clusters ``first[k]:first[k + 1]``, and
+    ``edges`` are the open edges as rows of positions in ``touched``,
+    ascending as ``EmbeddedGraph.edges``.  ``boundary_touching`` flags the
+    clusters owning a vertex within l_max of the patch boundary (the
+    finite-patch proxy for "possibly cut off").
     """
 
     graph: EmbeddedGraph
+    touched: np.ndarray
     labels: np.ndarray
-    n_clusters: int
     sizes: np.ndarray
     edges: np.ndarray
     first: np.ndarray
 
-    @property
-    def by_block(self) -> np.ndarray:
-        """``labels`` as a (K, n) array, one realization per row."""
-        return self.labels.reshape(self.first.size - 1, self.graph.n_vertices)
+    @cached_property
+    def block(self) -> np.ndarray:
+        """The realization of each touched vertex."""
+        return self.touched // self.graph.n_vertices
+
+    @cached_property
+    def vertex(self) -> np.ndarray:
+        """The patch vertex of each touched vertex."""
+        return self.touched - self.block * self.graph.n_vertices
 
     @cached_property
     def boundary_touching(self) -> np.ndarray:
-        touching = np.zeros(self.n_clusters, dtype=bool)
-        touching[self.by_block[:, self.graph.near_boundary]] = True
+        touching = np.zeros(self.sizes.size, dtype=bool)
+        touching[self.labels[self.graph.near_boundary[self.vertex]]] = True
         return touching
 
-    @cached_property
-    def vertex_order(self) -> np.ndarray:
-        """Vertices grouped by cluster label, ascending within each cluster."""
-        return np.argsort(self.labels, kind="stable")
+    def cells(self, vertices: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """The touched vertices among ``vertices`` (distinct patch ids):
+        their positions in ``touched`` and their (realization, column)
+        cells in a (K, ``vertices.size``) array."""
+        column = np.full(self.graph.n_vertices, -1, dtype=np.intp)
+        column[vertices] = np.arange(vertices.size)
+        columns = column[self.vertex]
+        chosen = np.flatnonzero(columns >= 0)
+        return chosen, (self.block[chosen], columns[chosen])
 
-    @cached_property
-    def vertex_bounds(self) -> np.ndarray:
-        """Cluster k owns ``vertex_order[vertex_bounds[k]:vertex_bounds[k + 1]]``."""
-        return np.concatenate([[0], np.cumsum(self.sizes)])
+    def sizes_at(self, vertices: np.ndarray) -> np.ndarray:
+        """|C_v| for each of the ``vertices`` in every realization, as
+        (K, ``vertices.size``) rows; an isolated vertex has size 1."""
+        out = np.ones((self.first.size - 1, vertices.size), dtype=np.int64)
+        chosen, cells = self.cells(vertices)
+        out[cells] = self.sizes[self.labels[chosen]]
+        return out
 
 
 def _decompose(g: EmbeddedGraph, masks: np.ndarray) -> ClusterDecomposition:
     """Clusters of the K realizations whose open edges are the rows of
-    ``masks`` (K x n_edges).  ``connected_components`` numbers clusters in
-    the order of their lowest vertex, so block k holds realization k's own
-    labels shifted by the cluster count of the blocks before it."""
+    ``masks`` (K x n_edges), found among the touched vertices only.  They
+    are renumbered by rank, which keeps their order, and
+    ``connected_components`` numbers clusters in the order of their lowest
+    vertex, so block k holds realization k's clusters after those of the
+    blocks before it."""
     k, n = masks.shape[0], g.n_vertices
     if k == 1:
-        # no np.nonzero index arrays over a large patch's mask
-        edges = g.edges[masks[0]]
+        edges = g.edges.take(np.flatnonzero(masks[0]), axis=0)
     else:
         block, edge = np.nonzero(masks)
-        edges = g.edges[edge] + (block * n)[:, None]
+        edges = g.edges.take(edge, axis=0)
+        edges += (block * n)[:, None]
+    hit = np.zeros(k * n, dtype=bool)
+    hit[edges] = True
+    touched = np.flatnonzero(hit)
+    # int32 ranks: no vertex-sized int64 copy when every vertex is touched
+    rank = np.empty(k * n, dtype=np.int32)
+    rank[touched] = np.arange(touched.size, dtype=np.int32)
+    edges = rank[edges]
     if edges.shape[0]:
-        m = coo_matrix((np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(k * n, k * n))
+        t = touched.size
+        m = coo_matrix((np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(t, t))
         n_clusters, labels = connected_components(m, directed=False)
     else:
-        n_clusters, labels = k * n, np.arange(k * n)
-    first = np.full(k + 1, n_clusters)
-    first[:-1] = labels[::n] if n else 0
+        n_clusters, labels = 0, np.empty(0, dtype=np.int32)
+    # the first cluster of each block is that of its first touched vertex,
+    # or, for a block with none, the first cluster of a later block
+    starts = np.searchsorted(touched, n * np.arange(k))
+    first = np.append(np.append(labels, n_clusters)[starts], n_clusters)
     return ClusterDecomposition(
         graph=g,
+        touched=touched,
         labels=labels,
-        n_clusters=n_clusters,
         sizes=np.bincount(labels, minlength=n_clusters),
         edges=edges,
         first=first,
@@ -180,7 +206,7 @@ def _decompose(g: EmbeddedGraph, masks: np.ndarray) -> ClusterDecomposition:
 
 def decompose(g: EmbeddedGraph, omega: BondConfiguration | np.ndarray) -> ClusterDecomposition:
     """Cluster decomposition of one realization's open subgraph (isolated
-    vertices are size-1 clusters)."""
+    vertices are implicit size-1 clusters)."""
     open_mask = omega.open_mask if isinstance(omega, BondConfiguration) else np.asarray(omega, dtype=bool)
     if open_mask.shape != (g.n_edges,):
         raise ValueError("bond configuration does not match the edge count")
@@ -307,7 +333,7 @@ def cluster_size_tail_statistic(
     interior = _interior_indices(g, margin)
 
     def row(dec: ClusterDecomposition) -> np.ndarray:
-        return _fraction_at_least(dec.sizes[dec.by_block[:, interior]], n_values)
+        return _fraction_at_least(dec.sizes_at(interior), n_values)
 
     return TailStatistic("cluster_size_tail", n_values.astype(float), int(interior.size), row)
 
@@ -330,36 +356,43 @@ _REACH_BLOCK = 1 << 20
 
 def _cluster_reach(dec: ClusterDecomposition, interior: np.ndarray) -> np.ndarray:
     """Largest distance from each ``interior`` vertex to a member of its
-    own cluster, as (K, interior) rows, one per realization.
+    own cluster, as (K, interior) rows, one per realization.  An isolated
+    vertex has reach 0, so only the touched ones are computed.
 
-    The vertices are grouped by cluster size, so a group's clusters are one
-    (clusters, size) block of ``vertex_order``.  Each group is evaluated in
-    blocks of at most ``_REACH_BLOCK`` (vertex, member) pairs, so a giant
-    cluster costs memory linear in its size; a group with a single cluster
-    broadcasts its members against every vertex rather than copying them
-    once per vertex.
+    Those are grouped by cluster size, so a group's clusters are one
+    (clusters, size) block of the touched vertices sorted by cluster.  Each
+    group is evaluated in blocks of at most ``_REACH_BLOCK`` (vertex,
+    member) pairs, so a giant cluster costs memory linear in its size; a
+    group with a single cluster broadcasts its members against every vertex
+    rather than copying them once per vertex.
     """
-    emb, n = dec.graph.embed, dec.graph.n_vertices
-    # block vertex ids; vertex v of any realization sits at emb[v % n]
-    vertices = (n * np.arange(dec.first.size - 1)[:, None] + interior).ravel()
-    labels = dec.labels[vertices]
+    emb = dec.graph.embed
+    chosen, cells = dec.cells(interior)
+    labels = dec.labels[chosen]
     sizes = dec.sizes[labels]
+    # touched vertices grouped by cluster: cluster c owns
+    # members[bounds[c]:bounds[c + 1]]
+    members = np.argsort(dec.labels, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(dec.sizes)])
     by_size = np.argsort(sizes, kind="stable")
     grouped = sizes[by_size]
-    cuts = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), sizes.size]
-    reach = np.empty(vertices.size)
+    # a cut where the size changes; none when no interior vertex is touched
+    cuts = [*np.flatnonzero(np.diff(grouped, prepend=-1)).tolist(), sizes.size]
+    reach = np.empty(chosen.size)
     for c0, c1 in zip(cuts[:-1], cuts[1:]):
         group = by_size[c0:c1]
         clusters, which = np.unique(labels[group], return_inverse=True)
-        owned = dec.vertex_order[dec.vertex_bounds[clusters][:, None] + np.arange(grouped[c0])]
-        pts = emb[owned % n]
+        owned = members[bounds[clusters][:, None] + np.arange(grouped[c0])]
+        pts = emb[dec.vertex[owned]]
         step = max(1, _REACH_BLOCK // int(grouped[c0]))
         for b0 in range(0, group.size, step):
             block = slice(b0, b0 + step)
-            members = pts[which[block]] if clusters.size > 1 else pts
-            diff = emb[vertices[group[block]] % n][:, None, :] - members
+            near = pts[which[block]] if clusters.size > 1 else pts
+            diff = emb[dec.vertex[chosen[group[block]]]][:, None, :] - near
             reach[group[block]] = np.sqrt((diff[..., 0] ** 2 + diff[..., 1] ** 2).max(axis=1))
-    return reach.reshape(-1, interior.size)
+    out = np.zeros((dec.first.size - 1, interior.size))
+    out[cells] = reach
+    return out
 
 
 def boundary_path_statistic(
@@ -409,8 +442,20 @@ def cluster_size_statistic(
     """The per-realization rows of chi: mean |C_v| over the vertices farther
     than ``margin`` from the patch boundary, one (1,)-row per realization."""
     interior = _interior_indices(g, margin)
-    # the sizes are integers, so the sums are exact in any order
-    return lambda dec: dec.sizes[dec.by_block[:, interior]].mean(axis=1, keepdims=True)
+    is_interior = np.zeros(g.n_vertices, dtype=bool)
+    is_interior[interior] = True
+
+    def row(dec: ClusterDecomposition) -> np.ndarray:
+        # each isolated interior vertex adds 1; the sums are of integers,
+        # so they are exact in any order
+        k = dec.first.size - 1
+        sel = is_interior[dec.vertex]
+        block = dec.block[sel]
+        sums = np.bincount(block, weights=dec.sizes[dec.labels[sel]], minlength=k)
+        isolated = interior.size - np.bincount(block, minlength=k)
+        return ((sums + isolated) / interior.size)[:, None]
+
+    return row
 
 
 def chi_estimate(rows: np.ndarray) -> tuple[float, float]:
@@ -585,12 +630,12 @@ def bruteforce_cluster_oracle(
         k = int(mask.sum())
         w = (p**k) * ((1.0 - p) ** (m - k))
         dec = decompose(g, mask)
-        size_v = int(dec.sizes[dec.labels[vertex]])
+        size_v = int(dec.sizes_at(np.array([vertex]))[0, 0])
         for n in n_values:
             if size_v >= n:
                 tail[n] += w
         mean_size += w * size_v
-        mean_clusters += w * dec.n_clusters
+        mean_clusters += w * (dec.sizes.size + g.n_vertices - dec.touched.size)
     return {
         "tail": tail,
         "mean_cluster_size": mean_size,

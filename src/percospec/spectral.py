@@ -18,7 +18,10 @@ batches: one block-diagonal decomposition, one keying pass (one sort of
 the open edges, then one ``np.unique`` per cluster size and edge count) and
 one stacked eigensolve per cluster size serve every realization of a batch,
 so the Python-level work grows with the number of distinct shapes, not
-with the number of clusters or realizations.
+with the number of clusters or realizations.  The array work grows with the
+open edges: only the vertices they touch are decomposed and counted, and
+the isolated window vertices, each a size-1 cluster, are counted by
+subtraction.
 """
 
 from __future__ import annotations
@@ -303,7 +306,7 @@ def _key_shapes(
     then one contiguous run of equal-width cluster blocks, and one
     ``np.unique`` over those blocks finds the group's distinct shapes.
     Every temporary is sized by the chosen clusters, except one int32
-    array over the vertices.
+    array over the vertices that ``labels`` covers.
     """
     chosen_labels = np.flatnonzero(chosen)
     chosen_sizes = sizes[chosen_labels]
@@ -314,16 +317,17 @@ def _key_shapes(
     local[vertices] = np.arange(vertices.size) - np.repeat(starts[:-1], chosen_sizes)
 
     owner = labels[edges[:, 0]]
-    keep = chosen[owner]
-    e = edges[keep]
-    which = np.searchsorted(chosen_labels, owner[keep])
+    keep = np.flatnonzero(chosen[owner])
+    e = edges.take(keep, axis=0)
+    # each kept edge's cluster, as a position in chosen_labels
+    which = (np.cumsum(chosen) - 1)[owner[keep]]
     n_edges = np.bincount(which, minlength=chosen_labels.size)
     group = chosen_sizes * (e.shape[0] + 1) + n_edges
     by_group = np.argsort(group, kind="stable")
     rank = np.empty(chosen_labels.size, dtype=np.int64)
     rank[by_group] = np.arange(chosen_labels.size)
     by_row = np.argsort(rank[which], kind="stable")
-    rows = local[e[by_row]].astype(np.int64)
+    rows = local[e.take(by_row, axis=0)].astype(np.int64)
 
     grouped = group[by_group]
     cuts = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), chosen_labels.size]
@@ -489,6 +493,10 @@ def ids_estimate(
         ball = Ball((0.0, 0.0), counting_radius)
         in_ball = ball.contains(g.embed)
         volume = math.pi * counting_radius**2
+    window = int(in_ball.sum())
+    # a window vertex within l_max of the boundary is a counted cluster
+    # touching it, isolated or not, so it drops every realization
+    near_window = bool((in_ball & g.near_boundary).any())
     chi_row = None if chi_margin is None else cluster_size_statistic(g, chi_margin)
 
     single, pair = (1, b""), (2, np.array([[0, 1]], dtype=np.int64).tobytes())
@@ -510,11 +518,14 @@ def ids_estimate(
             # the realization of each cluster a mask over labels selects
             return np.searchsorted(first, np.flatnonzero(clusters), side="right") - 1
 
-        inside = np.tile(in_ball, k)
+        # every count below runs over the touched vertices and the
+        # nontrivial clusters; the isolated window vertices are the rest
+        inside = in_ball[dec.vertex]
         in_count = np.bincount(labels[inside], minlength=sizes.size)
         counted = in_count > 0
         dropped = np.zeros(k, dtype=bool)
         if flag_boundary:
+            dropped[:] = near_window
             dropped[blocks(counted & dec.boundary_touching)] = True
             truncated += int(dropped.sum())
             counted &= np.repeat(~dropped, np.diff(first))
@@ -528,8 +539,8 @@ def ids_estimate(
                 "subcritical regime"
             )
         acc = np.zeros((k, grid.size))
-        # vectorized shapes: singletons and single edges
-        acc += vec_single * np.bincount(blocks(counted & (sizes == 1)), minlength=k)[:, None]
+        # vectorized shapes: singletons, counted by subtraction, and single edges
+        acc += vec_single * (window - np.bincount(dec.block[inside], minlength=k))[:, None]
         size2 = counted & (sizes == 2)
         acc += vec_pair * np.bincount(blocks(size2 & (in_count == 2)), minlength=k)[:, None]
         acc += vec_pair_half * np.bincount(blocks(size2 & (in_count == 1)), minlength=k)[:, None]
@@ -543,7 +554,7 @@ def ids_estimate(
         energies=grid,
         rows=np.concatenate(rows),
         volume=volume,
-        window_vertices=int(in_ball.sum()),
+        window_vertices=window,
         p=params.p,
         master_seed=params.master_seed,
         counting_radius=counting_radius,
@@ -618,15 +629,14 @@ def cheeger_check(
     masks = np.array([cfg.open_mask for cfg in configurations], dtype=bool)
     dec = _decompose(g, masks.reshape(-1, g.n_edges))
     sizes = dec.sizes
-    nontrivial = sizes >= 2
-    if not nontrivial.any():
+    if not sizes.size:
         return CheegerReport(checked=0, violations=0, min_margin=math.inf, largest_cluster=0)
-    over = np.flatnonzero(nontrivial & (sizes > max_cluster_size))
+    over = np.flatnonzero(sizes > max_cluster_size)
     if over.size:
         raise RuntimeError(
             f"cluster of {int(sizes[over[0]])} vertices exceeds the cap {max_cluster_size}"
         )
-    shapes = _key_shapes(dec.edges, dec.labels, sizes, nontrivial)
+    shapes = _key_shapes(dec.edges, dec.labels, sizes, np.ones(sizes.size, dtype=bool))
     copies = np.bincount(shapes.index, minlength=len(shapes.keys))
     margins = np.array([
         float(eigenvalues(laplacian_from_edges(s, edges))[1]) * s * s

@@ -121,6 +121,17 @@ class TestConfig:
             build_parser().parse_args(["ids", "--wat", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        # each prefix names one flag only, which argparse would pick silently
+        ["census", "--p", "0.3"],  # --pattern-radius
+        ["percolate", "--n", "5"],  # --n-max
+        ["ids", "--count", "5"],  # --counting-radius
+    ], ids=lambda argv: argv[1])
+    def test_abbreviated_flag_exits_two(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
 
 # an INI value and a different flag value for a setting of each type
 SAMPLE_VALUES = {float: ("0.37", 0.41), int: ("7", 11), str: ("from-ini", "from-flag")}

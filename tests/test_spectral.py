@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from percospec import percolation, spectral
 from percospec.graphs import Ball, GeneratorSpec, from_coeffs, generate
-from percospec.percolation import PercolationParams, cluster_size_statistic, decompose, sample
+from percospec.percolation import PercolationParams, decompose, sample
 from percospec.spectral import (
     AllRealizationsTruncated,
     chain_gap_bound,
@@ -158,9 +160,11 @@ class TestIdsWholePatch:
         cfg = sample(g, params, 0)
         vals_full = eigenvalues(full_laplacian(g, cfg.open_mask))
         dec = decompose(g, cfg)
-        pieces = []
-        for k in range(dec.n_clusters):
-            members = dec.vertex_order[dec.vertex_bounds[k] : dec.vertex_bounds[k + 1]]
+        # each isolated vertex is a one-vertex cluster with eigenvalue 0
+        pieces = [np.zeros(g.n_vertices - dec.touched.size)]
+        for k in range(dec.sizes.size):
+            members = dec.touched[dec.labels == k]
+            assert members.size == dec.sizes[k]
             sub = set(int(v) for v in members)
             local = {v: k for k, v in enumerate(sorted(sub))}
             e = [
@@ -287,12 +291,21 @@ def test_property_blocks_vs_full(seed):
 # the estimator and the gap check against a per-cluster reference loop
 
 
-def _reference_shape(g, open_mask, dec, label):
-    """Shape key of one cluster the slow way: its vertices in ascending
-    order, its open edges renumbered locally, rows sorted by (lo, hi)."""
-    members = np.flatnonzero(dec.labels == label)
+def _full_labels(g, open_mask):
+    """Cluster id of every vertex, isolated ones included: scipy's
+    components of the open subgraph on the full vertex set."""
     e = g.edges[open_mask]
-    e = e[dec.labels[e[:, 0]] == label]
+    m = coo_matrix((np.ones(e.shape[0]), (e[:, 0], e[:, 1])), shape=(g.n_vertices,) * 2)
+    return connected_components(m, directed=False)[1]
+
+
+def _reference_shape(g, open_mask, labels, label):
+    """Shape key of one cluster the slow way: its vertices in ascending
+    order, its open edges renumbered locally, rows sorted by (lo, hi).
+    ``labels`` holds the cluster id of every vertex."""
+    members = np.flatnonzero(labels == label)
+    e = g.edges[open_mask]
+    e = e[labels[e[:, 0]] == label]
     local = np.searchsorted(members, e)
     lo, hi = local.min(axis=1), local.max(axis=1)
     order = np.lexsort((hi, lo))
@@ -340,11 +353,13 @@ def _reference_rows(g, params, energies, counting_radius, flag_boundary, max_clu
     rows, kept, straddlers = [], [], 0
     for r in range(params.realizations):
         cfg = sample(g, params, r)
-        dec = decompose(g, cfg)
-        sizes = dec.sizes
-        in_count = np.bincount(dec.labels[in_ball], minlength=dec.n_clusters)
+        labels = _full_labels(g, cfg.open_mask)
+        sizes = np.bincount(labels)
+        in_count = np.bincount(labels[in_ball], minlength=sizes.size)
         counted = in_count > 0
-        if flag_boundary and (counted & dec.boundary_touching).any():
+        touching = np.zeros(sizes.size, dtype=bool)
+        touching[labels[g.near_boundary]] = True
+        if flag_boundary and (counted & touching).any():
             continue
         big = counted & (sizes > max_cluster_size)
         if big.any():
@@ -359,7 +374,7 @@ def _reference_rows(g, params, energies, counting_radius, flag_boundary, max_clu
         acc += vec_pair * int(np.count_nonzero(size2 & (in_count == 2)))
         acc += vec_pair_half * int(np.count_nonzero(size2 & (in_count == 1)))
         for label in np.flatnonzero(counted & (sizes >= 3)):
-            members, shape, key = _reference_shape(g, cfg.open_mask, dec, label)
+            members, shape, key = _reference_shape(g, cfg.open_mask, labels, label)
             if in_count[label] == members.size:
                 acc += cache.count_vector(key, members.size, shape)
             else:
@@ -375,12 +390,13 @@ def _reference_cheeger(g, configurations, max_cluster_size=2000):
     checked = violations = largest = 0
     min_margin = math.inf
     for cfg in configurations:
-        dec = decompose(g, cfg)
-        for label in np.flatnonzero(dec.sizes >= 2):
-            s = int(dec.sizes[label])
+        labels = _full_labels(g, cfg.open_mask)
+        sizes = np.bincount(labels)
+        for label in np.flatnonzero(sizes >= 2):
+            s = int(sizes[label])
             if s > max_cluster_size:
                 raise RuntimeError(f"cluster of {s} vertices exceeds the cap {max_cluster_size}")
-            _, shape, key = _reference_shape(g, cfg.open_mask, dec, label)
+            _, shape, key = _reference_shape(g, cfg.open_mask, labels, label)
             margin = float(eigenvalues(laplacian_from_edges(s, shape))[1]) * s * s
             checked += 1
             largest = max(largest, s)
@@ -458,9 +474,14 @@ def _set_batch_size(monkeypatch, g, k):
 
 
 def _chi_rows(g, params):
-    chi_row = cluster_size_statistic(g, CHI_MARGIN)
-    return np.array([chi_row(decompose(g, sample(g, params, r)))
-                     for r in range(params.realizations)])
+    """Mean |C_v| over the vertices farther than CHI_MARGIN from the
+    boundary, one realization at a time from the cluster id of every vertex."""
+    interior = g.box.boundary_distance(g.embed) > CHI_MARGIN
+    rows = []
+    for r in range(params.realizations):
+        labels = _full_labels(g, sample(g, params, r).open_mask)
+        rows.append([np.bincount(labels)[labels[interior]].mean()])
+    return np.array(rows)
 
 
 class TestBatchesMatchPerRealizationLoop:
