@@ -32,13 +32,13 @@ import numpy as np
 
 from . import __version__
 from .graphs import (
-    Ball,
     EmbeddedGraph,
     GeneratorSpec,
     GraphGenerationError,
     dumps,
     generate,
     geometry_report,
+    norm_sign,
     restrict,
 )
 from .lifshits import (
@@ -464,7 +464,7 @@ def _estimate(
             )
         cfg.counting_radius = cfg.radius - margin
         writer.manifest.config["counting_radius"] = cfg.counting_radius
-    if not Ball((0.0, 0.0), cfg.counting_radius).contains(g.embed).any():
+    if not (norm_sign(g.basis, g.coeffs, g.embed, cfg.counting_radius) < 0).any():
         raise ConfigError(
             f"ids.counting_radius = {cfg.counting_radius:g}: the counting window "
             f"holds no vertex of the {cfg.family} patch"
@@ -559,7 +559,7 @@ def cmd_census(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) ->
     complexity stability verdict: the census on the half-radius patch must
     already contain every translation class seen on the full patch."""
     census = extract_r_patterns(g, cfg.pattern_radius)
-    half = restrict(g, Ball((0.0, 0.0), cfg.radius / 2.0))
+    half = restrict(g, cfg.radius / 2.0)
     census_half = extract_r_patterns(half, cfg.pattern_radius)
     if census_half.eligible_centers == 0:
         raise ConfigError(

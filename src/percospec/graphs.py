@@ -26,6 +26,7 @@ from scipy.spatial import cKDTree
 __all__ = [
     "Basis",
     "Ball",
+    "norm_sign",
     "EmbeddedGraph",
     "GeneratorSpec",
     "GraphGenerationError",
@@ -144,6 +145,84 @@ _UNIT_STEPS = {
     "ammann_beenker": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
 }
 
+# Integer Gram pair of each basis: the embedding x of a coefficient row k has
+# |x|^2 = (k.A.k + sqrt(d) k.B.k) / den with A and B integer and d no square,
+# so |x|^2 is exact in Z (square), Z/2 (triangular), Z[sqrt 5]/4 (penrose,
+# from 4 cos 72 = sqrt 5 - 1 and 4 cos 144 = -sqrt 5 - 1) and Z[sqrt 2]/2
+# (ammann_beenker, from 2 cos 45 = sqrt 2).  Entries are (den, d, A, B).
+_GRAM = {
+    "square": (1, 2, ((1, 0), (0, 1)), ((0, 0), (0, 0))),
+    "triangular": (2, 2, ((2, 1), (1, 2)), ((0, 0), (0, 0))),
+    "penrose": (
+        4,
+        5,
+        ((4, -1, -1, -1), (-1, 4, -1, -1), (-1, -1, 4, -1), (-1, -1, -1, 4)),
+        ((0, 1, -1, -1), (1, 0, 1, -1), (-1, 1, 0, 1), (-1, -1, 1, 0)),
+    ),
+    "ammann_beenker": (
+        2,
+        2,
+        ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)),
+        ((0, 1, 0, -1), (1, 0, 1, 0), (0, 1, 0, 1), (-1, 0, 1, 0)),
+    ),
+}
+
+# Relative rounding band of the float test in ``norm_sign``: near the
+# sphere, the float |x - c|^2 is within a few ulps of K r of the exact value,
+# K the coefficient sum |k|_1 of x plus that of c, so far inside
+# 2^-20 (1 + r)^2 of it while K stays below 10^8.
+_BAND = 2.0**-20
+
+
+def _surd_sign(u: int, v: int, d: int) -> int:
+    """Sign of u + v sqrt(d) for integers u, v (d no square, or v = 0)."""
+    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
+    if su == sv or sv == 0:
+        return su
+    if su == 0:
+        return sv
+    return su if u * u > d * v * v else sv
+
+
+def norm_sign(
+    basis: Basis,
+    rows: np.ndarray,
+    points: np.ndarray,
+    radius: float,
+    centre: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """The sign of |x - c| - radius, exactly, for each coefficient row x of
+    ``rows``: the package's one ball test.  ``points`` is the rows' float
+    embedding, and c is the origin, or the patch vertex whose coefficient
+    row and embedding ``centre`` holds.
+
+    Rows whose float |x - c|^2 lies outside the rounding band of radius^2
+    are decided in float.  Inside it, |x - c|^2 = (a + b sqrt d) / den comes
+    from the basis's integer Gram pair and is compared with the float
+    radius, itself an exact dyadic rational, in integer arithmetic, so
+    points at exactly distance ``radius`` give 0.  ``< 0`` selects the open
+    ball, ``> 0`` the outside of the closed one; a negative radius leaves
+    every row outside.
+    """
+    if radius < 0.0:
+        return np.ones(len(points), dtype=np.int8)
+    if centre is not None:
+        points = points - centre[1]
+    s = points[:, 0] ** 2 + points[:, 1] ** 2
+    r2, tol = radius * radius, _BAND * (1.0 + radius) ** 2
+    # -1 below the band, 0 in it, +1 above it
+    side = np.subtract(s > r2 + tol, s <= r2 - tol, dtype=np.int8)
+    if not side.all():
+        band = (side == 0).nonzero()[0]
+        den, d, a_form, b_form = _GRAM[basis.id]
+        k = rows[band] if centre is None else rows[band] - centre[0]
+        a = np.einsum("ij,jk,ik->i", k, np.array(a_form), k).tolist()
+        b = np.einsum("ij,jk,ik->i", k, np.array(b_form), k).tolist()
+        # |x - c|^2 - (n/q)^2 has the sign of q^2 (a + b sqrt d) - den n^2
+        n, q = float(radius).as_integer_ratio()
+        side[band] = [_surd_sign(q * q * ai - den * n * n, q * q * bi, d) for ai, bi in zip(a, b)]
+    return side
+
 
 # ---------------------------------------------------------------------------
 # regions
@@ -151,7 +230,12 @@ _UNIT_STEPS = {
 
 @dataclass(frozen=True)
 class Ball:
-    """Open Euclidean ball."""
+    """Open Euclidean ball; a patch's box is the ball about the origin it
+    was cut to.  Every ball decision of the package goes through
+    ``norm_sign``.  ``contains`` and ``boundary_distance`` are float views
+    of the ball for callers that hold only embedded points (the benchmark
+    tracer reads them); they round differently at exact-distance ties.
+    """
 
     center: tuple[float, float]
     radius: float
@@ -209,6 +293,7 @@ class EmbeddedGraph:
 
     @cached_property
     def vertex_tree(self) -> cKDTree:
+        """Candidate index of the embedded vertices; ``norm_sign`` decides."""
         return cKDTree(self.embed)
 
     @cached_property
@@ -218,7 +303,8 @@ class EmbeddedGraph:
         if self.box is None:
             mask = np.zeros(self.n_vertices, dtype=bool)
         else:
-            mask = self.box.boundary_distance(self.embed) < self.l_max
+            radius = self.box.radius - self.l_max
+            mask = norm_sign(self.basis, self.coeffs, self.embed, radius) > 0
         mask.flags.writeable = False
         return mask
 
@@ -375,8 +461,7 @@ def _patch(family: str, candidates: np.ndarray, radius: float) -> EmbeddedGraph:
     """
     basis = get_basis(family)
     coeffs = np.asarray(candidates, dtype=np.int64).reshape(-1, basis.rank)
-    pts = basis.embed(coeffs)
-    coeffs = coeffs[pts[:, 0] ** 2 + pts[:, 1] ** 2 < radius * radius]
+    coeffs = coeffs[norm_sign(basis, coeffs, basis.embed(coeffs), radius) < 0]
     low = coeffs.min(axis=0, initial=0) - 1
     weights = radix_weights(low, coeffs.max(axis=0, initial=0) + 1)
     keys, first = np.unique((coeffs - low) @ weights, return_index=True)
@@ -558,19 +643,20 @@ def induced_edges(g: EmbeddedGraph, members: np.ndarray) -> np.ndarray:
     return np.searchsorted(members, g.edges[mask[g.edges[:, 0]] & mask[g.edges[:, 1]]])
 
 
-def restrict(g: EmbeddedGraph, region: Ball) -> EmbeddedGraph:
-    """Induced subgraph on the vertices inside ``region``.
+def restrict(g: EmbeddedGraph, radius: float) -> EmbeddedGraph:
+    """Induced subgraph on the vertices in the open ball of ``radius`` about
+    the origin.
 
-    The result's box is the region; restricting a patch to its own box is the
-    identity.  Restriction only ever removes data, so the caller is trusted
-    not to pass a region larger than the patch's known extent.
+    The result's box is that ball; restricting a patch to its own radius is
+    the identity.  Restriction only ever removes data, so the caller is
+    trusted not to pass a radius larger than the patch's known extent.
     """
-    members = np.flatnonzero(region.contains(g.embed))
+    members = np.flatnonzero(norm_sign(g.basis, g.coeffs, g.embed, radius) < 0)
     return EmbeddedGraph(
         basis=g.basis,
         coeffs=g.coeffs[members],
         edges=induced_edges(g, members),
-        box=region,
+        box=Ball((0.0, 0.0), radius),
         r=g.r,
         l_max=g.l_max,
         d_max=g.d_max,

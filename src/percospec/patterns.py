@@ -16,12 +16,21 @@ the bracket certification uses.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Ball, EmbeddedGraph, _lookup, ball_volume, induced_edges, radix_weights
+from .graphs import (
+    _BAND,
+    EmbeddedGraph,
+    _lookup,
+    ball_volume,
+    induced_edges,
+    norm_sign,
+    radix_weights,
+)
 from .percolation import decompose
 
 __all__ = [
@@ -79,16 +88,16 @@ def canonicalize(
 ) -> CanonicalPattern:
     """Normalize: sort vertices, anchor the lex-least at the origin, remap
     and sort edges (colours follow their edges)."""
-    rows = [tuple(int(c) for c in row) for row in coords]
-    order = sorted(range(len(rows)), key=lambda i: rows[i])
+    rows = [tuple(row) for row in np.asarray(coords, dtype=np.int64).tolist()]
+    order = sorted(range(len(rows)), key=rows.__getitem__)
     inv = {old: new for new, old in enumerate(order)}
     anchor = rows[order[0]] if rows else ()
     normed = tuple(
         tuple(c - a for c, a in zip(rows[i], anchor)) for i in order
     )
     edge_list = []
-    for k, (i, j) in enumerate(edges):
-        a, b = inv[int(i)], inv[int(j)]
+    for k, (i, j) in enumerate(np.asarray(edges, dtype=np.int64).reshape(-1, 2).tolist()):
+        a, b = inv[i], inv[j]
         if a > b:
             a, b = b, a
         edge_list.append(((a, b), None if colours is None else int(colours[k])))
@@ -104,12 +113,15 @@ def canonicalize(
 def pattern_at(g: EmbeddedGraph, center: int, radius: float) -> CanonicalPattern:
     """Induced r-pattern around one vertex (the caller guarantees that the
     ball lies inside the patch)."""
-    members = np.sort(g.vertex_tree.query_ball_point(g.embed[center], radius))
-    # strict hypot test: the pattern ball is open (Ball.contains compares
-    # squared distances and rounds differently at exact-distance ties)
-    d = g.embed[members] - g.embed[center]
-    members = members[np.hypot(d[:, 0], d[:, 1]) < radius]
-    return canonicalize(g.basis.id, g.coeffs[members], induced_edges(g, members))
+    # the tree only proposes candidates, within a radius widened past any
+    # rounding of the embedding; norm_sign decides on the exact rows
+    centre = g.coeffs[center], g.embed[center]
+    widened = radius + _BAND * (1.0 + radius)
+    members = np.array(g.vertex_tree.query_ball_point(centre[1], widened, return_sorted=True))
+    rows = g.coeffs[members]
+    inside = norm_sign(g.basis, rows, g.embed[members], radius, centre) < 0
+    members = members[inside]
+    return canonicalize(g.basis.id, rows[inside], induced_edges(g, members))
 
 
 @dataclass
@@ -135,12 +147,9 @@ def extract_r_patterns(g: EmbeddedGraph, radius: float) -> PatternCensus:
         raise ValueError("patch has no box; cannot determine interior centers")
     if radius <= 0.0:
         raise ValueError("pattern radius must be positive")
-    margin = g.box.boundary_distance(g.embed)
-    eligible = np.flatnonzero(margin > radius)
-    counts: dict[CanonicalPattern, int] = {}
-    for center in eligible:
-        p = pattern_at(g, int(center), radius)
-        counts[p] = counts.get(p, 0) + 1
+    # |c| < R - r, so the open r-ball about c lies inside the patch's box
+    eligible = np.flatnonzero(norm_sign(g.basis, g.coeffs, g.embed, g.box.radius - radius) < 0)
+    counts = Counter(pattern_at(g, center, radius) for center in eligible.tolist())
     return PatternCensus(radius=radius, counts=counts, eligible_centers=len(eligible))
 
 
@@ -198,7 +207,7 @@ def occurrence_plan(
     pu = p.uncoloured()
     if pu.basis_id != g.basis.id:
         return OccurrencePlan(pu, counting_radius, np.empty((0, pu.n_edges), np.int64), 0)
-    inside = Ball((0.0, 0.0), counting_radius).contains(g.embed)
+    inside = norm_sign(g.basis, g.coeffs, g.embed, counting_radius) < 0
     vids, hits = _resolve_translates(g, pu, np.flatnonzero(inside))
     # all vertices of the translate must lie in the counting ball
     edge_hits = hits[inside[vids].all(axis=1)]
@@ -235,10 +244,9 @@ def density_report(
     vertex_unbounded = g.near_boundary.copy()
     vertex_unbounded[dec.touched] = dec.boundary_touching[dec.labels]
 
-    dist0 = np.hypot(g.embed[:, 0], g.embed[:, 1])
     rho, rho_inf = [], []
     for r in radii:
-        inside = dist0 < r
+        inside = norm_sign(g.basis, g.coeffs, g.embed, r) < 0
         vol = ball_volume(r)
         rho.append(float(inside.sum()) / vol)
         rho_inf.append(float((inside & vertex_unbounded).sum()) / vol)

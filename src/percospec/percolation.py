@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .graphs import EmbeddedGraph
+from .graphs import EmbeddedGraph, norm_sign
 
 __all__ = [
     "PercolationParams",
@@ -252,7 +252,7 @@ class TailEstimate:
 def _interior_indices(g: EmbeddedGraph, margin: float) -> np.ndarray:
     if g.box is None:
         raise ValueError("patch has no box; interior margin undefined")
-    interior = np.flatnonzero(g.box.boundary_distance(g.embed) > margin)
+    interior = np.flatnonzero(norm_sign(g.basis, g.coeffs, g.embed, g.box.radius - margin) < 0)
     if interior.size == 0:
         raise ValueError("no interior vertices at this margin; enlarge the patch")
     return interior

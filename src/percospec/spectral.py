@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Ball, EmbeddedGraph
+from .graphs import EmbeddedGraph, norm_sign
 from .percolation import (
     BondConfiguration,
     _MAX_ENUMERATED_EDGES,
@@ -436,11 +436,14 @@ def _add_in_order(acc: np.ndarray, block: np.ndarray, rows: np.ndarray) -> np.nd
     realization's running sum in turn.  ``block`` ascends."""
     per_block = np.bincount(block, minlength=acc.shape[0])
     start = np.cumsum(per_block) - per_block
-    padded = np.zeros((acc.shape[0], int(per_block.max()) + 1, acc.shape[1]))
-    padded[:, 0] = acc
-    padded[block, np.arange(block.size) - start[block] + 1] = rows
-    # trailing zero rows leave a sum unchanged
-    return np.add.accumulate(padded, axis=1)[:, -1]
+    grid = acc.shape[1]
+    # numpy sums an axis in order when it is not the innermost one, so the
+    # grid axis gets a spare column when it has one point; trailing zero
+    # rows leave a sum unchanged
+    padded = np.zeros((acc.shape[0], int(per_block.max()) + 1, max(grid, 2)))
+    padded[:, 0, :grid] = acc
+    padded[block, np.arange(block.size) - start[block] + 1, :grid] = rows
+    return padded.sum(axis=1)[:, :grid]
 
 
 def ids_estimate(
@@ -490,8 +493,7 @@ def ids_estimate(
         in_ball = np.ones(g.n_vertices, dtype=bool)
         volume = 1.0
     else:
-        ball = Ball((0.0, 0.0), counting_radius)
-        in_ball = ball.contains(g.embed)
+        in_ball = norm_sign(g.basis, g.coeffs, g.embed, counting_radius) < 0
         volume = math.pi * counting_radius**2
     window = int(in_ball.sum())
     # a window vertex within l_max of the boundary is a counted cluster

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from exact_ball import ball_ids, in_open_ball, norm2, signs
 from percospec import graphs
-from percospec.graphs import Ball, GeneratorSpec, GraphGenerationError
+from percospec.graphs import GeneratorSpec, GraphGenerationError
 
 
 def square_ball_oracle(radius):
@@ -61,7 +62,7 @@ class TestLattices:
     def test_triangular_interior_degree_six(self):
         g = graphs.generate(GeneratorSpec("triangular", 8.0))
         deg = g.degrees()
-        interior = g.box.boundary_distance(g.embed) > 1.0
+        interior = in_open_ball("triangular", g.coeffs, 8.0 - 1.0)
         assert np.all(deg[interior] == 6)
         assert graphs.geometry_report(g).d_max == 6
         # every edge has unit length
@@ -110,7 +111,7 @@ class TestAperiodic:
         # patch exactly, vertex order included
         g_large = graphs.generate(GeneratorSpec(family, large))
         g_small = graphs.generate(GeneratorSpec(family, small))
-        assert graphs.restrict(g_large, Ball((0.0, 0.0), small)).same_structure(g_small)
+        assert graphs.restrict(g_large, small).same_structure(g_small)
 
     def test_generation_deterministic(self):
         a = graphs.generate(GeneratorSpec("penrose", 8.0))
@@ -146,36 +147,37 @@ class TestAperiodic:
 class TestRestrict:
     def test_idempotent_on_own_box(self):
         g = graphs.generate(GeneratorSpec("square", 5.0))
-        assert graphs.restrict(g, g.box).same_structure(g)
+        assert graphs.restrict(g, g.box.radius).same_structure(g)
 
     def test_empty_region(self):
-        g = graphs.generate(GeneratorSpec("square", 5.0))
-        out = graphs.restrict(g, Ball((100.0, 100.0), 1.0))
+        # a patch whose vertices all lie outside the ball
+        g = graphs.from_coeffs("square", [(2, 0), (2, 1), (0, 2)], [(0, 1)])
+        out = graphs.restrict(g, 1.5)
         assert out.n_vertices == 0
         assert out.n_edges == 0
 
     def test_induced_semantics_drops_edges_through_missing_vertices(self):
-        # path a-b-c where a ball keeps a and c but not b: two isolated points
+        # path (1,0)-(1,1)-(0,1): radius 1.2 keeps both ends at distance 1
+        # but not the middle at sqrt 2, so two isolated points remain
         g = graphs.from_coeffs(
-            "square", [(0, 0), (0, 1), (1, 0)], [(0, 1), (1, 2)]
+            "square", [(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2)]
         )
-        # from_coeffs sorts: (0,0), (0,1), (1,0); path is (0,0)-(0,1)-(1,0)?
-        # build explicitly: edges between (0,0)-(0,1) and (0,1)-(1,0)
-        ball = Ball((0.5, -0.2), 0.75)
-        out = graphs.restrict(g, ball)
+        out = graphs.restrict(g, 1.2)
         assert out.n_vertices == 2
         assert out.n_edges == 0
 
     def test_restriction_composes_as_intersection(self):
+        # both radii are triangular lattice distances, so ties are included
         g = graphs.generate(GeneratorSpec("triangular", 6.0))
-        a = Ball((1.0, 0.0), 4.0)
-        b = Ball((-0.5, 1.5), 3.0)
-        twice = graphs.restrict(graphs.restrict(g, a), b)
-        mask = a.contains(g.embed) & b.contains(g.embed)
-        assert twice.n_vertices == int(mask.sum())
-        assert set(map(tuple, twice.coeffs.tolist())) == set(
-            map(tuple, g.coeffs[mask].tolist())
-        )
+        for a, b in [(4.0, 3.0), (3.0, 4.0)]:
+            twice = graphs.restrict(graphs.restrict(g, a), b)
+            mask = in_open_ball("triangular", g.coeffs, a)
+            mask &= in_open_ball("triangular", g.coeffs, b)
+            assert twice.n_vertices == int(mask.sum())
+            assert set(map(tuple, twice.coeffs.tolist())) == set(
+                map(tuple, g.coeffs[mask].tolist())
+            )
+            assert twice.same_structure(graphs.restrict(g, min(a, b)))
 
     def test_open_ball_excludes_boundary(self):
         # (3, 4) lies at distance exactly 5; the open ball must drop it
@@ -183,6 +185,79 @@ class TestRestrict:
         coeffs = set(map(tuple, g.coeffs.tolist()))
         assert (3, 4) not in coeffs
         assert (3, 3) in coeffs
+
+
+FAMILIES = ["square", "triangular", "penrose", "ammann_beenker"]
+GOLDEN_RADII = {
+    "square": [40.0, 150.0],
+    "triangular": [1.0, 2.0, 8.0, 12.0],
+    "penrose": [12.0, 16.0, 20.0, 40.0],
+    "ammann_beenker": [9.0, 16.0, 40.0, 45.0, 60.0],
+}
+
+
+def _candidate_rows(family, radius):
+    """Rows of the infinite graph that may lie within ``radius``: for the
+    lattices every integer row whose float norm is below radius + 1, for
+    the tilings the vertices of the patch generated 1.5 further out."""
+    if family in ("square", "triangular"):
+        k = int(2 * radius) + 3
+        ks = np.arange(-k, k + 1)
+        rows = np.stack(np.meshgrid(ks, ks, indexing="ij"), axis=-1).reshape(-1, 2)
+        c = 0.5 if family == "triangular" else 0.0
+        s = math.sqrt(3.0) / 2.0 if family == "triangular" else 1.0
+        x, y = rows[:, 0] + c * rows[:, 1], s * rows[:, 1]
+        return rows[x * x + y * y < (radius + 1.0) ** 2]
+    return graphs.generate(GeneratorSpec(family, radius + 1.5)).coeffs
+
+
+class TestExactOpenBall:
+    """Patches, windows and pattern balls are exact open balls: a vertex at
+    exactly the radius is outside, whatever its float embedding rounds to."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_oracle_gram_matches_embedding(self, family):
+        g = graphs.generate(GeneratorSpec(family, 6.0))
+        d = {"penrose": 5}.get(family, 2)
+        exact = [float(p) + float(q) * math.sqrt(d) for p, q in norm2(family, g.coeffs)]
+        np.testing.assert_allclose(exact, (g.embed**2).sum(axis=1), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_patch_is_exact_open_ball(self, family):
+        # every radius from 0.5 to 20 in steps of 0.5, and the golden ones
+        small = _candidate_rows(family, 20.0)
+        large = _candidate_rows(family, max(GOLDEN_RADII[family]))
+        for radius in [0.5 * k for k in range(1, 41)] + GOLDEN_RADII[family]:
+            pool = small if radius <= 20.0 else large
+            want = pool[in_open_ball(family, pool, radius)]
+            got = graphs.generate(GeneratorSpec(family, radius)).coeffs
+            assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist())), radius
+
+    def test_triangular_unit_ball_is_the_origin(self):
+        g = graphs.generate(GeneratorSpec("triangular", 1.0))
+        assert g.coeffs.tolist() == [[0, 0]]
+        assert g.n_edges == 0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("radius", [0.0, 1.0, 2.0, 1.7320508075688772, 2.5])
+    def test_norm_sign_matches_oracle(self, family, radius):
+        # the lattice distances 1, 2 and sqrt 3 are ties on the periodic
+        # families; every row is measured from the centre vertex
+        g = graphs.generate(GeneratorSpec(family, 5.0))
+        c = int(np.argmin((g.embed**2).sum(axis=1)))
+        got = graphs.norm_sign(g.basis, g.coeffs, g.embed, radius, (g.coeffs[c], g.embed[c]))
+        assert got.tolist() == signs(family, g.coeffs - g.coeffs[c], radius)
+
+    def test_negative_radius_leaves_every_row_outside(self):
+        g = graphs.generate(GeneratorSpec("square", 3.0))
+        assert (graphs.norm_sign(g.basis, g.coeffs, g.embed, -0.5) > 0).all()
+        assert ball_ids(g, -0.5).size == 0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_near_boundary_is_outside_closed_inner_ball(self, family):
+        g = graphs.generate(GeneratorSpec(family, 8.0))
+        want = np.array(signs(family, g.coeffs, 8.0 - g.l_max)) > 0
+        assert np.array_equal(g.near_boundary, want)
 
 
 class TestGeometryReport:

@@ -1,16 +1,21 @@
 """Tests for local pattern extraction, counting, frequencies, and densities."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_ball import ball_ids, in_open_ball
+from percospec.cli import main
 from percospec.graphs import (
     Ball,
     GeneratorSpec,
     ball_volume,
     from_coeffs,
     generate,
+    restrict,
 )
 from percospec.patterns import (
     canonicalize,
@@ -100,9 +105,7 @@ class TestCensus:
     def test_counts_sum_to_eligible_centers(self, square_20):
         census = extract_r_patterns(square_20, 1.2)
         total = sum(census.counts.values())
-        eligible = int(
-            (square_20.box.boundary_distance(square_20.embed) > 1.2).sum()
-        )
+        eligible = ball_ids(square_20, 20.0 - 1.2).size
         assert total == eligible == census.eligible_centers
 
     @pytest.mark.parametrize(
@@ -135,26 +138,32 @@ class TestCensus:
         [("triangular", 12.0, 1.0), ("triangular", 12.0, 2.0), ("penrose", 16.0, 2.0)],
     )
     def test_pattern_at_matches_brute_force_at_ties(self, family, patch_radius, r):
-        # at these radii vertices sit at exactly distance r from a centre, and
-        # the squared-distance test of Ball.contains disagrees with the strict
-        # hypot test at some centres; pattern_at must follow the hypot test
-        g = generate(GeneratorSpec(family=family, radius=patch_radius))
-        eligible = np.flatnonzero(g.box.boundary_distance(g.embed) > r)
-        ball_disagrees = 0
-        for c in eligible:
-            d = g.embed - g.embed[c]
-            members = [int(i) for i in np.flatnonzero(np.hypot(d[:, 0], d[:, 1]) < r)]
-            local = {v: k for k, v in enumerate(members)}
-            edges = [
-                (local[a], local[b])
-                for a, b in g.edges.tolist()
-                if a in local and b in local
-            ]
-            oracle = canonicalize(family, [g.coeffs[i] for i in members], edges)
-            assert pattern_at(g, int(c), r) == oracle
-            in_ball = Ball(tuple(g.embed[c]), r).contains(g.embed)
-            ball_disagrees += not np.array_equal(np.flatnonzero(in_ball), members)
-        assert ball_disagrees > 0
+        # at these radii vertices sit at exactly distance r from a centre:
+        # the float hypot test disagrees with the exact ball at some
+        # centres, and pattern_at must follow the exact ball
+        float_disagrees = _pattern_at_matches_exact_ball(family, patch_radius, r)
+        assert float_disagrees > 0
+
+    @pytest.mark.parametrize(
+        "family,patch_radius,r", [("triangular", 12.0, 1.1), ("penrose", 16.0, 0.9)]
+    )
+    def test_pattern_at_matches_brute_force_off_ties(self, family, patch_radius, r):
+        _pattern_at_matches_exact_ball(family, patch_radius, r)
+
+    @pytest.mark.parametrize("r", ["2.0", "1.0"])
+    def test_periodic_census_is_stable_at_tie_radii(self, tmp_path, r):
+        # one translation class on a lattice, on the full and half patch
+        argv = ["census", "--family", "triangular", "--radius", "12",
+                "--pattern-radius", r, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        verdict = json.loads((tmp_path / "census.json").read_text())
+        assert (verdict["distinct"], verdict["distinct_half_radius"]) == (1, 1)
+
+    def test_penrose_census_counts_exact_classes_at_tie_radius(self):
+        g = generate(GeneratorSpec(family="penrose", radius=16.0))
+        full = extract_r_patterns(g, 2.0)
+        half = extract_r_patterns(restrict(g, 8.0), 2.0)
+        assert (full.distinct, half.distinct) == (154, 94)
 
     def test_census_hashes_are_distinct(self, square_20):
         census = extract_r_patterns(square_20, 2.1)
@@ -219,12 +228,36 @@ class TestOccurrences:
         assert got == full - 1  # the deleted edge sat inside the counting ball
 
 
+def _pattern_at_matches_exact_ball(family, patch_radius, r):
+    """Assert that pattern_at is the induced pattern on the exact open
+    r-ball at every centre whose ball lies inside the patch; return the
+    number of centres where the strict float hypot test selects another
+    vertex set."""
+    g = generate(GeneratorSpec(family=family, radius=patch_radius))
+    eligible = ball_ids(g, patch_radius - r)
+    float_disagrees = 0
+    for c in eligible:
+        members = [int(i) for i in ball_ids(g, r, centre=c)]
+        local = {v: k for k, v in enumerate(members)}
+        edges = [
+            (local[a], local[b])
+            for a, b in g.edges.tolist()
+            if a in local and b in local
+        ]
+        oracle = canonicalize(family, [g.coeffs[i] for i in members], edges)
+        assert pattern_at(g, int(c), r) == oracle
+        d = g.embed - g.embed[c]
+        by_hypot = np.flatnonzero(np.hypot(d[:, 0], d[:, 1]) < r)
+        float_disagrees += not np.array_equal(by_hypot, members)
+    return float_disagrees
+
+
 def _plan_rows_by_anchor_loop(g, p, counting_radius):
     """Edge hits of the translates of ``p``, resolved anchor by anchor with
     coefficient and edge dictionaries."""
     idx = {tuple(int(c) for c in row): i for i, row in enumerate(g.coeffs)}
     eidx = {(int(a), int(b)): k for k, (a, b) in enumerate(g.edges)}
-    inside = Ball((0.0, 0.0), counting_radius).contains(g.embed)
+    inside = in_open_ball(g.basis.id, g.coeffs, counting_radius)
     rows = []
     for anchor in np.flatnonzero(inside):
         base = g.coeffs[anchor]

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from percospec.graphs import Ball, GeneratorSpec, from_coeffs, generate, ball_volume
+from exact_ball import ball_ids, in_open_ball, signs
+from percospec.graphs import GeneratorSpec, from_coeffs, generate, ball_volume
 from percospec import percolation, spectral
 from percospec.cli import main
 from percospec.patterns import density_report
@@ -200,7 +201,7 @@ class TestDecompose:
         # the single all-open cluster reaches the boundary
         assert dec.boundary_touching.tolist() == [True]
         assert decompose(g, np.zeros(g.n_edges, dtype=bool)).boundary_touching.size == 0
-        near = g.box.boundary_distance(g.embed) < g.l_max
+        near = np.array(signs("square", g.coeffs, 5.0 - g.l_max)) > 0
         for r in range(5):
             cfg = sample(g, PercolationParams(p=0.4, master_seed=2), r)
             dec = decompose(g, cfg)
@@ -332,7 +333,7 @@ class TestReachMatchesPerClusterLoop:
     def test_reach_and_rows_identical(self, family, radius, p):
         g = generate(GeneratorSpec(family=family, radius=radius))
         margin = 3.0
-        interior = np.flatnonzero(g.box.boundary_distance(g.embed) > margin)
+        interior = ball_ids(g, radius - margin)
         n_values = np.arange(0.5, 2 * radius, 0.5)
         stat = boundary_path_statistic(g, n_values, margin=margin)
         params = PercolationParams(p=p, master_seed=17)
@@ -347,7 +348,7 @@ class TestReachMatchesPerClusterLoop:
     def test_blocks_of_one_row_change_nothing(self, monkeypatch):
         # supercritical, so one giant cluster is split into many blocks
         g = generate(GeneratorSpec(family="square", radius=20.0))
-        interior = np.flatnonzero(g.box.boundary_distance(g.embed) > 3.0)
+        interior = ball_ids(g, 20.0 - 3.0)
         params = PercolationParams(p=0.6, master_seed=5)
         decs = [decompose(g, sample(g, params, r)) for r in range(3)]
         assert max(int(dec.sizes.max()) for dec in decs) > interior.size / 2
@@ -511,12 +512,12 @@ def _reference_ids(g, params, window, flag_boundary):
     if window is None:
         in_ball, volume = np.ones(g.n_vertices, dtype=bool), 1.0
     else:
-        in_ball, volume = Ball((0.0, 0.0), window).contains(g.embed), math.pi * window**2
+        in_ball, volume = in_open_ball(g.basis.id, g.coeffs, window), math.pi * window**2
     single, pair = (1, b""), (2, np.array([[0, 1]], dtype=np.int64).tobytes())
     cache.solve([single, pair], [np.empty((0, 2), np.int64), np.array([[0, 1]])], [False, True])
     vec_pair_half = spectral._window_weighted(
         cache.vectors[pair][None], np.array([[True, False]]), cache.counts[pair][None])[0]
-    interior = g.box.boundary_distance(g.embed) > ORACLE_MARGIN
+    interior = in_open_ball(g.basis.id, g.coeffs, g.box.radius - ORACLE_MARGIN)
     rows, chi, truncated = [], [], 0
     for r in range(params.realizations):
         mask = sample(g, params, r).open_mask
@@ -547,7 +548,7 @@ def _reference_ids(g, params, window, flag_boundary):
 def _reference_percolate(g, params, size_n, exit_n):
     """The three percolate rows, one realization at a time, from the
     cluster id of every vertex."""
-    interior = np.flatnonzero(g.box.boundary_distance(g.embed) > ORACLE_MARGIN)
+    interior = ball_ids(g, g.box.radius - ORACLE_MARGIN)
     size_rows, exit_rows, chi_rows = [], [], []
     for r in range(params.realizations):
         labels = _full_labels(g, sample(g, params, r).open_mask)
@@ -581,8 +582,11 @@ def _reference_rho_infinity(g, radii):
     labels = _full_labels(g, np.ones(g.n_edges, dtype=bool))
     touching = np.zeros(labels.max() + 1, dtype=bool)
     touching[labels[g.near_boundary]] = True
-    dist0 = np.hypot(g.embed[:, 0], g.embed[:, 1])
-    return [float(((dist0 < r) & touching[labels]).sum()) / ball_volume(r) for r in radii]
+    unbounded = touching[labels]
+    return [
+        float((in_open_ball(g.basis.id, g.coeffs, r) & unbounded).sum()) / ball_volume(r)
+        for r in radii
+    ]
 
 
 class TestTouchedVerticesMatchFullLabels:

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from exact_ball import in_open_ball
 from percospec import percolation, spectral
-from percospec.graphs import Ball, GeneratorSpec, from_coeffs, generate
+from percospec.graphs import GeneratorSpec, from_coeffs, generate
 from percospec.percolation import PercolationParams, decompose, sample
 from percospec.spectral import (
     AllRealizationsTruncated,
@@ -342,7 +343,7 @@ def _reference_rows(g, params, energies, counting_radius, flag_boundary, max_clu
     if counting_radius is None:
         in_ball, volume = np.ones(g.n_vertices, dtype=bool), 1.0
     else:
-        in_ball = Ball((0.0, 0.0), counting_radius).contains(g.embed)
+        in_ball = in_open_ball(g.basis.id, g.coeffs, counting_radius)
         volume = math.pi * counting_radius**2
     cache = _ReferenceCache(grid)
     pair = np.array([[0, 1]], dtype=np.int64)
@@ -476,7 +477,7 @@ def _set_batch_size(monkeypatch, g, k):
 def _chi_rows(g, params):
     """Mean |C_v| over the vertices farther than CHI_MARGIN from the
     boundary, one realization at a time from the cluster id of every vertex."""
-    interior = g.box.boundary_distance(g.embed) > CHI_MARGIN
+    interior = in_open_ball(g.basis.id, g.coeffs, g.box.radius - CHI_MARGIN)
     rows = []
     for r in range(params.realizations):
         labels = _full_labels(g, sample(g, params, r).open_mask)
@@ -564,6 +565,20 @@ class TestBatchesMatchPerRealizationLoop:
         assert np.vstack([halves[1].rows, halves[0].rows]).tobytes() == alone.rows.tobytes()
         with pytest.raises(ValueError, match="another energy grid"):
             ids_estimate(g, params, [0.5], shape_cache=cache)
+
+
+@pytest.mark.parametrize("grid", [1, 2, 60])
+def test_add_in_order_matches_sequential_sum(grid):
+    # the bytes of adding each row to its block's running sum in turn; a
+    # one-point grid is where numpy's pairwise summation would differ
+    rng = np.random.default_rng(grid)
+    block = np.sort(rng.integers(0, 3, 500))  # block 3 gets no row
+    rows = rng.random((500, grid)) * 10.0 ** rng.integers(-3, 4, (500, 1))
+    acc = rng.random((4, grid)) * 100.0
+    want = acc.copy()
+    for b, row in zip(block, rows):
+        want[b] = want[b] + row
+    assert spectral._add_in_order(acc, block, rows).tobytes() == want.tobytes()
 
 
 def test_shared_cache_under_thread_switching():
