@@ -14,11 +14,9 @@ import argparse
 import sys
 import time
 
-from percospec.graphs import GeneratorSpec, generate, geometry_report
+from percospec.graphs import FAMILIES, GeneratorSpec, generate, geometry_report
 from percospec.patterns import density_report, extract_r_patterns
 from percospec.percolation import bounds_report
-
-FAMILIES = ("square", "triangular", "penrose", "ammann_beenker")
 
 
 def parse_args():

@@ -32,9 +32,9 @@ import numpy as np
 
 from . import __version__
 from .graphs import (
+    FAMILIES,
     EmbeddedGraph,
     GeneratorSpec,
-    GraphGenerationError,
     dumps,
     generate,
     geometry_report,
@@ -155,6 +155,11 @@ class ExperimentConfig:
             problems.append(f"percolation.n_max = {self.n_max}: must be >= 1")
         if self.e_max <= 0.0:
             problems.append(f"ids.e_max = {self.e_max}: must be positive")
+        elif command == "lifshits" and self.e_max >= _TOP_ANCHOR:
+            problems.append(
+                f"ids.e_max = {self.e_max}: lifshits fits the tail up to e_max, "
+                f"which must stay below the top anchor {_TOP_ANCHOR} in the bulk"
+            )
         if self.e_min is not None and not (0.0 < self.e_min < self.e_max):
             problems.append(
                 f"ids.e_min = {self.e_min}: must lie in (0, e_max = {self.e_max})"
@@ -165,10 +170,10 @@ class ExperimentConfig:
             problems.append(f"output.format = {self.fmt!r}: must be 'csv' or 'json'")
         if self.threads < 1:
             problems.append(f"run.threads = {self.threads}: must be >= 1")
-        try:
-            GeneratorSpec(family=self.family, radius=max(self.radius, 1.0)).validate()
-        except GraphGenerationError as exc:
-            problems.append(f"graph.family = {self.family!r}: {exc}")
+        if self.family not in FAMILIES:
+            problems.append(
+                f"graph.family = {self.family!r}: must be one of {', '.join(FAMILIES)}"
+            )
         if problems:
             raise ConfigError("\n".join(problems))
 
@@ -211,20 +216,22 @@ class _Setting(NamedTuple):
     commands: tuple[str, ...]
 
 
+# the commands that read each group of settings; verify reads only --out
 _ALL = ("generate", "census", "percolate", "ids", "lifshits", "verify")
+_PATCH = ("generate", "census", "percolate", "ids", "lifshits")
 _SAMPLED = ("percolate", "ids", "lifshits")
 _ESTIMATED = ("ids", "lifshits")
 
 _SETTINGS = [
     _Setting("graph", "family", "family", str, "--family",
-             "graph family: square, triangular, penrose, ammann_beenker", _ALL),
-    _Setting("graph", "radius", "radius", float, "--radius", "generation radius of the patch", _ALL),
+             "graph family: " + ", ".join(FAMILIES), _PATCH),
+    _Setting("graph", "radius", "radius", float, "--radius", "generation radius of the patch", _PATCH),
     _Setting("patterns", "pattern_radius", "pattern_radius", float, "--pattern-radius",
              "pattern ball radius", ("census",)),
     _Setting("percolation", "p", "p", float, "--p", "bond probability", _SAMPLED),
     _Setting("percolation", "realizations", "realizations", int, "--realizations",
              "number of bond realizations", _SAMPLED),
-    _Setting("percolation", "seed", "master_seed", int, "--seed", "master seed for all randomness", _ALL),
+    _Setting("percolation", "seed", "master_seed", int, "--seed", "master seed for all randomness", _SAMPLED),
     _Setting("percolation", "n_max", "n_max", int, "--n-max", "largest cluster-size scale", ("percolate",)),
     _Setting("ids", "counting_radius", "counting_radius", float, "--counting-radius",
              "radius of the counting window (default: radius minus the escape margin "
@@ -234,9 +241,9 @@ _SETTINGS = [
     _Setting("ids", "per_decade", "per_decade", int, "--per-decade",
              "grid points per decade of energy", _ESTIMATED),
     _Setting("output", "dir", "out_dir", str, "--out", "output directory", _ALL),
-    _Setting("output", "format", "fmt", str, "--format", "primary table format: csv or json", _ALL),
+    _Setting("output", "format", "fmt", str, "--format", "primary table format: csv or json", _ESTIMATED),
     _Setting("run", "threads", "threads", int, "--threads",
-             "worker cap; results identical for any value", _ALL),
+             "worker cap; results identical for any value", _ESTIMATED),
 ]
 
 
@@ -632,7 +639,7 @@ def cmd_percolate(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter)
         _csv(["stat", "n_or_p", "estimate", "stderr", "realizations", "seed"], rows),
     )
     report = bounds_report(cfg.p, g.d_max, g.l_max, chi_hat=chi, chi_stderr=chi_se)
-    writer.add("bounds.json", _json_text(report.to_dict()))
+    writer.add("bounds.json", _json_text(asdict(report)))
     writer.finish()
     print(
         f"percolation p={cfg.p:g} on {cfg.family} radius {cfg.radius:g}: "
@@ -663,7 +670,7 @@ def cmd_lifshits(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) 
     writer.stage("ids")
 
     # the top anchor documents total spectral mass; it sits in the bulk and
-    # must not enter the low-energy fit
+    # must not enter the low-energy fit, so validate keeps e_max below it
     analysis = tail_fit(table, e_range=(0.0, cfg.e_max))
     densities = density_report(
         g, [0.5 * cfg.radius, 0.7 * cfg.radius, 0.9 * cfg.radius]

@@ -18,13 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 __all__ = [
     "Basis",
+    "FAMILIES",
     "Ball",
     "norm_sign",
     "EmbeddedGraph",
@@ -38,10 +39,7 @@ __all__ = [
     "GeometryReport",
     "dumps",
     "ball_volume",
-    "get_basis",
 ]
-
-FAMILIES = ("square", "triangular", "penrose", "ammann_beenker")
 
 
 class GraphGenerationError(ValueError):
@@ -59,17 +57,37 @@ def ball_volume(radius: float) -> float:
 
 @dataclass(frozen=True)
 class Basis:
-    """Integer-coefficient basis for one graph family.
+    """Everything the package knows about one graph family, declared once in
+    ``FAMILIES``.
 
     ``vectors`` has one row per integer coefficient; the embedding of a
     coefficient vector k is sum_j k_j * vectors[j].  For the rank-4 bases the
     rows are linearly independent over the rationals, so the embedding is
     injective on integer vectors and exact equality of coefficients is the
     same as equality of embedded points.
+
+    ``r``, ``l_max`` and ``d_max`` are the declared geometry of the infinite
+    graph: half the minimal vertex separation, the maximal edge length and
+    the maximal vertex degree.  ``steps`` are the coefficient steps between
+    the ends of an edge, one per unit edge direction up to sign: two patch
+    vertices are joined iff their coefficient rows differ by one of them.
+    ``gram`` is the integer Gram pair (den, d, A, B): the embedding x of a
+    coefficient row k has |x|^2 = (k.A.k + sqrt(d) k.B.k) / den with A and B
+    integer and d no square.  ``candidates`` maps a generator spec to the
+    coefficient rows that may lie in its ball (repeats allowed).
     """
 
     id: str
     vectors: np.ndarray  # (rank, 2), read-only
+    r: float
+    l_max: float
+    d_max: int
+    steps: tuple[tuple[int, ...], ...]
+    gram: tuple
+    candidates: Callable[["GeneratorSpec"], np.ndarray]
+
+    def __post_init__(self) -> None:
+        self.vectors.flags.writeable = False
 
     @property
     def rank(self) -> int:
@@ -89,83 +107,11 @@ class Basis:
         return out
 
 
-def _make_basis(basis_id: str) -> Basis:
-    if basis_id == "square":
-        vecs = np.array([[1.0, 0.0], [0.0, 1.0]])
-    elif basis_id == "triangular":
-        vecs = np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
-    elif basis_id == "penrose":
-        # First four fifth roots of unity; the fifth is -(sum of these), so
-        # every pentagrid vertex has a unique rank-4 coefficient vector.
-        vecs = np.array(
-            [
-                [math.cos(2.0 * math.pi * j / 5.0), math.sin(2.0 * math.pi * j / 5.0)]
-                for j in range(4)
-            ]
-        )
-    elif basis_id == "ammann_beenker":
-        vecs = np.array(
-            [
-                [math.cos(math.pi * j / 4.0), math.sin(math.pi * j / 4.0)]
-                for j in range(4)
-            ]
-        )
-    else:
-        raise GraphGenerationError(f"unknown basis id: {basis_id!r}")
-    vecs.flags.writeable = False
-    return Basis(id=basis_id, vectors=vecs)
+def _unit_vectors(turn: float, den: float, count: int) -> np.ndarray:
+    """Rows (cos a, sin a) at the angles a = turn * pi * j / den, j < count."""
+    angles = [turn * math.pi * j / den for j in range(count)]
+    return np.array([[math.cos(a), math.sin(a)] for a in angles])
 
-
-_BASES: dict[str, Basis] = {}
-
-
-def get_basis(basis_id: str) -> Basis:
-    if basis_id not in _BASES:
-        _BASES[basis_id] = _make_basis(basis_id)
-    return _BASES[basis_id]
-
-
-# Declared infinite-graph geometry constants per family: half the minimal
-# vertex separation, the maximal edge length, and the maximal vertex degree.
-_FAMILY_GEOMETRY = {
-    "square": {"r": 0.5, "l_max": 1.0, "d_max": 4},
-    "triangular": {"r": 0.5, "l_max": 1.0, "d_max": 6},
-    "penrose": {"r": math.sin(math.pi / 10.0), "l_max": 1.0, "d_max": 7},
-    "ammann_beenker": {"r": math.sin(math.pi / 8.0), "l_max": 1.0, "d_max": 8},
-}
-
-# Coefficient steps between the ends of an edge, one per unit edge direction
-# up to sign: two patch vertices are joined iff their coefficient rows differ
-# by one of these.  The ten penrose unit vectors are the +-zeta^k, and
-# zeta^4 = -(e0 + e1 + e2 + e3).
-_UNIT_STEPS = {
-    "square": ((1, 0), (0, 1)),
-    "triangular": ((1, 0), (0, 1), (1, -1)),
-    "penrose": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)),
-    "ammann_beenker": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
-}
-
-# Integer Gram pair of each basis: the embedding x of a coefficient row k has
-# |x|^2 = (k.A.k + sqrt(d) k.B.k) / den with A and B integer and d no square,
-# so |x|^2 is exact in Z (square), Z/2 (triangular), Z[sqrt 5]/4 (penrose,
-# from 4 cos 72 = sqrt 5 - 1 and 4 cos 144 = -sqrt 5 - 1) and Z[sqrt 2]/2
-# (ammann_beenker, from 2 cos 45 = sqrt 2).  Entries are (den, d, A, B).
-_GRAM = {
-    "square": (1, 2, ((1, 0), (0, 1)), ((0, 0), (0, 0))),
-    "triangular": (2, 2, ((2, 1), (1, 2)), ((0, 0), (0, 0))),
-    "penrose": (
-        4,
-        5,
-        ((4, -1, -1, -1), (-1, 4, -1, -1), (-1, -1, 4, -1), (-1, -1, -1, 4)),
-        ((0, 1, -1, -1), (1, 0, 1, -1), (-1, 1, 0, 1), (-1, -1, 1, 0)),
-    ),
-    "ammann_beenker": (
-        2,
-        2,
-        ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)),
-        ((0, 1, 0, -1), (1, 0, 1, 0), (0, 1, 0, 1), (-1, 0, 1, 0)),
-    ),
-}
 
 # Relative rounding band of the float test in ``norm_sign``: near the
 # sphere, the float |x - c|^2 is within a few ulps of K r of the exact value,
@@ -214,7 +160,7 @@ def norm_sign(
     side = np.subtract(s > r2 + tol, s <= r2 - tol, dtype=np.int8)
     if not side.all():
         band = (side == 0).nonzero()[0]
-        den, d, a_form, b_form = _GRAM[basis.id]
+        den, d, a_form, b_form = basis.gram
         k = rows[band] if centre is None else rows[band] - centre[0]
         a = np.einsum("ij,jk,ik->i", k, np.array(a_form), k).tolist()
         b = np.einsum("ij,jk,ik->i", k, np.array(b_form), k).tolist()
@@ -359,7 +305,9 @@ def from_coeffs(
 
     Geometry constants are measured from the data rather than declared.
     """
-    basis = get_basis(basis_id)
+    if basis_id not in FAMILIES:
+        raise GraphGenerationError(f"unknown basis id: {basis_id!r}")
+    basis = FAMILIES[basis_id]
     coeffs = np.asarray(list(coeffs), dtype=np.int64).reshape(-1, basis.rank)
     edges = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
     # sort vertices lexicographically, remap and sort edges
@@ -402,17 +350,10 @@ class GeneratorSpec:
     def validate(self) -> None:
         if self.family not in FAMILIES:
             raise GraphGenerationError(
-                f"unknown family {self.family!r}; expected one of {FAMILIES}"
+                f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}"
             )
         if not (self.radius > 0.0):
             raise GraphGenerationError("radius must be positive")
-        if self.family == "penrose":
-            if len(self.pentagrid_offsets) != 5:
-                raise GraphGenerationError("pentagrid needs exactly 5 offsets")
-            if abs(math.fsum(self.pentagrid_offsets)) > 1e-12:
-                raise GraphGenerationError(
-                    "pentagrid offsets must sum to zero (|sum| <= 1e-12)"
-                )
 
 
 def generate(spec: GeneratorSpec) -> EmbeddedGraph:
@@ -423,13 +364,8 @@ def generate(spec: GeneratorSpec) -> EmbeddedGraph:
     coefficient vector.  Repeated calls return identical graphs.
     """
     spec.validate()
-    if spec.family in ("square", "triangular"):
-        candidates = _lattice_candidates(spec.radius)
-    elif spec.family == "penrose":
-        candidates = _pentagrid_candidates(spec)
-    else:
-        candidates = _cut_and_project_candidates(spec)
-    return _patch(spec.family, candidates, spec.radius)
+    basis = FAMILIES[spec.family]
+    return _patch(basis, basis.candidates(spec), spec.radius)
 
 
 def radix_weights(low: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -450,7 +386,7 @@ def _lookup(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return pos, keys[pos] == queries
 
 
-def _patch(family: str, candidates: np.ndarray, radius: float) -> EmbeddedGraph:
+def _patch(basis: Basis, candidates: np.ndarray, radius: float) -> EmbeddedGraph:
     """Induced patch on the candidate rows inside the open ball of ``radius``.
 
     The kept rows are sorted lexicographically and deduplicated; two rows are
@@ -459,14 +395,13 @@ def _patch(family: str, candidates: np.ndarray, radius: float) -> EmbeddedGraph:
     coefficient box, so adding a step's key offset never wraps into another
     row.
     """
-    basis = get_basis(family)
     coeffs = np.asarray(candidates, dtype=np.int64).reshape(-1, basis.rank)
     coeffs = coeffs[norm_sign(basis, coeffs, basis.embed(coeffs), radius) < 0]
     low = coeffs.min(axis=0, initial=0) - 1
     weights = radix_weights(low, coeffs.max(axis=0, initial=0) + 1)
     keys, first = np.unique((coeffs - low) @ weights, return_index=True)
     pairs = []
-    for step in np.asarray(_UNIT_STEPS[family], dtype=np.int64):
+    for step in np.asarray(basis.steps, dtype=np.int64):
         # every step leads with +1, so its partner has the larger key
         j, found = _lookup(keys, keys + step @ weights)
         i = np.flatnonzero(found)
@@ -478,19 +413,25 @@ def _patch(family: str, candidates: np.ndarray, radius: float) -> EmbeddedGraph:
         coeffs=coeffs[first],
         edges=edges,
         box=Ball((0.0, 0.0), radius),
-        **_FAMILY_GEOMETRY[family],
+        r=basis.r,
+        l_max=basis.l_max,
+        d_max=basis.d_max,
     )
 
 
-def _lattice_candidates(radius: float) -> np.ndarray:
+def _lattice_candidates(spec: GeneratorSpec) -> np.ndarray:
     # Conservative coefficient range: both basis vectors have unit length and
     # the Gram matrix is well conditioned, so |k| <= 2n + 2 covers the ball.
-    kmax = int(math.ceil(2.0 * radius + 2.0))
+    kmax = int(math.ceil(2.0 * spec.radius + 2.0))
     ks = np.arange(-kmax, kmax + 1)
     ki, kj = np.meshgrid(ks, ks, indexing="ij")
     return np.stack([ki.ravel(), kj.ravel()], axis=1)
 
 
+# The five unit vectors zeta^j of the pentagrid.  zeta^4 = -(zeta^0 + ... +
+# zeta^3), so the first four are the penrose basis, in which every pentagrid
+# vertex has a unique rank-4 coefficient row.
+_FIFTH_ROOTS = _unit_vectors(2.0, 5.0, 5)
 # Grid-index increments (r, s) of the four corners of a pentagrid rhombus.
 _RHOMBUS_STEPS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=np.int64)
 
@@ -507,14 +448,13 @@ def _pentagrid_candidates(spec: GeneratorSpec) -> np.ndarray:
     returned as rank-4 coefficient rows, four per rhombus in (r, s, kr, ks)
     order, so shared corners repeat exactly.
     """
+    if len(spec.pentagrid_offsets) != 5:
+        raise GraphGenerationError("pentagrid needs exactly 5 offsets")
+    if abs(math.fsum(spec.pentagrid_offsets)) > 1e-12:
+        raise GraphGenerationError("pentagrid offsets must sum to zero (|sum| <= 1e-12)")
     n = spec.radius
     gamma = np.array(spec.pentagrid_offsets, dtype=float)
-    zeta = np.array(
-        [
-            [math.cos(2.0 * math.pi * j / 5.0), math.sin(2.0 * math.pi * j / 5.0)]
-            for j in range(5)
-        ]
-    )
+    zeta = _FIFTH_ROOTS
     reach = n + 3.0  # rhombus corners sit within ~2.4 of the grid intersection
     corner_rows: list[np.ndarray] = []
     kmax = int(math.ceil(reach + 1.0))
@@ -556,17 +496,10 @@ def _pentagrid_candidates(spec: GeneratorSpec) -> np.ndarray:
     return np.concatenate(corner_rows)
 
 
-def _ab_projections() -> tuple[np.ndarray, np.ndarray]:
-    phys = np.array(
-        [[math.cos(math.pi * j / 4.0), math.sin(math.pi * j / 4.0)] for j in range(4)]
-    )
-    internal = np.array(
-        [
-            [math.cos(3.0 * math.pi * j / 4.0), math.sin(3.0 * math.pi * j / 4.0)]
-            for j in range(4)
-        ]
-    )
-    return phys, internal
+# Physical and internal images of the Z^4 basis of the octagonal tiling: the
+# eighth roots of unity e^{i pi j/4} and their star images e^{3 i pi j/4}.
+_OCTAGONAL = _unit_vectors(1.0, 4.0, 4)
+_OCTAGONAL_STAR = _unit_vectors(3.0, 4.0, 4)
 
 
 def _cut_and_project_candidates(spec: GeneratorSpec) -> np.ndarray:
@@ -580,15 +513,13 @@ def _cut_and_project_candidates(spec: GeneratorSpec) -> np.ndarray:
     small box, found through the inverse of [i2 i3].  All boxes are
     enumerated as one array, O(R^2) points, in lexicographic order."""
     n = spec.radius
-    phys, internal = _ab_projections()
+    phys, internal = _OCTAGONAL, _OCTAGONAL_STAR
     shift = np.asarray(spec.window_shift, dtype=float)
 
     # Octagon window: zonotope of the four internal unit vectors, centered.
     center = internal.sum(axis=0) / 2.0
     apothem = (1.0 + math.sqrt(2.0)) / 2.0
-    normals = np.array(
-        [[math.cos(a), math.sin(a)] for a in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)]
-    )
+    normals = phys  # the octagon's edge normals are the +-e^{i pi j/4}
 
     def window_accept(y: np.ndarray) -> np.ndarray:
         z = y - center + shift
@@ -629,6 +560,64 @@ def _cut_and_project_candidates(spec: GeneratorSpec) -> np.ndarray:
     x = k @ phys
     k = k[x[:, 0] ** 2 + x[:, 1] ** 2 < (n + 1.0) ** 2]
     return k[window_accept(k @ internal)]
+
+
+# ---------------------------------------------------------------------------
+# the families
+#
+# The Gram pairs make |x|^2 exact in Z (square), Z/2 (triangular),
+# Z[sqrt 5]/4 (penrose, from 4 cos 72 = sqrt 5 - 1 and 4 cos 144 =
+# -sqrt 5 - 1) and Z[sqrt 2]/2 (ammann_beenker, from 2 cos 45 = sqrt 2).
+# The ten penrose unit edge vectors are the +-zeta^k, so the step along
+# zeta^4 = -(e0 + e1 + e2 + e3) is (1, 1, 1, 1) up to sign.
+
+FAMILIES: dict[str, Basis] = {
+    basis.id: basis
+    for basis in (
+        Basis(
+            id="square",
+            vectors=np.array([[1.0, 0.0], [0.0, 1.0]]),
+            r=0.5, l_max=1.0, d_max=4,
+            steps=((1, 0), (0, 1)),
+            gram=(1, 2, ((1, 0), (0, 1)), ((0, 0), (0, 0))),
+            candidates=_lattice_candidates,
+        ),
+        Basis(
+            id="triangular",
+            vectors=np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]),
+            r=0.5, l_max=1.0, d_max=6,
+            steps=((1, 0), (0, 1), (1, -1)),
+            gram=(2, 2, ((2, 1), (1, 2)), ((0, 0), (0, 0))),
+            candidates=_lattice_candidates,
+        ),
+        Basis(
+            id="penrose",
+            vectors=_FIFTH_ROOTS[:4],
+            r=math.sin(math.pi / 10.0), l_max=1.0, d_max=7,
+            steps=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)),
+            gram=(
+                4,
+                5,
+                ((4, -1, -1, -1), (-1, 4, -1, -1), (-1, -1, 4, -1), (-1, -1, -1, 4)),
+                ((0, 1, -1, -1), (1, 0, 1, -1), (-1, 1, 0, 1), (-1, -1, 1, 0)),
+            ),
+            candidates=_pentagrid_candidates,
+        ),
+        Basis(
+            id="ammann_beenker",
+            vectors=_OCTAGONAL,
+            r=math.sin(math.pi / 8.0), l_max=1.0, d_max=8,
+            steps=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+            gram=(
+                2,
+                2,
+                ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)),
+                ((0, 1, 0, -1), (1, 0, 1, 0), (0, 1, 0, 1), (-1, 0, 1, 0)),
+            ),
+            candidates=_cut_and_project_candidates,
+        ),
+    )
+}
 
 
 # ---------------------------------------------------------------------------

@@ -539,21 +539,6 @@ class BoundsReport:
     lambda_source: str
     holds_subcritical: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "d_max": self.d_max,
-            "l_max": self.l_max,
-            "p_c_lower": self.p_c_lower,
-            "psi_decay": self.psi_decay,
-            "gamma": self.gamma,
-            "chi_hat": self.chi_hat,
-            "chi_stderr": self.chi_stderr,
-            "lambda_decay": self.lambda_decay,
-            "lambda_source": self.lambda_source,
-            "holds_subcritical": self.holds_subcritical,
-        }
-
 
 def bounds_report(
     p: float,

@@ -132,6 +132,17 @@ class TestConfig:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--threads", "2"],
+        ["census", "--seed", "3"],
+        ["percolate", "--n-max", "5", "--format", "json"],
+        ["verify", "--family", "penrose"],
+    ], ids=lambda argv: argv[0])
+    def test_flag_the_command_does_not_read_exits_two(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
 
 # an INI value and a different flag value for a setting of each type
 SAMPLE_VALUES = {float: ("0.37", 0.41), int: ("7", 11), str: ("from-ini", "from-flag")}
@@ -144,6 +155,8 @@ class TestSettings:
         assert len(set(names)) == len(names) == 14
         assert len({(s.section, s.key) for s in cli._SETTINGS}) == 14
         assert len({s.flag for s in cli._SETTINGS}) == 14
+        # each command takes only the flags it reads
+        assert sum(len(s.commands) for s in cli._SETTINGS) == 39
 
     @pytest.mark.parametrize("setting", cli._SETTINGS, ids=lambda s: s.flag)
     def test_ini_key_and_flag_set_the_field(self, tmp_path, setting):
@@ -407,6 +420,23 @@ class TestSubcommands:
         )
         assert code == 2
         assert "ids.counting_radius" in capsys.readouterr().err
+        assert sampled == []
+        assert not out.exists()
+
+    def test_lifshits_e_max_at_top_anchor_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the top anchor E = 9 would otherwise sit among the tail-fit points
+        sampled = []
+        monkeypatch.setattr(percolation, "sample", lambda *args: sampled.append(args))
+        out = tmp_path / "lifshits"
+        code = main(
+            [
+                "lifshits", "--family", "square", "--radius", "40", "--counting-radius", "36",
+                "--p", "0.1", "--realizations", "120", "--e-min", "0.1", "--e-max", "12",
+                "--seed", "7", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "ids.e_max" in capsys.readouterr().err
         assert sampled == []
         assert not out.exists()
 

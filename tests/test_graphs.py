@@ -260,6 +260,22 @@ class TestExactOpenBall:
         assert np.array_equal(g.near_boundary, want)
 
 
+class TestFamilyRecords:
+    """Each family record's declared geometry holds on a generated patch."""
+
+    @pytest.mark.parametrize("basis", graphs.FAMILIES.values(), ids=lambda b: b.id)
+    def test_record_holds_on_patch(self, basis):
+        g = graphs.generate(GeneratorSpec(basis.id, 12.0))
+        assert g.basis is basis and g.n_edges > 0
+        steps = {tuple(s) for s in basis.steps} | {tuple(-np.array(s)) for s in basis.steps}
+        diffs = g.coeffs[g.edges[:, 1]] - g.coeffs[g.edges[:, 0]]
+        assert {tuple(d) for d in diffs.tolist()} <= steps
+        rep = graphs.geometry_report(g)
+        assert rep.l_max <= basis.l_max + 1e-9
+        assert rep.d_max <= basis.d_max
+        assert rep.min_pairwise_distance >= 2.0 * basis.r - 1e-9
+
+
 class TestGeometryReport:
     def test_single_vertex_sentinels(self):
         g = graphs.from_coeffs("square", [(0, 0)], [])

@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -724,9 +724,10 @@ class TestBoundsReport:
 
     def test_round_trips_to_dict(self):
         rep = bounds_report(0.25, 6, 1.0, chi_hat=3.0, chi_stderr=0.1)
-        d = rep.to_dict()
+        d = asdict(rep)
         assert d["p_c_lower"] == pytest.approx(0.2)
         assert d["lambda_decay"] == rep.lambda_decay
+        assert type(rep)(**d) == rep
 
 
 class TestMonteCarloVsOracle:
