@@ -338,13 +338,15 @@ def _atomic_write(out_dir: str, name: str, data: bytes) -> None:
 
 
 class OutputWriter:
-    """Collects named outputs, writes them atomically, then the manifest."""
+    """Collects named outputs, writes them atomically, then the manifest,
+    whose ``config`` holds the settings ``command`` reads."""
 
     def __init__(self, command: str, cfg: ExperimentConfig):
         self.out_dir = cfg.out_dir
         self.manifest = RunManifest(
             command=command,
-            config=asdict(cfg),
+            config={s.field: getattr(cfg, s.field) for s in _SETTINGS
+                    if command in s.commands},
             code_version=__version__,
             master_seed=cfg.master_seed,
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -210,18 +210,23 @@ class EmbeddedGraph:
 
     ``coeffs`` is an (N, rank) int64 array sorted lexicographically by row;
     ``edges`` is an (M, 2) int64 array with each row (i, j), i < j, sorted
-    lexicographically.  The geometry constants r, l_max, d_max are declared
-    values for the infinite graph the patch was cut from; ``geometry_report``
-    re-measures them on the patch itself.
+    lexicographically.  The geometry constants are those its family
+    ``basis`` declares for the infinite graph; ``geometry_report`` measures
+    them on the patch itself.
     """
 
     basis: Basis
     coeffs: np.ndarray
     edges: np.ndarray
     box: Ball | None = None
-    r: float = 0.0
-    l_max: float = 0.0
-    d_max: int = 0
+
+    @property
+    def l_max(self) -> float:
+        return self.basis.l_max
+
+    @property
+    def d_max(self) -> int:
+        return self.basis.d_max
 
     @property
     def n_vertices(self) -> int:
@@ -261,65 +266,27 @@ class EmbeddedGraph:
             np.add.at(deg, self.edges[:, 1], 1)
         return deg
 
-    def same_structure(self, other: "EmbeddedGraph") -> bool:
-        """Exact structural equality: basis, coefficients, edges."""
-        return (
-            self.basis.id == other.basis.id
-            and self.coeffs.shape == other.coeffs.shape
-            and np.array_equal(self.coeffs, other.coeffs)
-            and self.edges.shape == other.edges.shape
-            and np.array_equal(self.edges, other.edges)
-        )
-
     def validate(self) -> None:
-        """Check the structural invariants; raise ValueError on violation."""
+        """Check the structural invariants, then the family's declared d_max
+        and l_max; raise ValueError on violation."""
         if self.coeffs.ndim != 2 or self.coeffs.shape[1] != self.basis.rank:
             raise ValueError("coefficient array shape does not match basis rank")
+        e = self.edges
         if self.n_edges:
-            e = self.edges
             if np.any(e[:, 0] >= e[:, 1]):
                 raise ValueError("edges must satisfy i < j (no self-loops)")
             if np.any(e < 0) or np.any(e >= self.n_vertices):
                 raise ValueError("edge endpoint out of range")
             if np.unique(e, axis=0).shape[0] != self.n_edges:
                 raise ValueError("duplicate edges")
-            lengths = np.linalg.norm(
-                self.embed[e[:, 0]] - self.embed[e[:, 1]], axis=1
-            )
-            if self.l_max and np.any(lengths > self.l_max + 1e-9):
-                raise ValueError("edge longer than declared l_max")
         if np.unique(self.coeffs, axis=0).shape[0] != self.n_vertices:
             raise ValueError("duplicate vertex coefficients")
         deg = self.degrees()
-        if self.d_max and deg.size and int(deg.max()) > self.d_max:
+        if deg.size and int(deg.max()) > self.d_max:
             raise ValueError("vertex degree exceeds declared d_max")
-
-
-def from_coeffs(
-    basis_id: str,
-    coeffs: Iterable[Sequence[int]],
-    edges: Iterable[Sequence[int]] = (),
-    box: Ball | None = None,
-) -> EmbeddedGraph:
-    """Build a patch directly from coefficient rows (mainly for tests).
-
-    Geometry constants are measured from the data rather than declared.
-    """
-    if basis_id not in FAMILIES:
-        raise GraphGenerationError(f"unknown basis id: {basis_id!r}")
-    basis = FAMILIES[basis_id]
-    coeffs = np.asarray(list(coeffs), dtype=np.int64).reshape(-1, basis.rank)
-    edges = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-    # sort vertices lexicographically, remap and sort edges
-    order = np.lexsort(coeffs.T[::-1])
-    inv = np.empty(len(order), dtype=np.int64)
-    inv[order] = np.arange(len(order))
-    if edges.shape[0]:
-        edges = np.unique(np.sort(inv[edges], axis=1), axis=0)
-    g = EmbeddedGraph(basis=basis, coeffs=coeffs[order], edges=edges, box=box)
-    report = geometry_report(g)
-    g.r, g.l_max, g.d_max = report.r, report.l_max, report.d_max
-    return g
+        lengths = np.linalg.norm(self.embed[e[:, 0]] - self.embed[e[:, 1]], axis=1)
+        if np.any(lengths > self.l_max + 1e-9):
+            raise ValueError("edge longer than declared l_max")
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +380,6 @@ def _patch(basis: Basis, candidates: np.ndarray, radius: float) -> EmbeddedGraph
         coeffs=coeffs[first],
         edges=edges,
         box=Ball((0.0, 0.0), radius),
-        r=basis.r,
-        l_max=basis.l_max,
-        d_max=basis.d_max,
     )
 
 
@@ -646,9 +610,6 @@ def restrict(g: EmbeddedGraph, radius: float) -> EmbeddedGraph:
         coeffs=g.coeffs[members],
         edges=induced_edges(g, members),
         box=Ball((0.0, 0.0), radius),
-        r=g.r,
-        l_max=g.l_max,
-        d_max=g.d_max,
     )
 
 
@@ -680,8 +641,7 @@ def geometry_report(g: EmbeddedGraph) -> GeometryReport:
 
     A single-vertex patch reports r = +inf and l_max = 0."""
     if g.n_vertices >= 2:
-        tree = cKDTree(g.embed)
-        dist, _ = tree.query(g.embed, k=2)
+        dist, _ = g.vertex_tree.query(g.embed, k=2)
         min_dist = float(dist[:, 1].min())
         r_half = min_dist / 2.0
     else:

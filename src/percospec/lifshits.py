@@ -25,7 +25,6 @@ __all__ = [
     "InsufficientTailData",
     "lower_bound",
     "upper_bound",
-    "chain_length_for_energy",
     "default_energy_range",
     "reliability_floor",
     "TailAnalysis",
@@ -76,17 +75,6 @@ def upper_bound(energy: float, p: float, rho: float, *, lambda_decay: float) -> 
     if rho < 0.0:
         raise ValueError("rho must be nonnegative")
     return rho * _UPPER_BOUND_D * math.exp(-lambda_decay * energy**-0.5)
-
-
-def chain_length_for_energy(energy: float) -> int:
-    """l(E): the shortest chain length (>= 2) whose spectral gap is <= E,
-    i.e. the smallest l >= 2 with 10 / l^2 <= E."""
-    if energy <= 0.0:
-        raise ValueError("l(E) needs E > 0")
-    l = max(2, math.ceil(math.sqrt(10.0 / energy) - 1e-12))
-    while l > 2 and 10.0 / ((l - 1) * (l - 1)) <= energy:
-        l -= 1
-    return l
 
 
 def reliability_floor(realizations: int, volume: float) -> float:
@@ -145,10 +133,6 @@ class TailAnalysis:
     def decades_spanned(self) -> float:
         used = self.energies[self.reliable]
         return float(np.log10(used.max() / used.min())) if used.size else 0.0
-
-    def fitted_tail(self, energy: np.ndarray | float) -> np.ndarray | float:
-        x = np.asarray(energy, dtype=float) ** -0.5
-        return np.exp(-(self.slope * x + self.intercept))
 
     def prediction_log_stderr(self, energy: np.ndarray | float) -> np.ndarray | float:
         """Standard error of the fitted value of -ln(tail) at an energy."""

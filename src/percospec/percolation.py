@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -50,7 +49,6 @@ __all__ = [
     "gamma_rate",
     "psi_rate",
     "bounds_report",
-    "bruteforce_cluster_oracle",
 ]
 
 
@@ -581,48 +579,3 @@ def bounds_report(
         lambda_source="empirical mean cluster size" if lam is not None else "unavailable",
         holds_subcritical=subcritical,
     )
-
-
-# ---------------------------------------------------------------------------
-# exact enumeration oracle
-
-
-# the exact oracles enumerate all 2^m bond configurations for m up to this
-_MAX_ENUMERATED_EDGES = 20
-
-
-def bruteforce_cluster_oracle(
-    g: EmbeddedGraph,
-    p: float,
-    vertex: int,
-    n_values: Sequence[int] = (),
-) -> dict:
-    """Exact expectations by enumerating all 2^m bond configurations.
-
-    Returns P(|C_v| >= n) for each requested n, E|C_v|, and the expected
-    number of clusters, each as an exact weighted sum with weights
-    p^(#open) (1-p)^(#closed).  Only feasible for small patches.
-    """
-    m = g.n_edges
-    if m > _MAX_ENUMERATED_EDGES:
-        raise ValueError(f"{m} edges exceeds the enumeration cap {_MAX_ENUMERATED_EDGES}")
-    n_values = [int(n) for n in n_values]
-    tail = {n: 0.0 for n in n_values}
-    mean_size = 0.0
-    mean_clusters = 0.0
-    for bits in product((False, True), repeat=m):
-        mask = np.array(bits, dtype=bool)
-        k = int(mask.sum())
-        w = (p**k) * ((1.0 - p) ** (m - k))
-        dec = decompose(g, mask)
-        size_v = int(dec.sizes_at(np.array([vertex]))[0, 0])
-        for n in n_values:
-            if size_v >= n:
-                tail[n] += w
-        mean_size += w * size_v
-        mean_clusters += w * (dec.sizes.size + g.n_vertices - dec.touched.size)
-    return {
-        "tail": tail,
-        "mean_cluster_size": mean_size,
-        "expected_cluster_count": mean_clusters,
-    }

@@ -35,7 +35,6 @@ import numpy as np
 from .graphs import EmbeddedGraph, norm_sign
 from .percolation import (
     BondConfiguration,
-    _MAX_ENUMERATED_EDGES,
     PercolationParams,
     _decompose,
     _sem,
@@ -54,7 +53,6 @@ __all__ = [
     "eigensystem",
     "ChainSpectrum",
     "chain_spectrum",
-    "chain_gap_bound",
     "CheegerReport",
     "cheeger_check",
     "IdsTable",
@@ -189,13 +187,6 @@ def chain_spectrum(l: int) -> ChainSpectrum:
     )
     vectors[:, 0] = 1.0 / math.sqrt(l)
     return ChainSpectrum(length=l, energies=energies, vectors=vectors)
-
-
-def chain_gap_bound(l: int) -> float:
-    """10 / l^2 dominates the chain spectral gap 4 sin^2(pi / 2l)."""
-    if l < 1:
-        raise ValueError("chain length must be positive")
-    return 10.0 / (l * l)
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +558,10 @@ def ids_estimate(
     if table.realizations == 0 and not allow_empty:
         raise AllRealizationsTruncated()
     return table
+
+
+# the exact oracles enumerate all 2^m bond configurations for m up to this
+_MAX_ENUMERATED_EDGES = 20
 
 
 def bruteforce_ids_oracle(

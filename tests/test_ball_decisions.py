@@ -2,9 +2,9 @@
 
 An ``ast`` scan of ``src/``: no code reads ``hypot``, ``boundary_distance``
 or ``contains`` (the float ball tests that disagree at exact-distance
-ties), and the KD-tree is used only as the candidate index of
-``pattern_at`` (``EmbeddedGraph.vertex_tree``) and by ``geometry_report``,
-which measures the vertex separation and decides no ball.
+ties), and the KD-tree is built only as ``EmbeddedGraph.vertex_tree``:
+``pattern_at`` queries it for ball candidates, and ``geometry_report`` for
+nearest neighbours, which decide no ball.
 """
 
 import ast
@@ -17,7 +17,7 @@ FILES = sorted(path.relative_to(ROOT).as_posix() for path in (ROOT / "src").rglo
 
 FLOAT_BALL_TESTS = {"hypot", "boundary_distance", "contains"}
 TREE_NAMES = {"cKDTree", "query_ball_point"}
-TREE_USERS = {"vertex_tree", "pattern_at", "geometry_report"}
+TREE_USERS = {"vertex_tree", "pattern_at"}
 
 
 def references(source: str) -> list[tuple[str, str | None, int]]:
@@ -46,7 +46,7 @@ def references(source: str) -> list[tuple[str, str | None, int]]:
 
 def stray_ball_tests(source: str) -> list[str]:
     """``line: name`` for each float ball test, and each KD-tree use
-    outside the candidate index and ``geometry_report``."""
+    outside the candidate index and ``pattern_at``."""
     return [
         f"{line}: {name}"
         for name, function, line in references(source)

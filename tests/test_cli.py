@@ -489,6 +489,33 @@ class TestSubcommands:
         assert len(report["checks"]) >= 8
         assert all(c["pass"] for c in report["checks"])
 
+    # a short passing run of each command
+    SHORT_RUNS = {
+        "generate": ["--radius", "6"],
+        "census": ["--radius", "8", "--pattern-radius", "1.2"],
+        "percolate": ["--radius", "45", "--p", "0.15", "--realizations", "2", "--n-max", "6"],
+        "ids": ["--radius", "12", "--counting-radius", "8", "--realizations", "2"],
+        "lifshits": ["--radius", "40", "--counting-radius", "36", "--p", "0.1",
+                     "--realizations", "120", "--e-min", "0.1", "--e-max", "0.8", "--seed", "7"],
+        "verify": [],
+    }
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_manifest_records_the_settings_the_command_reads(self, tmp_path, command):
+        out = tmp_path / command
+        assert main([command, *self.SHORT_RUNS[command], "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert set(config) == {s.field for s in cli._SETTINGS if command in s.commands}
+
+    def test_verify_manifest_leaves_out_unread_ini_settings(self, tmp_path):
+        path = write_config(
+            tmp_path, "[graph]\nfamily = penrose\nradius = 30\n[run]\nthreads = 4\n"
+        )
+        out = tmp_path / "verify"
+        assert main(["verify", "--config", path, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {"out_dir": str(out)}
+
 
 class TestDeterminism:
     def test_ids_byte_identical_across_threads(self, tmp_path):

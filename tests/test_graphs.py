@@ -12,6 +12,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from exact_ball import ball_ids, in_open_ball, norm2, signs
+from oracles import from_coeffs
 from percospec import graphs
 from percospec.graphs import GeneratorSpec, GraphGenerationError
 
@@ -111,12 +112,12 @@ class TestAperiodic:
         # patch exactly, vertex order included
         g_large = graphs.generate(GeneratorSpec(family, large))
         g_small = graphs.generate(GeneratorSpec(family, small))
-        assert graphs.restrict(g_large, small).same_structure(g_small)
+        assert graphs.dumps(graphs.restrict(g_large, small)) == graphs.dumps(g_small)
 
     def test_generation_deterministic(self):
         a = graphs.generate(GeneratorSpec("penrose", 8.0))
         b = graphs.generate(GeneratorSpec("penrose", 8.0))
-        assert a.same_structure(b)
+        assert graphs.dumps(a) == graphs.dumps(b)
         np.testing.assert_array_equal(a.embed, b.embed)
 
     def test_degenerate_pentagrid_rejected(self):
@@ -147,11 +148,11 @@ class TestAperiodic:
 class TestRestrict:
     def test_idempotent_on_own_box(self):
         g = graphs.generate(GeneratorSpec("square", 5.0))
-        assert graphs.restrict(g, g.box.radius).same_structure(g)
+        assert graphs.dumps(graphs.restrict(g, g.box.radius)) == graphs.dumps(g)
 
     def test_empty_region(self):
         # a patch whose vertices all lie outside the ball
-        g = graphs.from_coeffs("square", [(2, 0), (2, 1), (0, 2)], [(0, 1)])
+        g = from_coeffs("square", [(2, 0), (2, 1), (0, 2)], [(0, 1)])
         out = graphs.restrict(g, 1.5)
         assert out.n_vertices == 0
         assert out.n_edges == 0
@@ -159,7 +160,7 @@ class TestRestrict:
     def test_induced_semantics_drops_edges_through_missing_vertices(self):
         # path (1,0)-(1,1)-(0,1): radius 1.2 keeps both ends at distance 1
         # but not the middle at sqrt 2, so two isolated points remain
-        g = graphs.from_coeffs(
+        g = from_coeffs(
             "square", [(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2)]
         )
         out = graphs.restrict(g, 1.2)
@@ -177,7 +178,7 @@ class TestRestrict:
             assert set(map(tuple, twice.coeffs.tolist())) == set(
                 map(tuple, g.coeffs[mask].tolist())
             )
-            assert twice.same_structure(graphs.restrict(g, min(a, b)))
+            assert graphs.dumps(twice) == graphs.dumps(graphs.restrict(g, min(a, b)))
 
     def test_open_ball_excludes_boundary(self):
         # (3, 4) lies at distance exactly 5; the open ball must drop it
@@ -278,7 +279,7 @@ class TestFamilyRecords:
 
 class TestGeometryReport:
     def test_single_vertex_sentinels(self):
-        g = graphs.from_coeffs("square", [(0, 0)], [])
+        g = from_coeffs("square", [(0, 0)], [])
         rep = graphs.geometry_report(g)
         assert rep.r == math.inf
         assert rep.l_max == 0.0
@@ -289,7 +290,7 @@ class TestGeometryReport:
         for family, radius in [("square", 5.0), ("penrose", 8.0)]:
             g = graphs.generate(GeneratorSpec(family, radius))
             rep = graphs.geometry_report(g)
-            assert rep.min_pairwise_distance >= 2.0 * g.r - 1e-9
+            assert rep.min_pairwise_distance >= 2.0 * g.basis.r - 1e-9
 
     def test_validate_passes_on_generated(self):
         for family in ("square", "triangular", "penrose", "ammann_beenker"):
@@ -297,16 +298,36 @@ class TestGeometryReport:
             g.validate()
 
     def test_validate_catches_duplicate_vertex(self):
-        g = graphs.from_coeffs("square", [(0, 0), (1, 0)], [])
+        g = from_coeffs("square", [(0, 0), (1, 0)], [])
         g.coeffs = np.array([[0, 0], [0, 0]], dtype=np.int64)
         with pytest.raises(ValueError, match="duplicate vertex"):
             g.validate()
 
     def test_validate_catches_duplicate_edge(self):
-        g = graphs.from_coeffs("square", [(0, 0), (1, 0)], [(0, 1)])
+        g = from_coeffs("square", [(0, 0), (1, 0)], [(0, 1)])
         g.edges = np.array([[0, 1], [0, 1]], dtype=np.int64)
         with pytest.raises(ValueError, match="duplicate edges"):
             g.validate()
+
+    def test_validate_catches_edge_longer_than_declared(self):
+        g = from_coeffs("square", [(0, 0), (2, 0)], [(0, 1)])
+        with pytest.raises(ValueError, match="edge longer than declared l_max"):
+            g.validate()
+
+    def test_validate_catches_degree_above_declared(self):
+        # the square family declares d_max = 4
+        rows = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)]
+        g = from_coeffs("square", rows, [(0, k) for k in range(1, 6)])
+        with pytest.raises(ValueError, match="degree exceeds declared d_max"):
+            g.validate()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_hand_built_patch_carries_declared_constants(self, family):
+        # one vertex and no edge measures l_max 0 and d_max 0
+        g = graphs.generate(GeneratorSpec(family, 6.0))
+        built = from_coeffs(family, g.coeffs[:1])
+        assert (built.l_max, built.d_max) == (g.l_max, g.d_max)
+        assert (g.l_max, g.d_max) == (g.basis.l_max, g.basis.d_max)
 
 
 class TestSerialization:

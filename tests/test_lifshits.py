@@ -9,7 +9,6 @@ from percospec import lifshits
 from percospec.lifshits import (
     InsufficientTailData,
     certify_bracketing,
-    chain_length_for_energy,
     default_energy_range,
     lower_bound,
     reliability_floor,
@@ -127,31 +126,6 @@ class TestUpperBound:
             upper_bound(0.5, 1.5, 1.0, lambda_decay=1.0)
 
 
-class TestChainLength:
-    @pytest.mark.parametrize(
-        "energy,expected",
-        [(2.5, 2), (3.0, 2), (1.2, 3), (0.4, 5), (0.1, 10), (0.01, 32)],
-    )
-    def test_known_values(self, energy, expected):
-        assert chain_length_for_energy(energy) == expected
-
-    def test_defining_property(self):
-        for e in np.logspace(-4, 1, 80):
-            l = chain_length_for_energy(float(e))
-            assert l >= 2
-            assert 10.0 / l**2 <= e
-            if l > 2:
-                assert 10.0 / (l - 1) ** 2 > e
-
-    def test_dominated_by_two_plus_four(self):
-        for e in np.logspace(-5, 1, 50):
-            assert chain_length_for_energy(float(e)) < 2.0 + 4.0 * e**-0.5
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            chain_length_for_energy(0.0)
-
-
 class TestEnergyRange:
     def test_formula(self):
         p, d, reps, vol = 0.1, 4, 2000, math.pi * 280.0**2
@@ -193,12 +167,6 @@ class TestTailFit:
         fit = tail_fit(tab)
         assert fit.slope == pytest.approx(2.0, abs=1e-8)
         assert fit.intercept == pytest.approx(-math.log(0.05), abs=1e-8)
-
-    def test_fitted_tail_round_trip(self):
-        e = 0.1 * 10 ** (-np.arange(10) / 9.0)
-        tail = np.exp(-2.5 * e**-0.5)
-        fit = tail_fit(make_table(e, tail, n0=0.0))
-        assert np.allclose(fit.fitted_tail(e), tail, rtol=1e-9)
 
     def test_weights_discount_noisy_points(self):
         e = 0.1 * 10 ** (-np.arange(12) / 11.0)

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_ball import ball_ids, in_open_ball
+from oracles import from_coeffs
 from percospec.cli import main
 from percospec.graphs import (
     Ball,
     GeneratorSpec,
     ball_volume,
-    from_coeffs,
     generate,
     restrict,
 )

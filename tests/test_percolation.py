@@ -12,7 +12,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from exact_ball import ball_ids, in_open_ball, signs
-from percospec.graphs import GeneratorSpec, from_coeffs, generate, ball_volume
+from oracles import bruteforce_cluster_oracle, from_coeffs
+from percospec.graphs import GeneratorSpec, generate, ball_volume
 from percospec import percolation, spectral
 from percospec.cli import main
 from percospec.patterns import density_report
@@ -22,7 +23,6 @@ from percospec.percolation import (
     boundary_path_probability,
     boundary_path_statistic,
     bounds_report,
-    bruteforce_cluster_oracle,
     cluster_size_statistic,
     cluster_size_tail,
     cluster_size_tail_statistic,

@@ -14,12 +14,12 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from exact_ball import in_open_ball
+from oracles import from_coeffs
 from percospec import percolation, spectral
-from percospec.graphs import GeneratorSpec, from_coeffs, generate
+from percospec.graphs import GeneratorSpec, generate
 from percospec.percolation import PercolationParams, decompose, sample
 from percospec.spectral import (
     AllRealizationsTruncated,
-    chain_gap_bound,
     chain_spectrum,
     cheeger_check,
     bruteforce_ids_oracle,
@@ -113,7 +113,7 @@ class TestChainSpectrum:
     @pytest.mark.parametrize("l", [2, 3, 10, 40])
     def test_gap_bound(self, l):
         cs = chain_spectrum(l)
-        assert 0 < cs.spectral_gap <= chain_gap_bound(l)
+        assert 0 < cs.spectral_gap <= 10 / l**2
 
     def test_single_vertex(self):
         cs = chain_spectrum(1)
