@@ -303,12 +303,14 @@ class RunManifest:
     ``wall_clock_s`` is informational and varies between runs; the contract
     is that re-running with the same config snapshot and seed regenerates
     files matching ``output_sha256`` exactly, regardless of thread count.
+    ``master_seed`` is None, and left out of the JSON, for a command that
+    samples no bonds.
     """
 
     command: str
     config: dict
     code_version: str
-    master_seed: int
+    master_seed: int | None
     output_sha256: dict[str, str] = field(default_factory=dict)
     wall_clock_s: dict[str, float] = field(default_factory=dict)
 
@@ -317,10 +319,11 @@ class RunManifest:
             "command": self.command,
             "config": self.config,
             "code_version": self.code_version,
-            "master_seed": self.master_seed,
             "output_sha256": self.output_sha256,
             "wall_clock_s": {k: round(v, 3) for k, v in self.wall_clock_s.items()},
         }
+        if self.master_seed is not None:
+            body["master_seed"] = self.master_seed
         return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
 
@@ -348,7 +351,7 @@ class OutputWriter:
             config={s.field: getattr(cfg, s.field) for s in _SETTINGS
                     if command in s.commands},
             code_version=__version__,
-            master_seed=cfg.master_seed,
+            master_seed=cfg.master_seed if command in _SAMPLED else None,
         )
         self._t0 = time.perf_counter()
         self._stage_start = self._t0

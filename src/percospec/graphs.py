@@ -15,13 +15,13 @@ order, and embedding, bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "Basis",
@@ -243,9 +243,29 @@ class EmbeddedGraph:
         return pts
 
     @cached_property
-    def vertex_tree(self) -> cKDTree:
-        """Candidate index of the embedded vertices; ``norm_sign`` decides."""
-        return cKDTree(self.embed)
+    def _by_x(self) -> tuple[np.ndarray, list[float], np.ndarray]:
+        """Vertex ids sorted by x, and in that order their x coordinates
+        (a list, for ``bisect``) and their embedding rows."""
+        order = np.argsort(self.embed[:, 0], kind="stable")
+        return order, self.embed[order, 0].tolist(), self.embed[order]
+
+    def ball_candidates(self, point: np.ndarray, radius: float) -> np.ndarray:
+        """Ascending ids of the vertices whose float embedding lies within
+        ``radius`` of ``point``: a candidate index, ``norm_sign`` decides.
+
+        The x-sorted vertices are cut to the strip |x - point_x| <= radius,
+        a hair wide so that rounding never drops a vertex the distance test
+        keeps, and the strip is kept where the squared distance is at most
+        radius squared."""
+        order, xs, rows = self._by_x
+        x = float(point[0])
+        half = radius + 1e-9 * (1.0 + radius + abs(x))
+        a, b = bisect.bisect_left(xs, x - half), bisect.bisect_right(xs, x + half)
+        d = rows[a:b] - point
+        d *= d
+        ids = order[a:b][d[:, 0] + d[:, 1] <= radius * radius]
+        ids.sort()
+        return ids
 
     @cached_property
     def near_boundary(self) -> np.ndarray:
@@ -641,7 +661,9 @@ def geometry_report(g: EmbeddedGraph) -> GeometryReport:
 
     A single-vertex patch reports r = +inf and l_max = 0."""
     if g.n_vertices >= 2:
-        dist, _ = g.vertex_tree.query(g.embed, k=2)
+        from scipy.spatial import cKDTree
+
+        dist, _ = cKDTree(g.embed).query(g.embed, k=2)
         min_dist = float(dist[:, 1].min())
         r_half = min_dist / 2.0
     else:

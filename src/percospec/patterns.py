@@ -113,11 +113,11 @@ def canonicalize(
 def pattern_at(g: EmbeddedGraph, center: int, radius: float) -> CanonicalPattern:
     """Induced r-pattern around one vertex (the caller guarantees that the
     ball lies inside the patch)."""
-    # the tree only proposes candidates, within a radius widened past any
+    # the index only proposes candidates, within a radius widened past any
     # rounding of the embedding; norm_sign decides on the exact rows
     centre = g.coeffs[center], g.embed[center]
     widened = radius + _BAND * (1.0 + radius)
-    members = np.array(g.vertex_tree.query_ball_point(centre[1], widened, return_sorted=True))
+    members = g.ball_candidates(centre[1], widened)
     rows = g.coeffs[members]
     inside = norm_sign(g.basis, rows, g.embed[members], radius, centre) < 0
     members = members[inside]

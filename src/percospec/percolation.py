@@ -21,8 +21,6 @@ from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .graphs import EmbeddedGraph, norm_sign
 
@@ -39,7 +37,6 @@ __all__ = [
     "realization_batches",
     "per_realization_rows",
     "cluster_size_tail_statistic",
-    "cluster_size_tail",
     "boundary_path_statistic",
     "boundary_path_probability",
     "boundary_path_bound",
@@ -161,13 +158,41 @@ class ClusterDecomposition:
         return out
 
 
+def _components(edges: np.ndarray, t: int) -> tuple[int, np.ndarray]:
+    """Connected components of the multigraph on vertices 0 .. t - 1 whose
+    edges are the rows of ``edges``: their count and each vertex's int32
+    label, the components numbered in the order of their lowest vertex.
+
+    Each round hooks every root onto the smallest root it shares an edge
+    with, then jumps pointers until every vertex points at its root, and
+    drops the edges now inside one tree.  A root is never hooked onto a
+    larger vertex, so each tree's root is its lowest vertex."""
+    parent = np.arange(t)
+    # intp throughout: numpy would copy any other index dtype on each gather
+    u, v = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp)
+    while True:
+        split = u != v
+        u, v = u[split], v[split]
+        if not u.size:
+            break
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        np.minimum.at(parent, hi, lo)
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+        u, v = parent[lo], parent[hi]
+    root = parent == np.arange(t)
+    return int(np.count_nonzero(root)), (np.cumsum(root, dtype=np.int32) - 1)[parent]
+
+
 def _decompose(g: EmbeddedGraph, masks: np.ndarray) -> ClusterDecomposition:
     """Clusters of the K realizations whose open edges are the rows of
     ``masks`` (K x n_edges), found among the touched vertices only.  They
-    are renumbered by rank, which keeps their order, and
-    ``connected_components`` numbers clusters in the order of their lowest
-    vertex, so block k holds realization k's clusters after those of the
-    blocks before it."""
+    are renumbered by rank, which keeps their order, and ``_components``
+    numbers clusters in the order of their lowest vertex, so block k holds
+    realization k's clusters after those of the blocks before it."""
     k, n = masks.shape[0], g.n_vertices
     if k == 1:
         edges = g.edges.take(np.flatnonzero(masks[0]), axis=0)
@@ -183,9 +208,7 @@ def _decompose(g: EmbeddedGraph, masks: np.ndarray) -> ClusterDecomposition:
     rank[touched] = np.arange(touched.size, dtype=np.int32)
     edges = rank[edges]
     if edges.shape[0]:
-        t = touched.size
-        m = coo_matrix((np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(t, t))
-        n_clusters, labels = connected_components(m, directed=False)
+        n_clusters, labels = _components(edges, touched.size)
     else:
         n_clusters, labels = 0, np.empty(0, dtype=np.int32)
     # the first cluster of each block is that of its first touched vertex,
@@ -334,18 +357,6 @@ def cluster_size_tail_statistic(
         return _fraction_at_least(dec.sizes_at(interior), n_values)
 
     return TailStatistic("cluster_size_tail", n_values.astype(float), int(interior.size), row)
-
-
-def cluster_size_tail(
-    g: EmbeddedGraph,
-    params: PercolationParams,
-    n_values: Sequence[int],
-    margin: float | None = None,
-) -> TailEstimate:
-    """``cluster_size_tail_statistic`` estimated over ``params``'s realizations."""
-    stat = cluster_size_tail_statistic(g, n_values, margin)
-    (rows,) = per_realization_rows(g, params, [stat])
-    return stat.estimate(rows, params)
 
 
 # (vertex, member) pairs that _cluster_reach holds at once

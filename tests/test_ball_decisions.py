@@ -2,8 +2,9 @@
 
 An ``ast`` scan of ``src/``: no code reads ``hypot``, ``boundary_distance``
 or ``contains`` (the float ball tests that disagree at exact-distance
-ties), and the KD-tree is built only as ``EmbeddedGraph.vertex_tree``:
-``pattern_at`` queries it for ball candidates, and ``geometry_report`` for
+ties), the float candidate index ``EmbeddedGraph.ball_candidates`` is
+queried only by ``pattern_at``, which lets ``norm_sign`` decide on its
+candidates, and a KD-tree is built only inside ``geometry_report``, for
 nearest neighbours, which decide no ball.
 """
 
@@ -16,8 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(path.relative_to(ROOT).as_posix() for path in (ROOT / "src").rglob("*.py"))
 
 FLOAT_BALL_TESTS = {"hypot", "boundary_distance", "contains"}
-TREE_NAMES = {"cKDTree", "query_ball_point"}
-TREE_USERS = {"vertex_tree", "pattern_at"}
+# float neighbour queries and the one function allowed to read each
+CANDIDATE_USERS = {"ball_candidates": "pattern_at", "cKDTree": "geometry_report"}
 
 
 def references(source: str) -> list[tuple[str, str | None, int]]:
@@ -45,12 +46,12 @@ def references(source: str) -> list[tuple[str, str | None, int]]:
 
 
 def stray_ball_tests(source: str) -> list[str]:
-    """``line: name`` for each float ball test, and each KD-tree use
-    outside the candidate index and ``pattern_at``."""
+    """``line: name`` for each float ball test, and each float neighbour
+    query outside the one function allowed to read it."""
     return [
         f"{line}: {name}"
         for name, function, line in references(source)
-        if name in FLOAT_BALL_TESTS or (name in TREE_NAMES and function not in TREE_USERS)
+        if name in FLOAT_BALL_TESTS or CANDIDATE_USERS.get(name, function) != function
     ]
 
 
@@ -62,16 +63,18 @@ def test_scan_finds_a_stray_ball_test():
     source = (
         "from scipy.spatial import cKDTree\n"
         "def pattern_at(g):\n"
-        "    return g.tree.query_ball_point(0, 1.0)\n"
+        "    return g.ball_candidates(0, 1.0)\n"
         "def window(g, r):\n"
-        "    near = cKDTree(g.embed).query_ball_point(0, r)\n"
+        "    near = cKDTree(g.embed).query(0) + g.ball_candidates(0, r)\n"
         "    return np.hypot(1, 2) < r and g.box.contains(near)\n"
+        "def geometry_report(g):\n"
+        "    return cKDTree(g.embed)\n"
         "class Ball:\n"
         "    def contains(self, points):\n"
         "        return points\n"
     )
     assert stray_ball_tests(source) == [
-        "5: query_ball_point", "5: cKDTree", "6: hypot", "6: contains",
+        "5: cKDTree", "5: ball_candidates", "6: hypot", "6: contains",
     ]
 
 

@@ -507,6 +507,17 @@ class TestSubcommands:
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert set(config) == {s.field for s in cli._SETTINGS if command in s.commands}
 
+    @pytest.mark.parametrize("command", ["generate", "census"])
+    def test_manifest_of_a_command_that_samples_no_bonds_has_no_seed(self, tmp_path, command):
+        out = tmp_path / command
+        assert main([command, *self.SHORT_RUNS[command], "--out", str(out)]) == 0
+        assert "master_seed" not in json.loads((out / "manifest.json").read_text())
+
+    def test_ids_manifest_keeps_its_seed(self, tmp_path):
+        out = tmp_path / "ids"
+        assert main(["ids", *self.SHORT_RUNS["ids"], "--seed", "5", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["master_seed"] == 5
+
     def test_verify_manifest_leaves_out_unread_ini_settings(self, tmp_path):
         path = write_config(
             tmp_path, "[graph]\nfamily = penrose\nradius = 30\n[run]\nthreads = 4\n"

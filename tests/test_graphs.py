@@ -261,6 +261,31 @@ class TestExactOpenBall:
         assert np.array_equal(g.near_boundary, want)
 
 
+class TestBallCandidates:
+    """The candidate index returns, in ascending order, exactly the ids a
+    scan of every vertex keeps: squared float distance at most r**2."""
+
+    @staticmethod
+    def brute_force(g, point, radius):
+        d = g.embed - point
+        return np.flatnonzero(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= radius * radius)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_a_scan_of_every_vertex(self, family):
+        g = graphs.generate(GeneratorSpec(family, 8.0))
+        # vertices next to the boundary, the vertex nearest the centre, and
+        # points off the vertices, two of them outside the patch
+        centres = [g.embed[v] for v in np.flatnonzero(g.near_boundary)[::3]]
+        centres.append(g.embed[int(np.argmin((g.embed**2).sum(axis=1)))])
+        centres += [np.array(p) for p in [(0.25, -0.125), (7.9, 0.3), (-8.5, 1.0), (0.0, 30.0)]]
+        # edge length 1 (and 2 on the lattices) are ties; 17 covers the patch
+        for radius in [0.0, 0.5, 1.0, 1.0 + 2.0**-20, 2.0, 3.7, 17.0]:
+            for point in centres:
+                got = g.ball_candidates(point, radius)
+                assert got.tolist() == self.brute_force(g, point, radius).tolist(), (point, radius)
+        assert g.ball_candidates(np.zeros(2), 17.0).size == g.n_vertices
+
+
 class TestFamilyRecords:
     """Each family record's declared geometry holds on a generated patch."""
 

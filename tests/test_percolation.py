@@ -24,7 +24,6 @@ from percospec.percolation import (
     boundary_path_statistic,
     bounds_report,
     cluster_size_statistic,
-    cluster_size_tail,
     cluster_size_tail_statistic,
     decompose,
     edge_uniforms,
@@ -124,12 +123,15 @@ def _bfs_labels(n, edge_list):
     return labels
 
 
+def _scipy_components(edges, t):
+    m = coo_matrix((np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(t, t))
+    return connected_components(m, directed=False)
+
+
 def _full_labels(g, open_mask):
     """Cluster id of every vertex, isolated ones included: scipy's
     components of the open subgraph on the full vertex set."""
-    e = g.edges[open_mask]
-    m = coo_matrix((np.ones(e.shape[0]), (e[:, 0], e[:, 1])), shape=(g.n_vertices,) * 2)
-    return connected_components(m, directed=False)[1]
+    return _scipy_components(g.edges[open_mask], g.n_vertices)[1]
 
 
 class TestDecompose:
@@ -248,7 +250,9 @@ class TestOracle:
 class TestTailStatistics:
     def test_tail_starts_at_one(self, square_14):
         params = PercolationParams(p=0.3, master_seed=21, realizations=30)
-        t = cluster_size_tail(square_14, params, [1, 2, 3])
+        stat = cluster_size_tail_statistic(square_14, [1, 2, 3])
+        (rows,) = per_realization_rows(square_14, params, [stat])
+        t = stat.estimate(rows, params)
         assert t.estimates[0] == 1.0
         assert np.all(np.diff(t.estimates) <= 0)
 
@@ -256,21 +260,21 @@ class TestTailStatistics:
         # P(|C| >= 2) = 1 - (1-p)^4 on the square lattice
         p = 0.25
         params = PercolationParams(p=p, master_seed=77, realizations=400)
-        t = cluster_size_tail(square_14, params, [2])
+        stat = cluster_size_tail_statistic(square_14, [2])
+        (rows,) = per_realization_rows(square_14, params, [stat])
+        t = stat.estimate(rows, params)
         expect = 1 - (1 - p) ** 4
         assert abs(t.estimates[0] - expect) < 4 * t.stderrs[0]
 
     def test_margin_shrinks_interior(self, square_14):
-        params = PercolationParams(p=0.3, master_seed=21, realizations=2)
-        wide = cluster_size_tail(square_14, params, [2], margin=2.0)
-        narrow = cluster_size_tail(square_14, params, [2], margin=8.0)
+        wide = cluster_size_tail_statistic(square_14, [2], margin=2.0)
+        narrow = cluster_size_tail_statistic(square_14, [2], margin=8.0)
         assert narrow.interior_vertices < wide.interior_vertices
 
     def test_no_interior_raises(self):
         g = generate(GeneratorSpec(family="square", radius=4.0))
-        params = PercolationParams(p=0.3, master_seed=21, realizations=2)
         with pytest.raises(ValueError):
-            cluster_size_tail(g, params, [2], margin=10.0)
+            cluster_size_tail_statistic(g, [2], margin=10.0)
 
     def test_boundary_path_n1_closed_form(self, square_14):
         # the cluster leaves B_1(v) iff some incident edge is open
@@ -661,31 +665,76 @@ class TestTouchedVerticesMatchFullLabels:
 
 
 def test_components_run_on_touched_vertices_only(monkeypatch):
-    """connected_components sees the touched vertices and nothing else, and
-    a batch with no open edge never calls it."""
+    """_components sees the touched vertices and nothing else, and a batch
+    with no open edge never calls it."""
     g = generate(GeneratorSpec(family="square", radius=10.0))
     calls = []
+    components = percolation._components
 
-    def spy(m, **kwargs):
-        calls.append(m.shape)
-        return connected_components(m, **kwargs)
+    def spy(edges, t):
+        calls.append(t)
+        return components(edges, t)
 
-    monkeypatch.setattr(percolation, "connected_components", spy)
+    monkeypatch.setattr(percolation, "_components", spy)
     params = PercolationParams(p=0.1, master_seed=3, realizations=2)
     masks = [sample(g, params, r).open_mask for r in range(2)]
     touched = [np.unique(g.edges[mask]).size for mask in masks]
     assert 0 < touched[0] < g.n_vertices / 2
     decompose(g, masks[0])
-    assert calls == [(touched[0], touched[0])]
+    assert calls == [touched[0]]
     calls.clear()
     # two realizations in one block-diagonal batch
     monkeypatch.setattr(percolation, "_BATCH_VERTEX_SLOTS", 2 * g.n_vertices)
     list(realization_batches(g, params, 0, 2))
-    assert calls == [(sum(touched), sum(touched))]
+    assert calls == [sum(touched)]
     calls.clear()
     decompose(g, np.zeros(g.n_edges, dtype=bool))
     ids_estimate(g, replace(params, p=0.0, realizations=5), [1.0], counting_radius=6.0)
     assert calls == []
+
+
+@st.composite
+def multigraphs(draw):
+    """(edges, t): up to 60 vertices, with self-loops and repeated edges."""
+    t = draw(st.integers(1, 60))
+    ends = st.integers(0, t - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * t))
+    return np.array(pairs, dtype=np.int32).reshape(-1, 2), t
+
+
+class TestComponents:
+    """``_components`` against scipy's ``connected_components``: the same
+    count, the same label bytes and the same dtype."""
+
+    @staticmethod
+    def assert_matches_scipy(edges, t):
+        n, labels = percolation._components(edges, t)
+        want_n, want = _scipy_components(edges, t)
+        assert n == want_n
+        assert labels.dtype == want.dtype
+        assert labels.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs())
+    def test_random_multigraphs(self, case):
+        self.assert_matches_scipy(*case)
+
+    def test_shuffled_descending_path(self):
+        # every edge joins a vertex to the next lower one, in random order
+        n = 100_000
+        rng = np.random.default_rng(5)
+        path = np.stack([np.arange(n - 1, 0, -1), np.arange(n - 2, -1, -1)], axis=1)
+        edges = path[rng.permutation(n - 1)].astype(np.int32)
+        self.assert_matches_scipy(edges, n)
+        # the same path through a random relabelling of its vertices
+        self.assert_matches_scipy(rng.permutation(n).astype(np.int32)[edges], n)
+
+    def test_star_onto_its_highest_vertex(self):
+        # one root meets 2000 smaller ones in one round
+        n = 2000
+        edges = np.stack([np.arange(n), np.full(n, n)], axis=1).astype(np.int32)
+        self.assert_matches_scipy(edges, n + 1)
+        self.assert_matches_scipy(edges[:, ::-1], n + 1)
 
 
 class TestBoundsReport:
