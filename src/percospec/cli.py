@@ -4,10 +4,10 @@ Subcommands wire the library into file-producing pipelines: ``generate``,
 ``census``, ``percolate``, ``ids``, ``lifshits``, ``verify``.  Every run
 reads an optional INI config overridden by flags, writes its outputs
 atomically into one directory, and drops a manifest recording the exact
-configuration, the code version, the master seed, and a checksum per
-output file.  All randomness descends from the single master seed, and the
-realization streams are keyed by absolute index, so results are
-byte-identical for any ``--threads`` value.
+configuration, the code version, a checksum per output file and, for a
+command that samples bonds, the master seed.  All randomness descends from
+that single seed, and the realization streams are keyed by absolute index,
+so results are byte-identical for any ``--threads`` value.
 
 Exit codes: 0 success, 1 runtime or statistical failure, 2 configuration
 error.
@@ -42,6 +42,7 @@ from .graphs import (
     restrict,
 )
 from .lifshits import (
+    MIN_CERTIFY_REALIZATIONS,
     InsufficientTailData,
     certify_bracketing,
     default_energy_range,
@@ -146,6 +147,11 @@ class ExperimentConfig:
         if self.realizations < 1:
             problems.append(
                 f"percolation.realizations = {self.realizations}: must be >= 1"
+            )
+        elif command == "lifshits" and self.realizations < MIN_CERTIFY_REALIZATIONS:
+            problems.append(
+                f"percolation.realizations = {self.realizations}: lifshits certifies "
+                f"the bracket only on >= {MIN_CERTIFY_REALIZATIONS} realizations"
             )
         if not (0 <= self.master_seed < 2**64):
             problems.append(
@@ -392,7 +398,9 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Sorted, indented JSON; numpy arrays and scalars are written as their
+    ``tolist()`` forms."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +564,7 @@ def cmd_generate(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) 
     report = geometry_report(g)
     writer.stage("geometry")
     writer.add("graph.txt", dumps(g))
-    writer.add("geometry.json", _json_text(report.to_dict()))
+    writer.add("geometry.json", _json_text(asdict(report)))
     writer.finish()
     print(
         f"generated {cfg.family} patch radius {cfg.radius:g}: "
@@ -708,15 +716,15 @@ def cmd_lifshits(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) 
         "realizations": table.realizations,
         "truncated_realizations": table.truncated_realizations,
     }
-    summary.update(report.to_dict())
+    summary.update(asdict(report))
     writer.add("lifshits.json", _json_text(summary))
     point_rows = [
         (
             report.energies[i],
             report.tail[i],
             report.stderr[i],
-            report.lower[i],
-            report.upper[i],
+            report.lower_bound[i],
+            report.upper_bound[i],
             report.rigorous_ok[i],
             report.diagnostic_ok[i],
         )

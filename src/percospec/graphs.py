@@ -286,28 +286,6 @@ class EmbeddedGraph:
             np.add.at(deg, self.edges[:, 1], 1)
         return deg
 
-    def validate(self) -> None:
-        """Check the structural invariants, then the family's declared d_max
-        and l_max; raise ValueError on violation."""
-        if self.coeffs.ndim != 2 or self.coeffs.shape[1] != self.basis.rank:
-            raise ValueError("coefficient array shape does not match basis rank")
-        e = self.edges
-        if self.n_edges:
-            if np.any(e[:, 0] >= e[:, 1]):
-                raise ValueError("edges must satisfy i < j (no self-loops)")
-            if np.any(e < 0) or np.any(e >= self.n_vertices):
-                raise ValueError("edge endpoint out of range")
-            if np.unique(e, axis=0).shape[0] != self.n_edges:
-                raise ValueError("duplicate edges")
-        if np.unique(self.coeffs, axis=0).shape[0] != self.n_vertices:
-            raise ValueError("duplicate vertex coefficients")
-        deg = self.degrees()
-        if deg.size and int(deg.max()) > self.d_max:
-            raise ValueError("vertex degree exceeds declared d_max")
-        lengths = np.linalg.norm(self.embed[e[:, 0]] - self.embed[e[:, 1]], axis=1)
-        if np.any(lengths > self.l_max + 1e-9):
-            raise ValueError("edge longer than declared l_max")
-
 
 # ---------------------------------------------------------------------------
 # generation
@@ -642,17 +620,6 @@ class GeometryReport:
     l_max: float
     d_max: int
     degree_histogram: dict[int, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "vertex_count": self.vertex_count,
-            "edge_count": self.edge_count,
-            "min_pairwise_distance": self.min_pairwise_distance,
-            "r": self.r,
-            "l_max": self.l_max,
-            "d_max": self.d_max,
-            "degree_histogram": {str(k): v for k, v in sorted(self.degree_histogram.items())},
-        }
 
 
 def geometry_report(g: EmbeddedGraph) -> GeometryReport:

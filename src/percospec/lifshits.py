@@ -23,6 +23,7 @@ from .spectral import IdsTable
 
 __all__ = [
     "InsufficientTailData",
+    "MIN_CERTIFY_REALIZATIONS",
     "lower_bound",
     "upper_bound",
     "default_energy_range",
@@ -35,7 +36,8 @@ __all__ = [
 
 
 class InsufficientTailData(ValueError):
-    """Raised when too few grid points survive the reliability filter."""
+    """Raised when too few grid points survive the reliability filter, or
+    too few realizations back the bracket certification."""
 
 
 def lower_bound(energy: float, p: float, d_max: int, rho_inf: float) -> float:
@@ -58,6 +60,13 @@ _UPPER_BOUND_D = 2.0
 
 # a grid point enters the tail fit only with a relative standard error below this
 _MAX_REL_STDERR = 0.5
+
+# the tail fit needs at least this many reliable grid points
+_MIN_FIT_POINTS = 8
+
+# the bracket is certified only on at least this many kept realizations, so
+# that 4 SE is a meaningful tolerance
+MIN_CERTIFY_REALIZATIONS = 100
 
 
 def upper_bound(energy: float, p: float, rho: float, *, lambda_decay: float) -> float:
@@ -148,7 +157,6 @@ class TailAnalysis:
 def tail_fit(
     table: IdsTable,
     e_range: tuple[float, float] | None = None,
-    min_points: int = 8,
 ) -> TailAnalysis:
     """Fit the linearized tail law over the reliable part of the grid.
 
@@ -176,10 +184,10 @@ def tail_fit(
         & (rel < _MAX_REL_STDERR)
     )
     n_fit = int(reliable.sum())
-    if n_fit < min_points:
+    if n_fit < _MIN_FIT_POINTS:
         raise InsufficientTailData(
             f"only {n_fit} grid points are reliable in [{lo:g}, {hi:g}] "
-            f"(floor {floor:.3e}); need {min_points}"
+            f"(floor {floor:.3e}); need {_MIN_FIT_POINTS}"
         )
 
     x = energies[reliable] ** -0.5
@@ -254,11 +262,10 @@ class BracketReport:
     energies: np.ndarray
     tail: np.ndarray
     stderr: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    lower_bound: np.ndarray
+    upper_bound: np.ndarray
     rigorous_ok: np.ndarray
     diagnostic_ok: np.ndarray
-    rigorous_margin: np.ndarray  # (tail + 4 SE) - lower_bound, >= 0 when ok
     bracket_pass: bool
     diagnostic_pass: bool
     p: float
@@ -266,24 +273,6 @@ class BracketReport:
     rho: float
     rho_inf: float
     lambda_emp: float
-
-    def to_dict(self) -> dict:
-        return {
-            "bracket_pass": bool(self.bracket_pass),
-            "diagnostic_pass": bool(self.diagnostic_pass),
-            "p": self.p,
-            "d_max": self.d_max,
-            "rho": self.rho,
-            "rho_inf": self.rho_inf,
-            "lambda_emp": self.lambda_emp,
-            "energies": self.energies.tolist(),
-            "tail": self.tail.tolist(),
-            "stderr": self.stderr.tolist(),
-            "lower_bound": self.lower.tolist(),
-            "upper_bound": self.upper.tolist(),
-            "rigorous_ok": self.rigorous_ok.tolist(),
-            "diagnostic_ok": self.diagnostic_ok.tolist(),
-        }
 
 
 def certify_bracketing(
@@ -297,11 +286,11 @@ def certify_bracketing(
     """Evaluate both sides of the tail bracket at the reliable grid points.
 
     Built for analyses backed by enough realizations that 4 SE is a
-    meaningful tolerance; requires at least 100.
+    meaningful tolerance; requires at least ``MIN_CERTIFY_REALIZATIONS``.
     """
-    if analysis.realizations < 100:
-        raise ValueError(
-            f"bracket certification needs >= 100 realizations, "
+    if analysis.realizations < MIN_CERTIFY_REALIZATIONS:
+        raise InsufficientTailData(
+            f"bracket certification needs >= {MIN_CERTIFY_REALIZATIONS} realizations, "
             f"got {analysis.realizations}"
         )
     sel = analysis.reliable
@@ -312,8 +301,7 @@ def certify_bracketing(
     upper = np.array(
         [upper_bound(e, p, rho, lambda_decay=lambda_emp) for e in energies]
     )
-    rigorous_margin = tail + 4.0 * se - lower
-    rigorous_ok = rigorous_margin >= 0.0
+    rigorous_ok = tail + 4.0 * se - lower >= 0.0
     # diagnostic: the fitted curve may not exceed the upper bound by more
     # than its own 4-sigma prediction band (in log space)
     log_fit = -(analysis.slope * energies**-0.5 + analysis.intercept)
@@ -325,11 +313,10 @@ def certify_bracketing(
         energies=energies,
         tail=tail,
         stderr=se,
-        lower=lower,
-        upper=upper,
+        lower_bound=lower,
+        upper_bound=upper,
         rigorous_ok=rigorous_ok,
         diagnostic_ok=diagnostic_ok,
-        rigorous_margin=rigorous_margin,
         bracket_pass=bool(rigorous_ok.all()),
         diagnostic_pass=bool(diagnostic_ok.all()),
         p=p,

@@ -60,10 +60,6 @@ class CanonicalPattern:
     colours: tuple[int, ...] | None = None
 
     @property
-    def n_vertices(self) -> int:
-        return len(self.coords)
-
-    @property
     def n_edges(self) -> int:
         return len(self.edges)
 
@@ -71,13 +67,6 @@ class CanonicalPattern:
         if self.colours is None:
             return self
         return CanonicalPattern(self.basis_id, self.coords, self.edges, None)
-
-    def with_colours(self, colours: Sequence[int]) -> "CanonicalPattern":
-        if len(colours) != len(self.edges):
-            raise ValueError("need one colour per edge")
-        return CanonicalPattern(
-            self.basis_id, self.coords, self.edges, tuple(int(c) for c in colours)
-        )
 
 
 def canonicalize(

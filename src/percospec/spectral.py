@@ -65,9 +65,9 @@ class AllRealizationsTruncated(RuntimeError):
     """Every realization of a run (or chunk of one) was dropped because a
     counted cluster reached the patch boundary."""
 
-    def __init__(self, message: str = "every realization had a counted cluster near the "
-                 "patch boundary; enlarge the patch or reduce the counting radius"):
-        super().__init__(message)
+    def __init__(self):
+        super().__init__("every realization had a counted cluster near the patch "
+                         "boundary; enlarge the patch or reduce the counting radius")
 
 
 # eigenvalues this close to zero are the kernel of a cluster Laplacian; the
@@ -81,6 +81,10 @@ _RESIDUAL_TOL = 1e-8
 
 # the dense whole-patch Laplacian is built for at most this many vertices
 _DENSE_VERTICES = 4000
+
+# the estimator and the gap check solve clusters of at most this many
+# vertices; a larger one means the run is not subcritical
+_MAX_CLUSTER_SIZE = 2000
 
 
 def laplacian_from_edges(n: int, edges: np.ndarray) -> np.ndarray:
@@ -170,10 +174,6 @@ class ChainSpectrum:
     length: int
     energies: np.ndarray
     vectors: np.ndarray  # column k is phi_k
-
-    @property
-    def spectral_gap(self) -> float:
-        return float(self.energies[1]) if self.length > 1 else math.inf
 
 
 def chain_spectrum(l: int) -> ChainSpectrum:
@@ -443,7 +443,6 @@ def ids_estimate(
     energies: Sequence[float],
     counting_radius: float | None = None,
     flag_boundary: bool = True,
-    max_cluster_size: int = 2000,
     realization_offset: int = 0,
     chi_margin: float | None = None,
     shape_cache: _ShapeCache | None = None,
@@ -522,13 +521,13 @@ def ids_estimate(
             dropped[blocks(counted & dec.boundary_touching)] = True
             truncated += int(dropped.sum())
             counted &= np.repeat(~dropped, np.diff(first))
-        big = counted & (sizes > max_cluster_size)
+        big = counted & (sizes > _MAX_CLUSTER_SIZE)
         if bool(big.any()):
             # the message names the first kept realization with such a cluster
             own = slice(*first[blocks(big)[0] :][:2])
             raise RuntimeError(
                 f"a counted cluster has {int(sizes[own][big[own]].max())} vertices "
-                f"(cap {max_cluster_size}); this estimator assumes the "
+                f"(cap {_MAX_CLUSTER_SIZE}); this estimator assumes the "
                 "subcritical regime"
             )
         acc = np.zeros((k, grid.size))
@@ -617,7 +616,6 @@ class CheegerReport:
 def cheeger_check(
     g: EmbeddedGraph,
     configurations: Sequence[BondConfiguration],
-    max_cluster_size: int = 2000,
 ) -> CheegerReport:
     """Verify E_1(C) >= 1/|C|^2 for every nontrivial cluster of each
     configuration (E_1 = smallest nonzero Laplacian eigenvalue).  The
@@ -628,10 +626,10 @@ def cheeger_check(
     sizes = dec.sizes
     if not sizes.size:
         return CheegerReport(checked=0, violations=0, min_margin=math.inf, largest_cluster=0)
-    over = np.flatnonzero(sizes > max_cluster_size)
+    over = np.flatnonzero(sizes > _MAX_CLUSTER_SIZE)
     if over.size:
         raise RuntimeError(
-            f"cluster of {int(sizes[over[0]])} vertices exceeds the cap {max_cluster_size}"
+            f"cluster of {int(sizes[over[0]])} vertices exceeds the cap {_MAX_CLUSTER_SIZE}"
         )
     shapes = _key_shapes(dec.edges, dec.labels, sizes, np.ones(sizes.size, dtype=bool))
     copies = np.bincount(shapes.index, minlength=len(shapes.keys))

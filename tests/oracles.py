@@ -3,8 +3,9 @@
 ``from_coeffs`` builds a patch straight from coefficient rows and edges, so
 a test can delete an edge or leave a vertex isolated; the patch carries its
 family's declared constants, and ``geometry_report`` measures them.
-``bruteforce_cluster_oracle`` enumerates every bond configuration of a
-small patch.
+``validate`` checks a patch's structural invariants and its family's
+declared constants.  ``bruteforce_cluster_oracle`` enumerates every bond
+configuration of a small patch.
 """
 
 from itertools import product
@@ -36,6 +37,29 @@ def from_coeffs(
     if edges.shape[0]:
         edges = np.unique(np.sort(inv[edges], axis=1), axis=0)
     return EmbeddedGraph(basis=basis, coeffs=coeffs[order], edges=edges, box=box)
+
+
+def validate(g: EmbeddedGraph) -> None:
+    """Check the structural invariants, then the family's declared d_max
+    and l_max; raise ValueError on violation."""
+    if g.coeffs.ndim != 2 or g.coeffs.shape[1] != g.basis.rank:
+        raise ValueError("coefficient array shape does not match basis rank")
+    e = g.edges
+    if g.n_edges:
+        if np.any(e[:, 0] >= e[:, 1]):
+            raise ValueError("edges must satisfy i < j (no self-loops)")
+        if np.any(e < 0) or np.any(e >= g.n_vertices):
+            raise ValueError("edge endpoint out of range")
+        if np.unique(e, axis=0).shape[0] != g.n_edges:
+            raise ValueError("duplicate edges")
+    if np.unique(g.coeffs, axis=0).shape[0] != g.n_vertices:
+        raise ValueError("duplicate vertex coefficients")
+    deg = g.degrees()
+    if deg.size and int(deg.max()) > g.d_max:
+        raise ValueError("vertex degree exceeds declared d_max")
+    lengths = np.linalg.norm(g.embed[e[:, 0]] - g.embed[e[:, 1]], axis=1)
+    if np.any(lengths > g.l_max + 1e-9):
+        raise ValueError("edge longer than declared l_max")
 
 
 def bruteforce_cluster_oracle(

@@ -19,6 +19,7 @@ from percospec.cli import (
     main,
     merge_flags,
 )
+from percospec.graphs import FAMILIES, GeneratorSpec, generate, geometry_report
 
 
 def write_config(tmp_path, text):
@@ -207,6 +208,33 @@ class TestSettings:
         for workload, expected in self.WORKLOAD_CONFIGS.items():
             args = build_parser().parse_args(run.child_argv(workload, 3, Path("out")))
             assert asdict(merge_flags(ExperimentConfig(), args)) == expected, workload
+
+
+class TestJsonText:
+    """``_json_text`` writes numpy values exactly as their ``tolist()`` and
+    ``float`` forms, so a report serialized through ``asdict`` keeps the
+    bytes of its hand-converted form."""
+
+    def test_numpy_values_match_their_python_forms(self):
+        floats = np.array([0.1, 1.0 / 3.0, 2.5e-300, -0.0, np.inf, 1e22])
+        flags = np.array([True, False, True])
+        grid = np.arange(6.0).reshape(2, 3) / 7.0
+        scalar = np.float64(1.0) / 7.0
+        numpy_values = {"floats": floats, "flags": flags, "grid": grid, "scalar": scalar,
+                        "count": np.int64(7), "flag": np.bool_(True), "empty": np.empty(0)}
+        python_values = {"floats": floats.tolist(), "flags": flags.tolist(),
+                         "grid": grid.tolist(), "scalar": float(scalar), "count": 7,
+                         "flag": True, "empty": []}
+        assert cli._json_text(numpy_values) == cli._json_text(python_values)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("radius", [0.5, 3.0, 12.0])
+    def test_geometry_text_as_with_string_degree_keys(self, family, radius):
+        # integer degree keys are sorted before they become strings; with
+        # one-digit degrees that is the order of the string keys
+        fields = asdict(geometry_report(generate(GeneratorSpec(family, radius))))
+        keyed = {str(k): v for k, v in sorted(fields["degree_histogram"].items())}
+        assert cli._json_text(fields) == cli._json_text({**fields, "degree_histogram": keyed})
 
 
 class TestSubcommands:
@@ -399,7 +427,7 @@ class TestSubcommands:
         code = main(
             [
                 command, "--family", "penrose", "--radius", "0.6", "--p", "0.1",
-                "--realizations", "3", "--out", str(out),
+                "--realizations", "100", "--out", str(out),
             ]
         )
         assert code == 2
@@ -415,7 +443,7 @@ class TestSubcommands:
         code = main(
             [
                 command, "--family", "penrose", "--radius", "20", "--counting-radius", "0.1",
-                "--p", "0.1", "--realizations", "3", "--e-min", "0.05", "--out", str(out),
+                "--p", "0.1", "--realizations", "100", "--e-min", "0.05", "--out", str(out),
             ]
         )
         assert code == 2
@@ -470,15 +498,35 @@ class TestSubcommands:
         density = table["window_vertices"] / table["volume"]
         assert np.allclose(table["mean"], density)
 
-    def test_lifshits_insufficient_data_exits_one(self, tmp_path):
+    def test_lifshits_insufficient_data_exits_one(self, tmp_path, capsys):
         code = main(
             [
                 "lifshits", "--family", "square", "--radius", "12",
-                "--counting-radius", "8", "--p", "0.1", "--realizations", "10",
+                "--counting-radius", "8", "--p", "0.1", "--realizations", "100",
                 "--seed", "5", "--out", str(tmp_path / "lif"),
             ]
         )
         assert code == 1
+        assert "only 4 grid points are reliable" in capsys.readouterr().err
+
+    def test_lifshits_under_certify_floor_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the bracket needs 100 realizations: 99 is refused before sampling
+        sampled = []
+        monkeypatch.setattr(percolation, "sample", lambda *args: sampled.append(args))
+        out = tmp_path / "lifshits"
+        code = main(
+            [
+                "lifshits", "--family", "square", "--radius", "60", "--counting-radius", "55",
+                "--p", "0.1", "--realizations", "99", "--e-min", "0.05", "--e-max", "0.8",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "percolation.realizations = 99" in capsys.readouterr().err
+        assert sampled == []
+        assert not out.exists()
+        ExperimentConfig(realizations=100).validate("lifshits")
+        ExperimentConfig(realizations=99).validate("ids")
 
     def test_verify_passes(self, tmp_path):
         out = tmp_path / "verify"

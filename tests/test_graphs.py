@@ -12,7 +12,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from exact_ball import ball_ids, in_open_ball, norm2, signs
-from oracles import from_coeffs
+from oracles import from_coeffs, validate
 from percospec import graphs
 from percospec.graphs import GeneratorSpec, GraphGenerationError
 
@@ -320,31 +320,31 @@ class TestGeometryReport:
     def test_validate_passes_on_generated(self):
         for family in ("square", "triangular", "penrose", "ammann_beenker"):
             g = graphs.generate(GeneratorSpec(family, 6.0))
-            g.validate()
+            validate(g)
 
     def test_validate_catches_duplicate_vertex(self):
         g = from_coeffs("square", [(0, 0), (1, 0)], [])
         g.coeffs = np.array([[0, 0], [0, 0]], dtype=np.int64)
         with pytest.raises(ValueError, match="duplicate vertex"):
-            g.validate()
+            validate(g)
 
     def test_validate_catches_duplicate_edge(self):
         g = from_coeffs("square", [(0, 0), (1, 0)], [(0, 1)])
         g.edges = np.array([[0, 1], [0, 1]], dtype=np.int64)
         with pytest.raises(ValueError, match="duplicate edges"):
-            g.validate()
+            validate(g)
 
     def test_validate_catches_edge_longer_than_declared(self):
         g = from_coeffs("square", [(0, 0), (2, 0)], [(0, 1)])
         with pytest.raises(ValueError, match="edge longer than declared l_max"):
-            g.validate()
+            validate(g)
 
     def test_validate_catches_degree_above_declared(self):
         # the square family declares d_max = 4
         rows = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)]
         g = from_coeffs("square", rows, [(0, k) for k in range(1, 6)])
         with pytest.raises(ValueError, match="degree exceeds declared d_max"):
-            g.validate()
+            validate(g)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_hand_built_patch_carries_declared_constants(self, family):

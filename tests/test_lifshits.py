@@ -1,12 +1,16 @@
 """Tests for the tail bounds, the linearized fit, and bracket certification."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from percospec import lifshits
+from percospec.cli import _json_text
 from percospec.lifshits import (
+    MIN_CERTIFY_REALIZATIONS,
     InsufficientTailData,
     certify_bracketing,
     default_energy_range,
@@ -197,13 +201,14 @@ class TestTailFit:
         with pytest.raises(InsufficientTailData):
             tail_fit(tab)
 
-    def test_floor_filters_points(self):
+    def test_floor_filters_points(self, monkeypatch):
         e = np.array([0.02, 0.03, 0.05, 0.08, 0.12, 0.2, 0.3, 0.45, 0.6])
         tail = np.exp(-3.0 * e**-0.5)
         # small volume -> high floor -> deep-tail points unreliable
         tab = make_table(e, tail, realizations=100, volume=1e4)
         floor = reliability_floor(100, 1e4)
-        fit = tail_fit(tab, min_points=4)
+        monkeypatch.setattr(lifshits, "_MIN_FIT_POINTS", 4)
+        fit = tail_fit(tab)
         assert np.all(fit.tail[fit.reliable] >= floor)
         assert fit.n_fit_points < e.size
 
@@ -216,12 +221,13 @@ class TestTailFit:
         with pytest.raises(InsufficientTailData):
             tail_fit(make_table(e, tail), e_range=(0.099, 0.11))
 
-    def test_min_points_enforced(self):
+    def test_min_points_enforced(self, monkeypatch):
         e = np.array([0.1, 0.2, 0.3, 0.4])
         tab = make_table(e, np.exp(-2.0 * e**-0.5))
-        with pytest.raises(InsufficientTailData):
+        with pytest.raises(InsufficientTailData, match="need 8$"):
             tail_fit(tab)
-        fit = tail_fit(tab, min_points=4)
+        monkeypatch.setattr(lifshits, "_MIN_FIT_POINTS", 4)
+        fit = tail_fit(tab)
         assert fit.n_fit_points == 4
 
     def test_loglog_ratio_reported(self):
@@ -251,13 +257,13 @@ class TestCertify:
         fit = _analysis()
         rep = certify_bracketing(fit, rho=1.0, rho_inf=1.0, p=0.1, d_max=4, lambda_emp=0.2)
         assert rep.bracket_pass
-        assert np.all(rep.rigorous_margin >= 0)
+        assert np.all(rep.tail + 4 * rep.stderr - rep.lower_bound >= 0)
         assert rep.diagnostic_pass
 
     def test_rho_inf_zero_trivially_passes(self):
         fit = _analysis()
         rep = certify_bracketing(fit, rho=1.0, rho_inf=0.0, p=0.1, d_max=4, lambda_emp=0.2)
-        assert np.all(rep.lower == 0.0)
+        assert np.all(rep.lower_bound == 0.0)
         assert rep.bracket_pass
 
     def test_halved_gamma_mutation_fails(self, monkeypatch):
@@ -292,15 +298,32 @@ class TestCertify:
 
     def test_realization_floor(self):
         fit = _analysis(realizations=50)
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientTailData):
             certify_bracketing(fit, rho=1.0, rho_inf=1.0, p=0.1, d_max=4, lambda_emp=0.2)
+
+    def test_one_realization_short_of_the_floor(self):
+        # the CLI reports InsufficientTailData as a statistical failure
+        assert MIN_CERTIFY_REALIZATIONS == 100
+        fit = _analysis(realizations=99)
+        with pytest.raises(InsufficientTailData, match=">= 100 realizations, got 99$"):
+            certify_bracketing(fit, rho=1.0, rho_inf=1.0, p=0.1, d_max=4, lambda_emp=0.2)
+        fit = _analysis(realizations=100)
+        rep = certify_bracketing(fit, rho=1.0, rho_inf=1.0, p=0.1, d_max=4, lambda_emp=0.2)
+        assert rep.bracket_pass
 
     def test_report_serializes(self):
         rep = certify_bracketing(
             _analysis(), rho=1.0, rho_inf=1.0, p=0.1, d_max=4, lambda_emp=0.2
         )
-        d = rep.to_dict()
+        d = json.loads(_json_text(asdict(rep)))
+        # the keys lifshits.json carries from the report
+        assert set(d) == {
+            "energies", "tail", "stderr", "lower_bound", "upper_bound", "rigorous_ok",
+            "diagnostic_ok", "bracket_pass", "diagnostic_pass", "p", "d_max", "rho",
+            "rho_inf", "lambda_emp",
+        }
         assert d["bracket_pass"] is True
+        assert d["rigorous_ok"] == rep.rigorous_ok.tolist()
         assert len(d["energies"]) == len(d["lower_bound"])
 
 

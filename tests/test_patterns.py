@@ -1,6 +1,7 @@
 """Tests for local pattern extraction, counting, frequencies, and densities."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,8 +68,10 @@ class TestCanonicalize:
 
     def test_colours_distinguish(self):
         edge = canonicalize("square", [(0, 0), (1, 0)], [(0, 1)])
-        assert edge.with_colours((1,)) != edge.with_colours((0,))
-        assert edge.with_colours((1,)).uncoloured() == edge
+        open_edge = canonicalize("square", [(0, 0), (1, 0)], [(0, 1)], colours=(1,))
+        closed_edge = canonicalize("square", [(0, 0), (1, 0)], [(0, 1)], colours=(0,))
+        assert open_edge != closed_edge
+        assert open_edge.uncoloured() == edge
 
     @given(
         dx=st.integers(min_value=-40, max_value=40),
@@ -89,7 +92,7 @@ class TestCensus:
         census = extract_r_patterns(square_20, 1.2)
         assert census.distinct == 1
         pattern, count = census.most_common()[0]
-        assert pattern.n_vertices == 5
+        assert len(pattern.coords) == 5
         assert pattern.n_edges == 4
         assert count == census.eligible_centers
 
@@ -99,7 +102,7 @@ class TestCensus:
         census = extract_r_patterns(square_20, 1.5)
         assert census.distinct == 1
         pattern, _ = census.most_common()[0]
-        assert pattern.n_vertices == 9
+        assert len(pattern.coords) == 9
         assert pattern.n_edges == 12
 
     def test_counts_sum_to_eligible_centers(self, square_20):
@@ -343,20 +346,20 @@ class TestColoured:
 
     def test_all_open_matches_uncoloured(self, square_20):
         pattern = canonicalize("square", [(0, 0), (1, 0)], [(0, 1)])
-        coloured = pattern.with_colours((1,))
+        coloured = replace(pattern, colours=(1,))
         counts = self._mc_counts(coloured, square_20, 1.0, 3, 2, 10.0)
         base = occurrence_plan(pattern, square_20, counting_radius=10.0).n_translates
         assert np.all(counts == base)
 
     def test_all_closed_colour_never_matches_at_p_one(self, square_20):
         pattern = canonicalize("square", [(0, 0), (1, 0)], [(0, 1)])
-        coloured = pattern.with_colours((0,))
+        coloured = replace(pattern, colours=(0,))
         counts = self._mc_counts(coloured, square_20, 1.0, 3, 2, 10.0)
         assert np.all(counts == 0)
 
     def test_single_open_edge_at_half(self, square_20):
         pattern = canonicalize("square", [(0, 0), (1, 0)], [(0, 1)])
-        coloured = pattern.with_colours((1,))
+        coloured = replace(pattern, colours=(1,))
         counts = self._mc_counts(coloured, square_20, 0.5, 19, 64, 12.0)
         base = occurrence_plan(pattern, square_20, counting_radius=12.0).n_translates
         sem = counts.std(ddof=1) / np.sqrt(len(counts))
@@ -364,7 +367,7 @@ class TestColoured:
 
     def test_two_edge_colouring_at_half(self, square_20):
         pattern = canonicalize("square", [(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 2)])
-        coloured = pattern.with_colours((1, 0))
+        coloured = replace(pattern, colours=(1, 0))
         counts = self._mc_counts(coloured, square_20, 0.5, 23, 64, 12.0)
         base = occurrence_plan(pattern, square_20, counting_radius=12.0).n_translates
         sem = counts.std(ddof=1) / np.sqrt(len(counts))
@@ -372,7 +375,7 @@ class TestColoured:
 
     def test_plan_indicator_matches_manual_loop(self, square_20):
         pattern = canonicalize("square", [(0, 0), (1, 0)], [(0, 1)])
-        coloured = pattern.with_colours((1,))
+        coloured = replace(pattern, colours=(1,))
         cfg = sample(square_20, PercolationParams(p=0.5, master_seed=101), 0)
         plan = occurrence_plan(pattern, square_20, counting_radius=8.0)
         got = plan.coloured_count(cfg.open_mask, coloured.colours)
@@ -383,5 +386,5 @@ class TestColoured:
 def test_pattern_at_open_ball_excludes_radius(square_20):
     v = _vertex_ids(square_20)[(0, 0)]
     p = pattern_at(square_20, v, 1.0)
-    assert p.n_vertices == 1
+    assert len(p.coords) == 1
     assert p.n_edges == 0

@@ -289,15 +289,6 @@ class TestTailStatistics:
         bp = boundary_path_probability(square_14, params, [1.0, 2.0, 3.0, 4.0])
         assert np.all(np.diff(bp.estimates) <= 0)
 
-    def test_oversized_radius_warns(self, square_14):
-        params = PercolationParams(p=0.3, master_seed=5, realizations=2)
-        bp = boundary_path_probability(square_14, params, [1.0], margin=1.5)
-        assert bp.warnings == []
-        bp2 = boundary_path_probability(
-            square_14, params, [40.0], margin=1.5
-        )
-        assert bp2.warnings
-
     def test_mean_cluster_size_subcritical(self, square_14):
         params = PercolationParams(p=0.2, master_seed=13, realizations=100)
         chi, se = mean_cluster_size(square_14, params, margin=6.0)
@@ -440,21 +431,21 @@ class TestBatchesMatchOneRealizationAtATime:
             largest_cluster=max(rep.largest_cluster for rep in alone),
         )
 
-    def test_cheeger_cap_error_identical(self, batch_case):
+    def test_cheeger_cap_error_identical(self, batch_case, monkeypatch):
         g, params = batch_case
         cfgs = [sample(g, params, r) for r in range(BATCH_RUN)]
         # the first configuration passes alone, so the error must come
         # from a later one
-        cap = cheeger_check(g, cfgs[:1]).largest_cluster
+        monkeypatch.setattr(spectral, "_MAX_CLUSTER_SIZE", cheeger_check(g, cfgs[:1]).largest_cluster)
         messages = []
         for cfg in cfgs:
             try:
-                cheeger_check(g, [cfg], max_cluster_size=cap)
+                cheeger_check(g, [cfg])
             except RuntimeError as exc:
                 messages.append(str(exc))
         assert messages
         with pytest.raises(RuntimeError, match=f"^{re.escape(messages[0])}$"):
-            cheeger_check(g, cfgs, max_cluster_size=cap)
+            cheeger_check(g, cfgs)
 
 
 # ---------------------------------------------------------------------------

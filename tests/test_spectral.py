@@ -113,12 +113,11 @@ class TestChainSpectrum:
     @pytest.mark.parametrize("l", [2, 3, 10, 40])
     def test_gap_bound(self, l):
         cs = chain_spectrum(l)
-        assert 0 < cs.spectral_gap <= 10 / l**2
+        assert 0 < cs.energies[1] <= 10 / l**2
 
     def test_single_vertex(self):
         cs = chain_spectrum(1)
         assert np.allclose(cs.energies, [0.0])
-        assert cs.spectral_gap == math.inf
 
     def test_invalid_length(self):
         with pytest.raises(ValueError):
@@ -222,18 +221,12 @@ class TestIdsWindowed:
         assert tab.realizations == 4
         assert tab.truncated_realizations == 0
 
-    def test_max_cluster_size_guard(self):
+    def test_max_cluster_size_guard(self, monkeypatch):
         g = generate(GeneratorSpec(family="square", radius=12.0))
         params = PercolationParams(p=0.95, master_seed=3, realizations=1)
-        with pytest.raises(RuntimeError):
-            ids_estimate(
-                g,
-                params,
-                [1.0],
-                counting_radius=8.0,
-                flag_boundary=False,
-                max_cluster_size=10,
-            )
+        monkeypatch.setattr(spectral, "_MAX_CLUSTER_SIZE", 10)
+        with pytest.raises(RuntimeError, match=r"\(cap 10\); this estimator assumes"):
+            ids_estimate(g, params, [1.0], counting_radius=8.0, flag_boundary=False)
 
     def test_negative_energies_rejected(self, patch):
         params = PercolationParams(p=0.2, master_seed=9)
@@ -263,7 +256,7 @@ class TestCheeger:
         # a long path nearly saturates at E_1 |C|^2 -> pi^2
         l = 40
         cs = chain_spectrum(l)
-        assert cs.spectral_gap * l * l == pytest.approx(math.pi**2, rel=0.01)
+        assert cs.energies[1] * l * l == pytest.approx(math.pi**2, rel=0.01)
 
     def test_counts_nontrivial_clusters_only(self):
         g = _grid_graph(3, 3)
@@ -445,20 +438,18 @@ class TestBatchedKeyingMatchesPerClusterLoop:
         assert (rep.checked, rep.violations, rep.min_margin, rep.largest_cluster) == want
         assert rep.checked > 0
 
-    def test_tiny_cluster_cap_raises_same_error(self, oracle_case):
+    def test_tiny_cluster_cap_raises_same_error(self, oracle_case, monkeypatch):
         g, params = oracle_case
         cfgs = [sample(g, params, r) for r in range(2)]
+        monkeypatch.setattr(spectral, "_MAX_CLUSTER_SIZE", 3)
         with pytest.raises(RuntimeError) as want:
             _reference_cheeger(g, cfgs, max_cluster_size=3)
         with pytest.raises(RuntimeError, match=f"^{re.escape(str(want.value))}$"):
-            cheeger_check(g, cfgs, max_cluster_size=3)
+            cheeger_check(g, cfgs)
         with pytest.raises(RuntimeError) as want:
             _reference_rows(g, params, ORACLE_ENERGIES, 12.0, False, max_cluster_size=3)
         with pytest.raises(RuntimeError, match=f"^{re.escape(str(want.value))}$"):
-            ids_estimate(
-                g, params, ORACLE_ENERGIES, counting_radius=12.0,
-                flag_boundary=False, max_cluster_size=3,
-            )
+            ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=12.0, flag_boundary=False)
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +526,11 @@ class TestBatchesMatchPerRealizationLoop:
         params = replace(params, realizations=BATCH_RUN)
         with pytest.raises(RuntimeError) as want:
             _reference_rows(g, params, ORACLE_ENERGIES, 13.0, True, max_cluster_size=3)
+        monkeypatch.setattr(spectral, "_MAX_CLUSTER_SIZE", 3)
         for k in BATCH_SIZES:
             _set_batch_size(monkeypatch, g, k)
             with pytest.raises(RuntimeError, match=f"^{re.escape(str(want.value))}$"):
-                ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=13.0, max_cluster_size=3)
+                ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=13.0)
 
     def test_all_truncated_run_keeps_its_table_when_allowed(self, monkeypatch):
         g = generate(GeneratorSpec(family="square", radius=12.0))
