@@ -15,7 +15,7 @@ import argparse
 import sys
 import time
 
-from percospec.graphs import FAMILIES, GeneratorSpec, generate, geometry_report
+from percospec.graphs import FAMILIES, generate, geometry_report
 from percospec.patterns import density_report, extract_r_patterns
 from percospec.percolation import bounds_report
 
@@ -40,7 +40,7 @@ def main():
     print("-" * len(header))
     for family in FAMILIES:
         t0 = time.perf_counter()
-        g = generate(GeneratorSpec(family=family, radius=args.radius))
+        g = generate(family, args.radius)
         geo = geometry_report(g)
         census = extract_r_patterns(g, args.pattern_radius)
         dens = density_report(g, [0.5 * args.radius, 0.7 * args.radius,

@@ -19,6 +19,6 @@ cli         reproducible experiment front end
 
 __version__ = "0.1.0"
 
-from .graphs import EmbeddedGraph, GeneratorSpec, generate  # noqa: F401
+from .graphs import EmbeddedGraph, generate  # noqa: F401
 from .percolation import PercolationParams, sample  # noqa: F401
 from .spectral import IdsTable, ids_estimate  # noqa: F401

@@ -34,7 +34,6 @@ from . import __version__
 from .graphs import (
     FAMILIES,
     EmbeddedGraph,
-    GeneratorSpec,
     dumps,
     generate,
     geometry_report,
@@ -183,9 +182,6 @@ class ExperimentConfig:
         if problems:
             raise ConfigError("\n".join(problems))
 
-    def generator_spec(self) -> GeneratorSpec:
-        return GeneratorSpec(family=self.family, radius=self.radius)
-
     def percolation_params(self) -> PercolationParams:
         return PercolationParams(p=self.p, master_seed=self.master_seed, realizations=self.realizations)
 
@@ -254,7 +250,9 @@ _SETTINGS = [
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse an INI experiment file, rejecting unknown sections and keys."""
+    """Parse an INI experiment file, rejecting unknown sections and keys,
+    and any key in ``[DEFAULT]``, which configparser would otherwise copy
+    into every section."""
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -266,6 +264,12 @@ def load_config(path: str) -> ExperimentConfig:
     layout: dict[str, dict[str, _Setting]] = {}
     for s in _SETTINGS:
         layout.setdefault(s.section, {})[s.key] = s
+    if parser.defaults():
+        raise ConfigError(
+            f"{path}: [DEFAULT] may hold no key, got "
+            f"{', '.join(map(repr, parser.defaults()))}; put each in its section, "
+            f"one of {sorted(layout)}"
+        )
     cfg = ExperimentConfig()
     for section in parser.sections():
         if section not in layout:
@@ -397,14 +401,36 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _strict(obj):
+    """``obj`` with numpy arrays and scalars as their ``tolist()`` forms and
+    each non-finite float as None, so that it is strict JSON."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _json_text(obj) -> str:
-    """Sorted, indented JSON; numpy arrays and scalars are written as their
-    ``tolist()`` forms."""
-    return json.dumps(obj, indent=2, sort_keys=True, default=lambda v: v.tolist()) + "\n"
+    """Sorted, indented, strict JSON: a non-finite float is written as
+    null."""
+    return json.dumps(_strict(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # the chunked estimator run shared by `ids` and `lifshits`
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of them where the system
+    does not say (``os.sched_getaffinity`` exists only on some systems)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_ids(cfg: ExperimentConfig, g: EmbeddedGraph, grid: np.ndarray,
@@ -429,14 +455,13 @@ def run_ids(cfg: ExperimentConfig, g: EmbeddedGraph, grid: np.ndarray,
                             realization_offset=start, chi_margin=chi_margin,
                             shape_cache=cache, allow_empty=True)
 
-    with ThreadPoolExecutor(max_workers=min(n_chunks, len(os.sched_getaffinity(0)))) as pool:
+    with ThreadPoolExecutor(max_workers=min(n_chunks, _usable_cpus())) as pool:
         tables = list(pool.map(one_chunk, bounds[:-1], bounds[1:]))
     rows = np.vstack([t.rows for t in tables])
     if rows.shape[0] == 0:
         raise AllRealizationsTruncated()
     chi = None if chi_margin is None else np.vstack([t.chi for t in tables])
-    return replace(tables[0], rows=rows, chi=chi, requested_realizations=total,
-                   truncated_realizations=total - rows.shape[0])
+    return replace(tables[0], rows=rows, chi=chi, truncated_realizations=total - rows.shape[0])
 
 
 # the default counting radius keeps the chance that a realization is dropped,
@@ -510,9 +535,9 @@ def _ids_outputs(cfg: ExperimentConfig, table: IdsTable, writer: OutputWriter) -
                 tail_mean[i],
                 tail_se[i],
                 table.realizations,
-                table.counting_radius,
-                table.p,
-                table.master_seed,
+                cfg.counting_radius,
+                cfg.p,
+                cfg.master_seed,
             )
             for i, e in enumerate(table.energies)
         ]
@@ -546,11 +571,11 @@ def _ids_outputs(cfg: ExperimentConfig, table: IdsTable, writer: OutputWriter) -
                     "volume": table.volume,
                     "window_vertices": table.window_vertices,
                     "realizations": table.realizations,
-                    "requested_realizations": table.requested_realizations,
+                    "requested_realizations": cfg.realizations,
                     "truncated_realizations": table.truncated_realizations,
-                    "counting_radius": table.counting_radius,
-                    "p": table.p,
-                    "seed": table.master_seed,
+                    "counting_radius": cfg.counting_radius,
+                    "p": cfg.p,
+                    "seed": cfg.master_seed,
                 }
             ),
         )
@@ -637,8 +662,8 @@ def cmd_percolate(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter)
     size_rows, exit_rows, chi_rows = per_realization_rows(
         g, params, [size_stat, exit_stat, chi_stat]
     )
-    sizes = size_stat.estimate(size_rows, params)
-    exits = exit_stat.estimate(exit_rows, params)
+    sizes = size_stat.estimate(size_rows)
+    exits = exit_stat.estimate(exit_rows)
     chi, chi_se = chi_estimate(chi_rows)
     writer.stage("percolate")
 
@@ -785,7 +810,7 @@ def _check_threshold_closed_form() -> tuple[bool, str]:
 
 
 def _check_ids_vs_enumeration() -> tuple[bool, str]:
-    g = generate(GeneratorSpec(family="square", radius=1.8))
+    g = generate("square", 1.8)
     p, reals = 0.3, 1500
     grid = [0.017 + 0.35 * k for k in range(10)]
     params = PercolationParams(p=p, master_seed=11, realizations=reals)
@@ -798,7 +823,7 @@ def _check_ids_vs_enumeration() -> tuple[bool, str]:
 
 
 def _check_cheeger() -> tuple[bool, str]:
-    g = generate(GeneratorSpec(family="square", radius=12.0))
+    g = generate("square", 12.0)
     params = PercolationParams(p=0.2, master_seed=3, realizations=30)
     configs = [sample(g, params, r) for r in range(params.realizations)]
     rep = cheeger_check(g, configs)
@@ -806,7 +831,7 @@ def _check_cheeger() -> tuple[bool, str]:
 
 
 def _check_monotone_coupling() -> tuple[bool, str]:
-    g = generate(GeneratorSpec(family="square", radius=10.0))
+    g = generate("square", 10.0)
     bad = 0
     for r in range(100):
         u = edge_uniforms(g.n_edges, 5, r)
@@ -820,7 +845,7 @@ def _check_determinism() -> tuple[bool, str]:
         family="square", radius=12.0, counting_radius=8.0, p=0.2,
         realizations=24, master_seed=9,
     )
-    g = generate(cfg.generator_spec())
+    g = generate(cfg.family, cfg.radius)
     grid = cfg.energy_grid(g.d_max, math.pi * 64.0)
     serial = run_ids(cfg, g, grid)
     again = run_ids(cfg, g, grid)
@@ -834,7 +859,7 @@ def _check_determinism() -> tuple[bool, str]:
 
 
 def _check_total_mass() -> tuple[bool, str]:
-    g = generate(GeneratorSpec(family="square", radius=10.0))
+    g = generate("square", 10.0)
     cfg = ExperimentConfig(
         family="square", radius=10.0, counting_radius=6.0, p=0.25,
         realizations=20, master_seed=4,
@@ -863,10 +888,6 @@ def _check_tail_fit_selftest() -> tuple[bool, str]:
         rows=np.tile(vals, (120, 1)),
         volume=1e18,
         window_vertices=0,
-        p=0.1,
-        master_seed=0,
-        counting_radius=None,
-        requested_realizations=120,
         truncated_realizations=0,
     )
     fit = tail_fit(table)
@@ -960,7 +981,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         writer = OutputWriter(args.command, cfg)
         if command is cmd_verify:
             return cmd_verify(cfg, writer)
-        g = generate(cfg.generator_spec())
+        g = generate(cfg.family, cfg.radius)
         writer.stage("generate")
         return command(cfg, g, writer)
     except ConfigError as exc:

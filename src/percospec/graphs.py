@@ -9,8 +9,8 @@ coefficients, so two vertices are equal iff their coefficient vectors are
 equal.  This keeps long pipelines free of float-comparison drift.
 
 A patch is the restriction of the infinite graph to an open ball.  Generation
-is deterministic: the same generator spec produces the same vertex order, edge
-order, and embedding, bit for bit.
+is deterministic: the same family and radius produce the same vertex order,
+edge order, and embedding, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "Ball",
     "norm_sign",
     "EmbeddedGraph",
-    "GeneratorSpec",
     "GraphGenerationError",
     "generate",
     "restrict",
@@ -43,7 +42,7 @@ __all__ = [
 
 
 class GraphGenerationError(ValueError):
-    """Raised when a generator spec is invalid or degenerate."""
+    """Raised when a family or radius is invalid, or a generator degenerate."""
 
 
 def ball_volume(radius: float) -> float:
@@ -73,8 +72,9 @@ class Basis:
     vertices are joined iff their coefficient rows differ by one of them.
     ``gram`` is the integer Gram pair (den, d, A, B): the embedding x of a
     coefficient row k has |x|^2 = (k.A.k + sqrt(d) k.B.k) / den with A and B
-    integer and d no square.  ``candidates`` maps a generator spec to the
-    coefficient rows that may lie in its ball (repeats allowed).
+    integer and d no square.  ``candidates`` maps a radius to the coefficient
+    rows that may lie in the open ball of that radius about the origin
+    (repeats allowed).
     """
 
     id: str
@@ -84,7 +84,7 @@ class Basis:
     d_max: int
     steps: tuple[tuple[int, ...], ...]
     gram: tuple
-    candidates: Callable[["GeneratorSpec"], np.ndarray]
+    candidates: Callable[[float], np.ndarray]
 
     def __post_init__(self) -> None:
         self.vectors.flags.writeable = False
@@ -291,46 +291,30 @@ class EmbeddedGraph:
 # generation
 
 
-# Dyadic offsets summing to zero exactly; validated as non-degenerate below.
-DEFAULT_PENTAGRID_OFFSETS = (0.28125, 0.4375, -0.34375, 0.15625, -0.53125)
-DEFAULT_WINDOW_SHIFT = (0.00123291015625, 0.00271484375)
+# The five grid phases of the rhombus-tiling generator: dyadic, so they sum
+# to zero exactly.  The generator rejects them where three grid lines meet.
+_PENTAGRID_OFFSETS = (0.28125, 0.4375, -0.34375, 0.15625, -0.53125)
+# Displaces the acceptance window of the cut-and-project generator away
+# from lattice-degenerate positions; the generator rejects a shift that
+# puts a lattice point on the window boundary.
+_WINDOW_SHIFT = (0.00123291015625, 0.00271484375)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Deterministic description of a patch to generate.
-
-    ``radius`` is the open-ball cut-off: the patch is the induced subgraph on
-    vertices with |embedding| < radius.  ``pentagrid_offsets`` are the five
-    grid phases of the rhombus-tiling generator (must sum to zero);
-    ``window_shift`` displaces the acceptance window of the cut-and-project
-    generator away from lattice-degenerate positions.
-    """
-
-    family: str
-    radius: float
-    pentagrid_offsets: tuple[float, ...] = DEFAULT_PENTAGRID_OFFSETS
-    window_shift: tuple[float, float] = DEFAULT_WINDOW_SHIFT
-
-    def validate(self) -> None:
-        if self.family not in FAMILIES:
-            raise GraphGenerationError(
-                f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}"
-            )
-        if not (self.radius > 0.0):
-            raise GraphGenerationError("radius must be positive")
-
-
-def generate(spec: GeneratorSpec) -> EmbeddedGraph:
-    """Generate the patch described by ``spec``.
+def generate(family: str, radius: float) -> EmbeddedGraph:
+    """The patch of ``family`` cut to the open ball of ``radius``.
 
     The result is the induced subgraph of the infinite graph on the open ball
-    of the requested radius around the origin, with vertices sorted by
-    coefficient vector.  Repeated calls return identical graphs.
+    of that radius around the origin, with vertices sorted by coefficient
+    vector.  Repeated calls return identical graphs.
     """
-    spec.validate()
-    basis = FAMILIES[spec.family]
-    return _patch(basis, basis.candidates(spec), spec.radius)
+    if family not in FAMILIES:
+        raise GraphGenerationError(
+            f"unknown family {family!r}; expected one of {tuple(FAMILIES)}"
+        )
+    if not (radius > 0.0):
+        raise GraphGenerationError("radius must be positive")
+    basis = FAMILIES[family]
+    return _patch(basis, basis.candidates(radius), radius)
 
 
 def radix_weights(low: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -381,10 +365,10 @@ def _patch(basis: Basis, candidates: np.ndarray, radius: float) -> EmbeddedGraph
     )
 
 
-def _lattice_candidates(spec: GeneratorSpec) -> np.ndarray:
+def _lattice_candidates(radius: float) -> np.ndarray:
     # Conservative coefficient range: both basis vectors have unit length and
     # the Gram matrix is well conditioned, so |k| <= 2n + 2 covers the ball.
-    kmax = int(math.ceil(2.0 * spec.radius + 2.0))
+    kmax = int(math.ceil(2.0 * radius + 2.0))
     ks = np.arange(-kmax, kmax + 1)
     ki, kj = np.meshgrid(ks, ks, indexing="ij")
     return np.stack([ki.ravel(), kj.ravel()], axis=1)
@@ -398,26 +382,22 @@ _FIFTH_ROOTS = _unit_vectors(2.0, 5.0, 5)
 _RHOMBUS_STEPS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=np.int64)
 
 
-def _pentagrid_candidates(spec: GeneratorSpec) -> np.ndarray:
+def _pentagrid_candidates(radius: float) -> np.ndarray:
     """Rhombus corners from a regular pentagrid.
 
-    Five line grids with unit normals at angles 2*pi*j/5 and phases gamma_j;
-    each pairwise line intersection is dual to one unit-edge rhombus whose
-    four corners are integer combinations of the five unit vectors.  For each
-    of the ten grid pairs (r, s), all line pairs (kr, ks) within reach of the
-    ball are intersected at once; the other three grid indices of a rhombus
-    are the ceilings of its intersection's grid coordinates.  Corners are
-    returned as rank-4 coefficient rows, four per rhombus in (r, s, kr, ks)
-    order, so shared corners repeat exactly.
+    Five line grids with unit normals at angles 2*pi*j/5 and phases gamma_j
+    (``_PENTAGRID_OFFSETS``); each pairwise line intersection is dual to one
+    unit-edge rhombus whose four corners are integer combinations of the
+    five unit vectors.  For each of the ten grid pairs (r, s), all line
+    pairs (kr, ks) within reach of the ball are intersected at once; the
+    other three grid indices of a rhombus are the ceilings of its
+    intersection's grid coordinates.  Corners are returned as rank-4
+    coefficient rows, four per rhombus in (r, s, kr, ks) order, so shared
+    corners repeat exactly.
     """
-    if len(spec.pentagrid_offsets) != 5:
-        raise GraphGenerationError("pentagrid needs exactly 5 offsets")
-    if abs(math.fsum(spec.pentagrid_offsets)) > 1e-12:
-        raise GraphGenerationError("pentagrid offsets must sum to zero (|sum| <= 1e-12)")
-    n = spec.radius
-    gamma = np.array(spec.pentagrid_offsets, dtype=float)
+    gamma = np.array(_PENTAGRID_OFFSETS, dtype=float)
     zeta = _FIFTH_ROOTS
-    reach = n + 3.0  # rhombus corners sit within ~2.4 of the grid intersection
+    reach = radius + 3.0  # rhombus corners sit within ~2.4 of the grid intersection
     corner_rows: list[np.ndarray] = []
     kmax = int(math.ceil(reach + 1.0))
     ks = np.arange(-kmax, kmax + 1)
@@ -464,7 +444,7 @@ _OCTAGONAL = _unit_vectors(1.0, 4.0, 4)
 _OCTAGONAL_STAR = _unit_vectors(3.0, 4.0, 4)
 
 
-def _cut_and_project_candidates(spec: GeneratorSpec) -> np.ndarray:
+def _cut_and_project_candidates(radius: float) -> np.ndarray:
     """Octagonal tiling: the Z^4 points near the ball whose internal image
     falls in a regular-octagon window (their images are joined by a lattice
     unit vector, which has unit physical length).
@@ -474,9 +454,8 @@ def _cut_and_project_candidates(spec: GeneratorSpec) -> np.ndarray:
     (k2, k3) whose image can reach the window's circumscribed disc form one
     small box, found through the inverse of [i2 i3].  All boxes are
     enumerated as one array, O(R^2) points, in lexicographic order."""
-    n = spec.radius
     phys, internal = _OCTAGONAL, _OCTAGONAL_STAR
-    shift = np.asarray(spec.window_shift, dtype=float)
+    shift = np.asarray(_WINDOW_SHIFT, dtype=float)
 
     # Octagon window: zonotope of the four internal unit vectors, centered.
     center = internal.sum(axis=0) / 2.0
@@ -497,7 +476,7 @@ def _cut_and_project_candidates(spec: GeneratorSpec) -> np.ndarray:
     # Coefficient box: n = M^{-1} (x; y) with M stacking both projections.
     m = np.vstack([phys.T, internal.T])  # maps n -> (x, y)
     minv = np.linalg.inv(m)
-    target = np.array([n + 1.0, n + 1.0, 2.2, 2.2])
+    target = np.array([radius + 1.0, radius + 1.0, 2.2, 2.2])
     bound = np.abs(minv) @ target
     kmax = int(math.ceil(bound.max()))
 
@@ -520,7 +499,7 @@ def _cut_and_project_candidates(spec: GeneratorSpec) -> np.ndarray:
     k = k[np.abs(k[:, 2:]).max(axis=1) <= kmax]
 
     x = k @ phys
-    k = k[x[:, 0] ** 2 + x[:, 1] ** 2 < (n + 1.0) ** 2]
+    k = k[x[:, 0] ** 2 + x[:, 1] ** 2 < (radius + 1.0) ** 2]
     return k[window_accept(k @ internal)]
 
 

@@ -115,7 +115,6 @@ def pattern_at(g: EmbeddedGraph, center: int, radius: float) -> CanonicalPattern
 
 @dataclass
 class PatternCensus:
-    radius: float
     counts: dict[CanonicalPattern, int]
     eligible_centers: int
 
@@ -139,7 +138,7 @@ def extract_r_patterns(g: EmbeddedGraph, radius: float) -> PatternCensus:
     # |c| < R - r, so the open r-ball about c lies inside the patch's box
     eligible = np.flatnonzero(norm_sign(g.basis, g.coeffs, g.embed, g.box.radius - radius) < 0)
     counts = Counter(pattern_at(g, center, radius) for center in eligible.tolist())
-    return PatternCensus(radius=radius, counts=counts, eligible_centers=len(eligible))
+    return PatternCensus(counts=counts, eligible_centers=len(eligible))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +175,6 @@ class OccurrencePlan:
     a bond configuration then reduce to indexed comparisons."""
 
     pattern: CanonicalPattern
-    counting_radius: float
     edge_hits: np.ndarray  # (T, n_edges) int64, n_edges may be 0
     n_translates: int
 
@@ -195,12 +193,12 @@ def occurrence_plan(
     pattern vertices inside the open counting ball at the origin."""
     pu = p.uncoloured()
     if pu.basis_id != g.basis.id:
-        return OccurrencePlan(pu, counting_radius, np.empty((0, pu.n_edges), np.int64), 0)
+        return OccurrencePlan(pu, np.empty((0, pu.n_edges), np.int64), 0)
     inside = norm_sign(g.basis, g.coeffs, g.embed, counting_radius) < 0
     vids, hits = _resolve_translates(g, pu, np.flatnonzero(inside))
     # all vertices of the translate must lie in the counting ball
     edge_hits = hits[inside[vids].all(axis=1)]
-    return OccurrencePlan(pu, counting_radius, edge_hits, len(edge_hits))
+    return OccurrencePlan(pu, edge_hits, len(edge_hits))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +207,6 @@ def occurrence_plan(
 
 @dataclass
 class DensityReport:
-    radii: list[float]
     rho: list[float]
     rho_infinity: list[float]
     rho_hat: float
@@ -241,7 +238,6 @@ def density_report(
         rho_inf.append(float((inside & vertex_unbounded).sum()) / vol)
     q = max(1, len(radii) // 4)
     return DensityReport(
-        radii=radii,
         rho=rho,
         rho_infinity=rho_inf,
         rho_hat=float(np.mean(rho[-q:])),

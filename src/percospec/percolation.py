@@ -79,10 +79,7 @@ def edge_uniforms(n_edges: int, master_seed: int, realization_index: int) -> np.
 class BondConfiguration:
     """One sampled colouring of the patch edges (True = open)."""
 
-    graph: EmbeddedGraph
     open_mask: np.ndarray
-    p: float
-    master_seed: int
     realization_index: int
 
 
@@ -90,13 +87,7 @@ def sample(
     g: EmbeddedGraph, params: PercolationParams, realization_index: int = 0
 ) -> BondConfiguration:
     u = edge_uniforms(g.n_edges, params.master_seed, realization_index)
-    return BondConfiguration(
-        graph=g,
-        open_mask=u < params.p,
-        p=params.p,
-        master_seed=params.master_seed,
-        realization_index=realization_index,
-    )
+    return BondConfiguration(open_mask=u < params.p, realization_index=realization_index)
 
 
 @dataclass
@@ -269,8 +260,6 @@ class TailEstimate:
     stderrs: np.ndarray
     realizations: int
     interior_vertices: int
-    p: float
-    master_seed: int
 
 
 def _interior_indices(g: EmbeddedGraph, margin: float) -> np.ndarray:
@@ -315,7 +304,7 @@ def _fraction_at_least(x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 class TailStatistic:
     """A decay statistic over a ladder of scales, ready to evaluate:
     calling it on a decomposition gives one row per realization, and
-    ``estimate`` reduces the stacked rows to a ``TailEstimate``."""
+    ``estimate`` reduces the stacked rows of a run to a ``TailEstimate``."""
 
     stat: str
     n_values: np.ndarray
@@ -325,16 +314,14 @@ class TailStatistic:
     def __call__(self, dec: ClusterDecomposition) -> np.ndarray:
         return self.row(dec)
 
-    def estimate(self, rows: np.ndarray, params: PercolationParams) -> TailEstimate:
+    def estimate(self, rows: np.ndarray) -> TailEstimate:
         return TailEstimate(
             stat=self.stat,
             n_values=self.n_values,
             estimates=rows.mean(axis=0),
             stderrs=_sem(rows),
-            realizations=params.realizations,
+            realizations=rows.shape[0],
             interior_vertices=self.interior_vertices,
-            p=params.p,
-            master_seed=params.master_seed,
         )
 
 
@@ -436,7 +423,7 @@ def boundary_path_probability(
     """``boundary_path_statistic`` estimated over ``params``'s realizations."""
     stat = boundary_path_statistic(g, n_values, margin)
     (rows,) = per_realization_rows(g, params, [stat])
-    return stat.estimate(rows, params)
+    return stat.estimate(rows)
 
 
 def cluster_size_statistic(

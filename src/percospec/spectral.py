@@ -171,7 +171,6 @@ class ChainSpectrum:
     phi_k(j) = sqrt(2/l) cos(pi k (j - 1/2) / l) at vertex j = 1, ..., l.
     """
 
-    length: int
     energies: np.ndarray
     vectors: np.ndarray  # column k is phi_k
 
@@ -186,7 +185,7 @@ def chain_spectrum(l: int) -> ChainSpectrum:
         math.pi * np.outer(j - 0.5, k) / l
     )
     vectors[:, 0] = 1.0 / math.sqrt(l)
-    return ChainSpectrum(length=l, energies=energies, vectors=vectors)
+    return ChainSpectrum(energies=energies, vectors=vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +363,6 @@ class IdsTable:
     rows: np.ndarray
     volume: float
     window_vertices: int
-    p: float
-    master_seed: int
-    counting_radius: float | None
-    requested_realizations: int
     truncated_realizations: int
     chi: np.ndarray | None = None
 
@@ -547,10 +542,6 @@ def ids_estimate(
         rows=np.concatenate(rows),
         volume=volume,
         window_vertices=window,
-        p=params.p,
-        master_seed=params.master_seed,
-        counting_radius=counting_radius,
-        requested_realizations=params.realizations,
         truncated_realizations=truncated,
         chi=None if chi_row is None else np.concatenate(chi),
     )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from percospec.cli import main
-from percospec.graphs import GeneratorSpec, generate
+from percospec.graphs import generate
 from percospec.lifshits import lower_bound, tail_fit
 from percospec.patterns import canonicalize, extract_r_patterns, occurrence_plan
 from percospec.percolation import (
@@ -40,14 +40,14 @@ BIG_SEED = 424242
 
 @pytest.fixture(scope="module")
 def patch100():
-    return generate(GeneratorSpec(family="square", radius=100.0))
+    return generate("square", 100.0)
 
 
 @pytest.fixture(scope="module")
 def big_run():
     """The shared tail experiment: square lattice, radius 300, p = 0.1,
     2000 realizations counted over the open ball of radius 280."""
-    g = generate(GeneratorSpec(family="square", radius=300.0))
+    g = generate("square", 300.0)
     grid = np.unique(np.concatenate([0.8 * 10 ** (-np.arange(21) / 12.0), [9.0]]))
     params = PercolationParams(p=0.1, master_seed=BIG_SEED, realizations=2000)
     t0 = time.perf_counter()
@@ -84,7 +84,7 @@ def test_criterion_02_estimator_vs_bruteforce():
     """The Monte Carlo estimator agrees with exhaustive enumeration on the
     3x3 patch at every point of a 50-energy grid, within 4 binomial SE."""
     t0 = time.perf_counter()
-    g = generate(GeneratorSpec(family="square", radius=1.8))
+    g = generate("square", 1.8)
     assert g.n_vertices == 9 and g.n_edges == 12
     grid = [0.013 + 0.2 * k for k in range(50)]  # offsets avoid eigenvalue atoms
     reals = 100_000
@@ -244,10 +244,6 @@ def test_criterion_08_linearized_exponent(big_run):
         rows=np.tile(vals, (200, 1)),
         volume=1e18,
         window_vertices=0,
-        p=0.1,
-        master_seed=0,
-        counting_radius=None,
-        requested_realizations=200,
         truncated_realizations=0,
     )
     self_test = tail_fit(synth)
@@ -292,7 +288,7 @@ def test_criterion_09_byte_identical_outputs(tmp_path):
 
 def test_criterion_10_monotone_coupling():
     """Under shared uniforms, the open set only grows with p — exactly."""
-    g = generate(GeneratorSpec(family="square", radius=50.0))
+    g = generate("square", 50.0)
     ps = (0.15, 0.45, 0.85)
     for r in range(1000):
         u = edge_uniforms(g.n_edges, 37, r)
@@ -309,8 +305,8 @@ def test_criterion_11_flc_census_stability():
     """The Penrose r = 1.1 pattern census is saturated: generation radii
     20 and 40 expose identical sets of translation classes."""
     t0 = time.perf_counter()
-    small = extract_r_patterns(generate(GeneratorSpec(family="penrose", radius=20.0)), 1.1)
-    large = extract_r_patterns(generate(GeneratorSpec(family="penrose", radius=40.0)), 1.1)
+    small = extract_r_patterns(generate("penrose", 20.0), 1.1)
+    large = extract_r_patterns(generate("penrose", 40.0), 1.1)
     assert small.distinct == large.distinct
     assert large.distinct == 62  # measured constant of the pentagrid construction
     elapsed = time.perf_counter() - t0

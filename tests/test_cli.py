@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -19,7 +20,7 @@ from percospec.cli import (
     main,
     merge_flags,
 )
-from percospec.graphs import FAMILIES, GeneratorSpec, generate, geometry_report
+from percospec.graphs import FAMILIES, generate, geometry_report
 
 
 def write_config(tmp_path, text):
@@ -73,6 +74,21 @@ class TestConfig:
         path = write_config(tmp_path, "radius without section\n")
         with pytest.raises(ConfigError, match="cannot parse"):
             load_config(path)
+
+    @pytest.mark.parametrize("text,keys", [
+        # alone, configparser would ignore both keys
+        ("[DEFAULT]\np = 0.3\nradius = 7\n", ["'p'", "'radius'"]),
+        # beside a section, configparser would copy radius into [graph]
+        ("[DEFAULT]\nradius = 7\n[graph]\nfamily = square\n", ["'radius'"]),
+    ], ids=["alone", "beside-graph"])
+    def test_default_section_key_exits_two(self, tmp_path, capsys, text, keys):
+        path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[DEFAULT]" in err
+        assert all(key in err for key in keys)
+        assert not out.exists()
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -213,7 +229,7 @@ class TestSettings:
 class TestJsonText:
     """``_json_text`` writes numpy values exactly as their ``tolist()`` and
     ``float`` forms, so a report serialized through ``asdict`` keeps the
-    bytes of its hand-converted form."""
+    bytes of its hand-converted form, and writes strict JSON."""
 
     def test_numpy_values_match_their_python_forms(self):
         floats = np.array([0.1, 1.0 / 3.0, 2.5e-300, -0.0, np.inf, 1e22])
@@ -232,9 +248,24 @@ class TestJsonText:
     def test_geometry_text_as_with_string_degree_keys(self, family, radius):
         # integer degree keys are sorted before they become strings; with
         # one-digit degrees that is the order of the string keys
-        fields = asdict(geometry_report(generate(GeneratorSpec(family, radius))))
+        fields = asdict(geometry_report(generate(family, radius)))
         keyed = {str(k): v for k, v in sorted(fields["degree_histogram"].items())}
         assert cli._json_text(fields) == cli._json_text({**fields, "degree_histogram": keyed})
+
+    def test_one_vertex_geometry_is_strict_json(self, tmp_path):
+        # one vertex has no pair to measure: its separation and r are inf
+        # in the report, and null in geometry.json
+        assert geometry_report(generate("square", 0.5)).r == math.inf
+        assert main(["generate", "--family", "square", "--radius", "0.5",
+                     "--out", str(tmp_path)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        geometry = json.loads((tmp_path / "geometry.json").read_text(), parse_constant=reject)
+        assert geometry["vertex_count"] == 1
+        assert geometry["min_pairwise_distance"] is None
+        assert geometry["r"] is None
 
 
 class TestSubcommands:
@@ -630,6 +661,20 @@ class TestDeterminism:
         assert workers == [min(64, len(os.sched_getaffinity(0)))]
         one, many = ((tmp_path / d / "ids.csv").read_bytes() for d in ("one", "many"))
         assert one == many
+
+    def test_threads_where_affinity_is_unknown(self, tmp_path, monkeypatch):
+        # os.sched_getaffinity exists only on some systems; elsewhere the
+        # worker cap falls back to os.cpu_count()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        base = [
+            "ids", "--family", "square", "--radius", "12",
+            "--counting-radius", "8", "--p", "0.2", "--realizations", "16",
+            "--seed", "9",
+        ]
+        for threads in ("1", "2"):
+            assert main(base + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
+        one, two = ((tmp_path / d / "ids.csv").read_bytes() for d in ("1", "2"))
+        assert one == two
 
     def test_manifest_checksums_match_files(self, tmp_path):
         out = tmp_path / "m"

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from percospec import graphs
 from percospec.cli import main
-from percospec.graphs import GeneratorSpec, dumps, generate
+from percospec.graphs import dumps, generate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -109,17 +110,15 @@ PATCH_SHA256 = {
     ("ammann_beenker", 60): "40c2a3dc7038076e4e53ee28de3ca1caf1cf591fc9f4d24411b2a0ac64c4bf21",
 }
 
-# the same digest for generator parameters away from their defaults: a
-# generic window shift, and dyadic pentagrid offsets that sum to zero
+# the same digest with a generator constant away from its value: a generic
+# window shift, and dyadic pentagrid offsets that sum to zero
 SPEC_SHA256 = [
     (
-        GeneratorSpec("ammann_beenker", 30.0, window_shift=(0.0137, -0.0291)),
+        ("ammann_beenker", 30.0), "_WINDOW_SHIFT", (0.0137, -0.0291),
         "76f61e88d6876469e884201661af5bf6e87e85e928846b5b2cdf6a0ccb392f2c",
     ),
     (
-        GeneratorSpec(
-            "penrose", 24.0, pentagrid_offsets=(0.1875, -0.3125, 0.40625, 0.21875, -0.5)
-        ),
+        ("penrose", 24.0), "_PENTAGRID_OFFSETS", (0.1875, -0.3125, 0.40625, 0.21875, -0.5),
         "b3f5daf9d7a84eba662da784b47fe4fc6d5816a388b7baa5151a203f4b452357",
     ),
 ]
@@ -155,14 +154,16 @@ def test_aperiodic_ids_matches_golden(tmp_path, family, threads):
 
 @pytest.mark.parametrize("family,radius", sorted(PATCH_SHA256))
 def test_patch_matches_golden(family, radius):
-    g = generate(GeneratorSpec(family=family, radius=float(radius)))
+    g = generate(family, float(radius))
     digest = hashlib.sha256(dumps(g).encode()).hexdigest()
     assert digest == PATCH_SHA256[(family, radius)]
 
 
-@pytest.mark.parametrize("spec,digest", SPEC_SHA256, ids=["ammann_beenker", "penrose"])
-def test_nondefault_spec_matches_golden(spec, digest):
-    assert hashlib.sha256(dumps(generate(spec)).encode()).hexdigest() == digest
+@pytest.mark.parametrize("patch,constant,value,digest", SPEC_SHA256,
+                         ids=["ammann_beenker", "penrose"])
+def test_nondefault_spec_matches_golden(monkeypatch, patch, constant, value, digest):
+    monkeypatch.setattr(graphs, constant, value)
+    assert hashlib.sha256(dumps(generate(*patch)).encode()).hexdigest() == digest
 
 
 def test_generate_outputs_match_golden(tmp_path):

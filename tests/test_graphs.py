@@ -14,7 +14,7 @@ from scipy.spatial import cKDTree
 from exact_ball import ball_ids, in_open_ball, norm2, signs
 from oracles import from_coeffs, validate
 from percospec import graphs
-from percospec.graphs import GeneratorSpec, GraphGenerationError
+from percospec.graphs import GraphGenerationError
 
 
 def square_ball_oracle(radius):
@@ -38,7 +38,7 @@ def square_ball_oracle(radius):
 
 class TestLattices:
     def test_square_small_ball(self):
-        g = graphs.generate(GeneratorSpec("square", 2.5))
+        g = graphs.generate("square", 2.5)
         pts, n_edges = square_ball_oracle(2.5)
         assert g.n_vertices == 21
         assert g.n_vertices == len(pts)
@@ -47,13 +47,13 @@ class TestLattices:
 
     @pytest.mark.parametrize("radius", [1.0, 3.2, 5.0, 7.5])
     def test_square_matches_enumeration(self, radius):
-        g = graphs.generate(GeneratorSpec("square", radius))
+        g = graphs.generate("square", radius)
         pts, n_edges = square_ball_oracle(radius)
         assert g.n_vertices == len(pts)
         assert g.n_edges == n_edges
 
     def test_square_geometry(self):
-        g = graphs.generate(GeneratorSpec("square", 6.0))
+        g = graphs.generate("square", 6.0)
         rep = graphs.geometry_report(g)
         assert rep.d_max == 4
         assert rep.l_max == pytest.approx(1.0, abs=1e-12)
@@ -61,7 +61,7 @@ class TestLattices:
         assert rep.r == pytest.approx(0.5, abs=1e-12)
 
     def test_triangular_interior_degree_six(self):
-        g = graphs.generate(GeneratorSpec("triangular", 8.0))
+        g = graphs.generate("triangular", 8.0)
         deg = g.degrees()
         interior = in_open_ball("triangular", g.coeffs, 8.0 - 1.0)
         assert np.all(deg[interior] == 6)
@@ -73,7 +73,7 @@ class TestLattices:
 
 class TestAperiodic:
     def test_penrose_geometry_constants(self):
-        g = graphs.generate(GeneratorSpec("penrose", 12.0))
+        g = graphs.generate("penrose", 12.0)
         rep = graphs.geometry_report(g)
         # shortest separation is the short diagonal of the thin rhombus
         assert rep.min_pairwise_distance == pytest.approx(
@@ -85,7 +85,7 @@ class TestAperiodic:
     def test_penrose_degrees_match_unit_distance_stars(self):
         # Independent degree oracle: in a unit-edge rhombus tiling every pair
         # of vertices at distance exactly 1 is a tile edge.
-        g = graphs.generate(GeneratorSpec("penrose", 12.0))
+        g = graphs.generate("penrose", 12.0)
         tree = cKDTree(g.embed)
         pairs = {
             (min(a, b), max(a, b))
@@ -95,7 +95,7 @@ class TestAperiodic:
         assert pairs == {tuple(e) for e in g.edges}
 
     def test_ammann_beenker_geometry_constants(self):
-        g = graphs.generate(GeneratorSpec("ammann_beenker", 9.0))
+        g = graphs.generate("ammann_beenker", 9.0)
         rep = graphs.geometry_report(g)
         assert rep.min_pairwise_distance == pytest.approx(
             2.0 * math.sin(math.pi / 8.0), abs=1e-9
@@ -110,44 +110,44 @@ class TestAperiodic:
     def test_nested_generation_consistency(self, family, small, large):
         # generating a larger patch and cutting it down reproduces the small
         # patch exactly, vertex order included
-        g_large = graphs.generate(GeneratorSpec(family, large))
-        g_small = graphs.generate(GeneratorSpec(family, small))
+        g_large = graphs.generate(family, large)
+        g_small = graphs.generate(family, small)
         assert graphs.dumps(graphs.restrict(g_large, small)) == graphs.dumps(g_small)
 
     def test_generation_deterministic(self):
-        a = graphs.generate(GeneratorSpec("penrose", 8.0))
-        b = graphs.generate(GeneratorSpec("penrose", 8.0))
+        a = graphs.generate("penrose", 8.0)
+        b = graphs.generate("penrose", 8.0)
         assert graphs.dumps(a) == graphs.dumps(b)
         np.testing.assert_array_equal(a.embed, b.embed)
 
-    def test_degenerate_pentagrid_rejected(self):
-        spec = GeneratorSpec("penrose", 5.0, pentagrid_offsets=(0.0,) * 5)
-        with pytest.raises(GraphGenerationError, match="degenerate"):
-            graphs.generate(spec)
+    def test_degenerate_pentagrid_rejected(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_PENTAGRID_OFFSETS", (0.0,) * 5)
+        with pytest.raises(GraphGenerationError, match="degenerate pentagrid offsets"):
+            graphs.generate("penrose", 5.0)
 
-    def test_window_on_lattice_point_rejected(self):
+    def test_window_on_lattice_point_rejected(self, monkeypatch):
         # with no shift the window boundary passes through internal images
-        spec = GeneratorSpec("ammann_beenker", 8.0, window_shift=(0.0, 0.0))
-        with pytest.raises(GraphGenerationError, match="window boundary"):
-            graphs.generate(spec)
+        monkeypatch.setattr(graphs, "_WINDOW_SHIFT", (0.0, 0.0))
+        with pytest.raises(GraphGenerationError, match="window boundary; perturb window_shift"):
+            graphs.generate("ammann_beenker", 8.0)
 
-    def test_offsets_must_sum_to_zero(self):
-        spec = GeneratorSpec("penrose", 5.0, pentagrid_offsets=(0.3, 0.1, 0.1, 0.1, 0.1))
-        with pytest.raises(GraphGenerationError, match="sum to zero"):
-            graphs.generate(spec)
+    def test_pentagrid_offsets_are_five_summing_to_zero(self):
+        # dyadic, so the float sum is exact
+        assert len(graphs._PENTAGRID_OFFSETS) == 5
+        assert sum(graphs._PENTAGRID_OFFSETS) == 0.0
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(GraphGenerationError, match="unknown family"):
-            graphs.generate(GeneratorSpec("kagome", 5.0))
+        with pytest.raises(GraphGenerationError, match="unknown family 'kagome'; expected one of"):
+            graphs.generate("kagome", 5.0)
 
     def test_nonpositive_radius_rejected(self):
-        with pytest.raises(GraphGenerationError):
-            graphs.generate(GeneratorSpec("square", 0.0))
+        with pytest.raises(GraphGenerationError, match="radius must be positive"):
+            graphs.generate("square", 0.0)
 
 
 class TestRestrict:
     def test_idempotent_on_own_box(self):
-        g = graphs.generate(GeneratorSpec("square", 5.0))
+        g = graphs.generate("square", 5.0)
         assert graphs.dumps(graphs.restrict(g, g.box.radius)) == graphs.dumps(g)
 
     def test_empty_region(self):
@@ -169,7 +169,7 @@ class TestRestrict:
 
     def test_restriction_composes_as_intersection(self):
         # both radii are triangular lattice distances, so ties are included
-        g = graphs.generate(GeneratorSpec("triangular", 6.0))
+        g = graphs.generate("triangular", 6.0)
         for a, b in [(4.0, 3.0), (3.0, 4.0)]:
             twice = graphs.restrict(graphs.restrict(g, a), b)
             mask = in_open_ball("triangular", g.coeffs, a)
@@ -182,7 +182,7 @@ class TestRestrict:
 
     def test_open_ball_excludes_boundary(self):
         # (3, 4) lies at distance exactly 5; the open ball must drop it
-        g = graphs.generate(GeneratorSpec("square", 5.0))
+        g = graphs.generate("square", 5.0)
         coeffs = set(map(tuple, g.coeffs.tolist()))
         assert (3, 4) not in coeffs
         assert (3, 3) in coeffs
@@ -209,7 +209,7 @@ def _candidate_rows(family, radius):
         s = math.sqrt(3.0) / 2.0 if family == "triangular" else 1.0
         x, y = rows[:, 0] + c * rows[:, 1], s * rows[:, 1]
         return rows[x * x + y * y < (radius + 1.0) ** 2]
-    return graphs.generate(GeneratorSpec(family, radius + 1.5)).coeffs
+    return graphs.generate(family, radius + 1.5).coeffs
 
 
 class TestExactOpenBall:
@@ -218,7 +218,7 @@ class TestExactOpenBall:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_oracle_gram_matches_embedding(self, family):
-        g = graphs.generate(GeneratorSpec(family, 6.0))
+        g = graphs.generate(family, 6.0)
         d = {"penrose": 5}.get(family, 2)
         exact = [float(p) + float(q) * math.sqrt(d) for p, q in norm2(family, g.coeffs)]
         np.testing.assert_allclose(exact, (g.embed**2).sum(axis=1), rtol=0, atol=1e-12)
@@ -231,11 +231,11 @@ class TestExactOpenBall:
         for radius in [0.5 * k for k in range(1, 41)] + GOLDEN_RADII[family]:
             pool = small if radius <= 20.0 else large
             want = pool[in_open_ball(family, pool, radius)]
-            got = graphs.generate(GeneratorSpec(family, radius)).coeffs
+            got = graphs.generate(family, radius).coeffs
             assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist())), radius
 
     def test_triangular_unit_ball_is_the_origin(self):
-        g = graphs.generate(GeneratorSpec("triangular", 1.0))
+        g = graphs.generate("triangular", 1.0)
         assert g.coeffs.tolist() == [[0, 0]]
         assert g.n_edges == 0
 
@@ -244,19 +244,19 @@ class TestExactOpenBall:
     def test_norm_sign_matches_oracle(self, family, radius):
         # the lattice distances 1, 2 and sqrt 3 are ties on the periodic
         # families; every row is measured from the centre vertex
-        g = graphs.generate(GeneratorSpec(family, 5.0))
+        g = graphs.generate(family, 5.0)
         c = int(np.argmin((g.embed**2).sum(axis=1)))
         got = graphs.norm_sign(g.basis, g.coeffs, g.embed, radius, (g.coeffs[c], g.embed[c]))
         assert got.tolist() == signs(family, g.coeffs - g.coeffs[c], radius)
 
     def test_negative_radius_leaves_every_row_outside(self):
-        g = graphs.generate(GeneratorSpec("square", 3.0))
+        g = graphs.generate("square", 3.0)
         assert (graphs.norm_sign(g.basis, g.coeffs, g.embed, -0.5) > 0).all()
         assert ball_ids(g, -0.5).size == 0
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_near_boundary_is_outside_closed_inner_ball(self, family):
-        g = graphs.generate(GeneratorSpec(family, 8.0))
+        g = graphs.generate(family, 8.0)
         want = np.array(signs(family, g.coeffs, 8.0 - g.l_max)) > 0
         assert np.array_equal(g.near_boundary, want)
 
@@ -272,7 +272,7 @@ class TestBallCandidates:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_a_scan_of_every_vertex(self, family):
-        g = graphs.generate(GeneratorSpec(family, 8.0))
+        g = graphs.generate(family, 8.0)
         # vertices next to the boundary, the vertex nearest the centre, and
         # points off the vertices, two of them outside the patch
         centres = [g.embed[v] for v in np.flatnonzero(g.near_boundary)[::3]]
@@ -291,7 +291,7 @@ class TestFamilyRecords:
 
     @pytest.mark.parametrize("basis", graphs.FAMILIES.values(), ids=lambda b: b.id)
     def test_record_holds_on_patch(self, basis):
-        g = graphs.generate(GeneratorSpec(basis.id, 12.0))
+        g = graphs.generate(basis.id, 12.0)
         assert g.basis is basis and g.n_edges > 0
         steps = {tuple(s) for s in basis.steps} | {tuple(-np.array(s)) for s in basis.steps}
         diffs = g.coeffs[g.edges[:, 1]] - g.coeffs[g.edges[:, 0]]
@@ -313,13 +313,13 @@ class TestGeometryReport:
     def test_uniform_discreteness_invariant(self):
         # every open ball of radius r contains at most one vertex
         for family, radius in [("square", 5.0), ("penrose", 8.0)]:
-            g = graphs.generate(GeneratorSpec(family, radius))
+            g = graphs.generate(family, radius)
             rep = graphs.geometry_report(g)
             assert rep.min_pairwise_distance >= 2.0 * g.basis.r - 1e-9
 
     def test_validate_passes_on_generated(self):
         for family in ("square", "triangular", "penrose", "ammann_beenker"):
-            g = graphs.generate(GeneratorSpec(family, 6.0))
+            g = graphs.generate(family, 6.0)
             validate(g)
 
     def test_validate_catches_duplicate_vertex(self):
@@ -349,7 +349,7 @@ class TestGeometryReport:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_hand_built_patch_carries_declared_constants(self, family):
         # one vertex and no edge measures l_max 0 and d_max 0
-        g = graphs.generate(GeneratorSpec(family, 6.0))
+        g = graphs.generate(family, 6.0)
         built = from_coeffs(family, g.coeffs[:1])
         assert (built.l_max, built.d_max) == (g.l_max, g.d_max)
         assert (g.l_max, g.d_max) == (g.basis.l_max, g.basis.d_max)
@@ -357,7 +357,7 @@ class TestGeometryReport:
 
 class TestSerialization:
     def test_header_format(self):
-        g = graphs.generate(GeneratorSpec("square", 2.5))
+        g = graphs.generate("square", 2.5)
         first = graphs.dumps(g).splitlines()[0]
         assert first == f"basis square d 2 n {g.n_vertices} m {g.n_edges}"
 

@@ -1,12 +1,15 @@
-"""No ``src/`` function has a defaulted parameter that only tests set.
+"""No ``src/`` function has a defaulted parameter, and no ``src/``
+dataclass a defaulted field, that only tests set.
 
 A stand-in for a dead-parameter lint: every function defined under ``src/``
 is parsed with ``ast``, and each parameter with a default must be passed,
 by keyword or by position, by some call under ``src/``, ``scripts/`` or
 ``perfbench/``.  Calls are matched to functions by name (``f(...)`` and
-``obj.f(...)`` both call ``f``).  A knob that only tests turn belongs in a
-module constant, read at call time, that the tests monkeypatch; the
-allowlist names the exceptions and why each stays.
+``obj.f(...)`` both call ``f``).  Each defaulted field of a ``@dataclass``
+must likewise be passed by some constructor call, matched by class name.
+A knob that only tests turn belongs in a module constant, read at call
+time, that the tests monkeypatch; the allowlists name the exceptions and
+why each stays.
 """
 
 import ast
@@ -19,6 +22,17 @@ ALLOWED = {
     "canonicalize(colours)": "coloured patterns are part of acceptance criterion 6",
     "cluster_size_tail_statistic(margin)": "tests pass a margin to keep their patches small",
     "boundary_path_probability(margin)": "tests pass a margin to keep their patches small",
+}
+
+ALLOWED_FIELDS = {
+    "RunManifest(output_sha256)": "OutputWriter.add fills it as the run writes its outputs",
+    "RunManifest(wall_clock_s)": "OutputWriter.stage and finish fill it as the run goes",
+}
+
+# dataclasses none of whose defaulted fields needs a constructor call
+ALLOWED_CLASSES = {
+    "ExperimentConfig": "load_config and merge_flags set its fields with setattr, "
+    "as cli._SETTINGS declares them",
 }
 
 
@@ -47,11 +61,29 @@ def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
     return found
 
 
-def unpassed_knobs(defining: list[str], calling: list[str]) -> list[str]:
-    """``function(parameter)`` for each defaulted parameter of the
-    ``defining`` sources that no call in the ``calling`` sources passes.
-    A ``*args`` call passes every position, a ``**kwargs`` call every
-    keyword."""
+def defaulted_fields(source: str) -> list[tuple[str, str, int]]:
+    """(class, field, position) for each field with a default (a value or
+    a ``field(...)``) of each ``@dataclass`` class; the position counts
+    the class's fields in declaration order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if not any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            continue
+        fields = [s for s in node.body
+                  if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                  and "ClassVar" not in ast.unparse(s.annotation)]
+        for i, stmt in enumerate(fields):
+            if stmt.value is not None:
+                found.append((node.name, stmt.target.id, i))
+    return found
+
+
+def _passed(calling: list[str]) -> tuple[dict[str, int], dict[str, set[str]]]:
+    """Per called name, the most positional arguments any call passes and
+    every keyword some call passes.  A ``*args`` call passes every
+    position, a ``**kwargs`` call every keyword (recorded as ``**``)."""
     positions: dict[str, int] = defaultdict(int)
     keywords: dict[str, set[str]] = defaultdict(set)
     for source in calling:
@@ -61,6 +93,28 @@ def unpassed_knobs(defining: list[str], calling: list[str]) -> list[str]:
                 starred = any(isinstance(a, ast.Starred) for a in node.args)
                 positions[name] = max(positions[name], 10**6 if starred else len(node.args))
                 keywords[name] |= {kw.arg or "**" for kw in node.keywords}
+    return positions, keywords
+
+
+def unpassed_fields(defining: list[str], calling: list[str]) -> list[str]:
+    """``Class(field)`` for each defaulted dataclass field of the
+    ``defining`` sources that no constructor call in the ``calling``
+    sources passes."""
+    positions, keywords = _passed(calling)
+    return sorted(
+        f"{cls}({name})"
+        for source in defining
+        for cls, name, position in defaulted_fields(source)
+        if not ({name, "**"} & keywords[cls] or position < positions[cls])
+    )
+
+
+def unpassed_knobs(defining: list[str], calling: list[str]) -> list[str]:
+    """``function(parameter)`` for each defaulted parameter of the
+    ``defining`` sources that no call in the ``calling`` sources passes.
+    A ``*args`` call passes every position, a ``**kwargs`` call every
+    keyword."""
+    positions, keywords = _passed(calling)
     return sorted(
         f"{func}({param})"
         for source in defining
@@ -86,3 +140,20 @@ def test_scan_finds_an_unpassed_knob():
 def test_only_allowlisted_knobs():
     knobs = unpassed_knobs(_sources("src"), _sources("src", "scripts", "perfbench"))
     assert knobs == sorted(ALLOWED)
+
+
+def test_scan_finds_an_unpassed_field():
+    defining = (
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\nclass A:\n"
+        "    x: int\n    y: int = 1\n    z: list = field(default_factory=list)\n"
+        "    w: int = 2\n"
+        "class Plain:\n    v: int = 0\n"
+    )
+    calling = "A(0, 1)\nA(x=0, w=3)\nPlain()\n"
+    assert unpassed_fields([defining], [calling]) == ["A(z)"]
+
+
+def test_only_allowlisted_fields():
+    fields = unpassed_fields(_sources("src"), _sources("src", "scripts", "perfbench"))
+    assert [f for f in fields if f.split("(")[0] not in ALLOWED_CLASSES] == sorted(ALLOWED_FIELDS)

@@ -52,10 +52,6 @@ def make_table(
         rows=rows,
         volume=volume,
         window_vertices=0,
-        p=0.1,
-        master_seed=0,
-        counting_radius=None,
-        requested_realizations=realizations,
         truncated_realizations=0,
     )
 

@@ -13,7 +13,6 @@ from oracles import from_coeffs
 from percospec.cli import main
 from percospec.graphs import (
     Ball,
-    GeneratorSpec,
     ball_volume,
     generate,
     restrict,
@@ -35,12 +34,12 @@ def _vertex_ids(g):
 
 @pytest.fixture(scope="module")
 def square_20():
-    return generate(GeneratorSpec(family="square", radius=20.0))
+    return generate("square", 20.0)
 
 
 @pytest.fixture(scope="module")
 def penrose_20():
-    return generate(GeneratorSpec(family="penrose", radius=20.0))
+    return generate("penrose", 20.0)
 
 
 class TestCanonicalize:
@@ -125,8 +124,8 @@ class TestCensus:
     def test_flc_census_stable_under_patch_growth(self, family, r_small, r_large):
         # finite local complexity: the set of distinct r-patterns stops
         # changing once the patch is large enough
-        small = generate(GeneratorSpec(family=family, radius=r_small))
-        large = generate(GeneratorSpec(family=family, radius=r_large))
+        small = generate(family, r_small)
+        large = generate(family, r_large)
         r = 1.1
         assert set(extract_r_patterns(small, r).counts) == set(
             extract_r_patterns(large, r).counts
@@ -163,7 +162,7 @@ class TestCensus:
         assert (verdict["distinct"], verdict["distinct_half_radius"]) == (1, 1)
 
     def test_penrose_census_counts_exact_classes_at_tie_radius(self):
-        g = generate(GeneratorSpec(family="penrose", radius=16.0))
+        g = generate("penrose", 16.0)
         full = extract_r_patterns(g, 2.0)
         half = extract_r_patterns(restrict(g, 8.0), 2.0)
         assert (full.distinct, half.distinct) == (154, 94)
@@ -236,7 +235,7 @@ def _pattern_at_matches_exact_ball(family, patch_radius, r):
     r-ball at every centre whose ball lies inside the patch; return the
     number of centres where the strict float hypot test selects another
     vertex set."""
-    g = generate(GeneratorSpec(family=family, radius=patch_radius))
+    g = generate(family, patch_radius)
     eligible = ball_ids(g, patch_radius - r)
     float_disagrees = 0
     for c in eligible:
@@ -279,7 +278,7 @@ def _plan_rows_by_anchor_loop(g, p, counting_radius):
     ("penrose", 16.0, 12.0),
 ])
 def test_occurrence_plan_matches_anchor_loop(family, radius, counting_radius):
-    g = generate(GeneratorSpec(family=family, radius=radius))
+    g = generate(family, radius)
     patterns = [
         pattern for r in (0.9, 1.1, 1.5, 2.0)
         for pattern, _ in extract_r_patterns(g, r).most_common()[:4]
@@ -301,13 +300,13 @@ def test_occurrence_plan_matches_anchor_loop(family, radius, counting_radius):
 
 class TestFrequencies:
     def test_vertex_frequency_tends_to_one(self):
-        g = generate(GeneratorSpec(family="square", radius=100.0))
+        g = generate("square", 100.0)
         pattern = canonicalize("square", [(0, 0)], [])
         frequency = occurrence_plan(pattern, g, 95.0).n_translates / ball_volume(95.0)
         assert frequency == pytest.approx(1.0, abs=0.02)
 
     def test_horizontal_edge_frequency_tends_to_one(self):
-        g = generate(GeneratorSpec(family="square", radius=100.0))
+        g = generate("square", 100.0)
         pattern = canonicalize("square", [(0, 0), (1, 0)], [(0, 1)])
         frequency = occurrence_plan(pattern, g, 95.0).n_translates / ball_volume(95.0)
         assert frequency == pytest.approx(1.0, abs=0.03)
@@ -315,7 +314,7 @@ class TestFrequencies:
 
 class TestDensity:
     def test_square_density_approaches_one(self):
-        g = generate(GeneratorSpec(family="square", radius=60.0))
+        g = generate("square", 60.0)
         report = density_report(g, radii=[30.0, 40.0, 50.0])
         assert report.rho_hat == pytest.approx(1.0, abs=0.02)
         # the full lattice is one boundary-touching cluster, so the

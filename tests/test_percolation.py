@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import connected_components
 
 from exact_ball import ball_ids, in_open_ball, signs
 from oracles import bruteforce_cluster_oracle, from_coeffs
-from percospec.graphs import GeneratorSpec, generate, ball_volume
+from percospec.graphs import generate, ball_volume
 from percospec import percolation, spectral
 from percospec.cli import main
 from percospec.patterns import density_report
@@ -43,7 +43,7 @@ from percospec.spectral import (
 
 @pytest.fixture(scope="module")
 def square_14():
-    return generate(GeneratorSpec(family="square", radius=14.0))
+    return generate("square", 14.0)
 
 
 def _path_graph(n):
@@ -186,7 +186,7 @@ class TestDecompose:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_matches_bfs_oracle(self, seed):
-        g = generate(GeneratorSpec(family="square", radius=6.0))
+        g = generate("square", 6.0)
         cfg = sample(g, PercolationParams(p=0.5, master_seed=seed), 0)
         dec = decompose(g, cfg)
         oracle = _bfs_labels(g.n_vertices, g.edges[cfg.open_mask].tolist())
@@ -198,7 +198,7 @@ class TestDecompose:
         assert len(pairs) == n_clusters == max(oracle) + 1
 
     def test_boundary_touching_flags(self):
-        g = generate(GeneratorSpec(family="square", radius=5.0))
+        g = generate("square", 5.0)
         dec = decompose(g, np.ones(g.n_edges, dtype=bool))
         # the single all-open cluster reaches the boundary
         assert dec.boundary_touching.tolist() == [True]
@@ -252,7 +252,7 @@ class TestTailStatistics:
         params = PercolationParams(p=0.3, master_seed=21, realizations=30)
         stat = cluster_size_tail_statistic(square_14, [1, 2, 3])
         (rows,) = per_realization_rows(square_14, params, [stat])
-        t = stat.estimate(rows, params)
+        t = stat.estimate(rows)
         assert t.estimates[0] == 1.0
         assert np.all(np.diff(t.estimates) <= 0)
 
@@ -262,7 +262,7 @@ class TestTailStatistics:
         params = PercolationParams(p=p, master_seed=77, realizations=400)
         stat = cluster_size_tail_statistic(square_14, [2])
         (rows,) = per_realization_rows(square_14, params, [stat])
-        t = stat.estimate(rows, params)
+        t = stat.estimate(rows)
         expect = 1 - (1 - p) ** 4
         assert abs(t.estimates[0] - expect) < 4 * t.stderrs[0]
 
@@ -272,7 +272,7 @@ class TestTailStatistics:
         assert narrow.interior_vertices < wide.interior_vertices
 
     def test_no_interior_raises(self):
-        g = generate(GeneratorSpec(family="square", radius=4.0))
+        g = generate("square", 4.0)
         with pytest.raises(ValueError):
             cluster_size_tail_statistic(g, [2], margin=10.0)
 
@@ -326,7 +326,7 @@ class TestReachMatchesPerClusterLoop:
         ],
     )
     def test_reach_and_rows_identical(self, family, radius, p):
-        g = generate(GeneratorSpec(family=family, radius=radius))
+        g = generate(family, radius)
         margin = 3.0
         interior = ball_ids(g, radius - margin)
         n_values = np.arange(0.5, 2 * radius, 0.5)
@@ -342,7 +342,7 @@ class TestReachMatchesPerClusterLoop:
 
     def test_blocks_of_one_row_change_nothing(self, monkeypatch):
         # supercritical, so one giant cluster is split into many blocks
-        g = generate(GeneratorSpec(family="square", radius=20.0))
+        g = generate("square", 20.0)
         interior = ball_ids(g, 20.0 - 3.0)
         params = PercolationParams(p=0.6, master_seed=5)
         decs = [decompose(g, sample(g, params, r)) for r in range(3)]
@@ -396,7 +396,7 @@ BATCH_RUN = 13  # realizations: not a multiple of 2 or 5
 )
 def batch_case(request):
     family, radius, p = request.param
-    g = generate(GeneratorSpec(family=family, radius=radius))
+    g = generate(family, radius)
     return g, PercolationParams(p=p, master_seed=6, realizations=BATCH_RUN)
 
 
@@ -482,7 +482,7 @@ def touched_case(request):
     if family == "square-one-near":
         g = _one_near_vertex_patch(radius)
     else:
-        g = generate(GeneratorSpec(family=family, radius=radius))
+        g = generate(family, radius)
     return g, PercolationParams(p=p, master_seed=6, realizations=BATCH_RUN), window
 
 
@@ -490,7 +490,7 @@ def _one_near_vertex_patch(radius):
     """The square patch less every vertex within l_max of its boundary but
     (radius - 1, 1): a window that holds that vertex drops a realization
     through it alone when it is isolated."""
-    g = generate(GeneratorSpec(family="square", radius=radius))
+    g = generate("square", radius)
     keep = ~g.near_boundary | (g.coeffs == (radius - 1, 1)).all(axis=1)
     position = np.cumsum(keep) - 1
     edges = position[g.edges[keep[g.edges].all(axis=1)]]
@@ -641,7 +641,7 @@ class TestTouchedVerticesMatchFullLabels:
     def test_density_report_isolated_vertices(self):
         # one isolated vertex near the boundary (unbounded) and one in the
         # middle (bounded)
-        g = generate(GeneratorSpec(family="square", radius=6.0))
+        g = generate("square", 6.0)
         lone = [int(np.argmax(g.near_boundary)), int(np.argmin(np.hypot(*g.embed.T)))]
         keep = ~np.isin(g.edges, lone).any(axis=1)
         g = from_coeffs("square", g.coeffs, g.edges[keep], box=g.box)
@@ -658,7 +658,7 @@ class TestTouchedVerticesMatchFullLabels:
 def test_components_run_on_touched_vertices_only(monkeypatch):
     """_components sees the touched vertices and nothing else, and a batch
     with no open edge never calls it."""
-    g = generate(GeneratorSpec(family="square", radius=10.0))
+    g = generate("square", 10.0)
     calls = []
     components = percolation._components
 

@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import connected_components
 from exact_ball import in_open_ball
 from oracles import from_coeffs
 from percospec import percolation, spectral
-from percospec.graphs import GeneratorSpec, generate
+from percospec.graphs import generate
 from percospec.percolation import PercolationParams, decompose, sample
 from percospec.spectral import (
     AllRealizationsTruncated,
@@ -60,7 +60,7 @@ class TestLaplacian:
         assert np.array_equal(np.diag(lap), g.degrees())
 
     def test_dense_cap(self):
-        g = generate(GeneratorSpec(family="square", radius=40.0))
+        g = generate("square", 40.0)
         with pytest.raises(ValueError):
             full_laplacian(g, np.ones(g.n_edges, dtype=bool))
 
@@ -179,7 +179,7 @@ class TestIdsWholePatch:
 
 @pytest.fixture(scope="module")
 def patch():
-    return generate(GeneratorSpec(family="square", radius=40.0))
+    return generate("square", 40.0)
 
 
 class TestIdsWindowed:
@@ -207,13 +207,13 @@ class TestIdsWindowed:
     def test_truncation_guard_fires_when_window_meets_boundary(self):
         # counting window flush with the patch edge at a supercritical p:
         # spanning clusters touch the boundary, so realizations are dropped
-        g = generate(GeneratorSpec(family="square", radius=12.0))
+        g = generate("square", 12.0)
         params = PercolationParams(p=0.9, master_seed=2, realizations=4)
         with pytest.raises(RuntimeError):
             ids_estimate(g, params, [1.0], counting_radius=11.9)
 
     def test_flag_boundary_off_keeps_realizations(self):
-        g = generate(GeneratorSpec(family="square", radius=12.0))
+        g = generate("square", 12.0)
         params = PercolationParams(p=0.9, master_seed=2, realizations=4)
         tab = ids_estimate(
             g, params, [1.0], counting_radius=11.9, flag_boundary=False
@@ -222,7 +222,7 @@ class TestIdsWindowed:
         assert tab.truncated_realizations == 0
 
     def test_max_cluster_size_guard(self, monkeypatch):
-        g = generate(GeneratorSpec(family="square", radius=12.0))
+        g = generate("square", 12.0)
         params = PercolationParams(p=0.95, master_seed=3, realizations=1)
         monkeypatch.setattr(spectral, "_MAX_CLUSTER_SIZE", 10)
         with pytest.raises(RuntimeError, match=r"\(cap 10\); this estimator assumes"):
@@ -242,7 +242,7 @@ class TestIdsWindowed:
 
 class TestCheeger:
     def test_no_violations_on_subcritical_patch(self):
-        g = generate(GeneratorSpec(family="square", radius=30.0))
+        g = generate("square", 30.0)
         cfgs = [
             sample(g, PercolationParams(p=0.2, master_seed=8), r) for r in range(3)
         ]
@@ -411,7 +411,7 @@ ORACLE_ENERGIES = [0.05, 0.2, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0, 9.0]
 @pytest.fixture(scope="module", params=sorted(ORACLE_CASES))
 def oracle_case(request):
     family = request.param
-    g = generate(GeneratorSpec(family=family, radius=16.0))
+    g = generate(family, 16.0)
     return g, PercolationParams(p=ORACLE_CASES[family], master_seed=4, realizations=12)
 
 
@@ -533,7 +533,7 @@ class TestBatchesMatchPerRealizationLoop:
                 ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=13.0)
 
     def test_all_truncated_run_keeps_its_table_when_allowed(self, monkeypatch):
-        g = generate(GeneratorSpec(family="square", radius=12.0))
+        g = generate("square", 12.0)
         params = PercolationParams(p=0.9, master_seed=2, realizations=5)
         _set_batch_size(monkeypatch, g, 2)
         with pytest.raises(AllRealizationsTruncated):
@@ -576,7 +576,7 @@ def test_add_in_order_matches_sequential_sum(grid):
 def test_shared_cache_under_thread_switching():
     # more threads than cores, switching often, all filling one cache: no
     # entry may be lost and no row may change
-    g = generate(GeneratorSpec(family="penrose", radius=16.0))
+    g = generate("penrose", 16.0)
     params = PercolationParams(p=0.15, master_seed=4, realizations=24)
     serial_cache = spectral._ShapeCache(ORACLE_ENERGIES)
     serial = ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=12.0,
