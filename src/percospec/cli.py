@@ -252,8 +252,8 @@ _SETTINGS = [
 def load_config(path: str) -> ExperimentConfig:
     """Parse an INI experiment file, rejecting unknown sections and keys,
     and any key in ``[DEFAULT]``, which configparser would otherwise copy
-    into every section."""
-    parser = configparser.ConfigParser()
+    into every section.  Values are taken literally: no ``%`` interpolation."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)

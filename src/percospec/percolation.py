@@ -231,19 +231,37 @@ def decompose(g: EmbeddedGraph, omega: BondConfiguration | np.ndarray) -> Cluste
 
 # realization-times-vertex slots that one batch holds: a patch of n
 # vertices is sampled and decomposed max(1, _BATCH_VERTEX_SLOTS // n)
-# realizations at a time
-_BATCH_VERTEX_SLOTS = 1 << 15
+# realizations at a time: 17 on Ammann-Beenker R = 45, 1 on square
+# R = 150 and 14563 on a 3 x 3 patch.  At 2^15 slots (4 on Ammann-Beenker)
+# most of a batch went to small numpy calls that hold the GIL, and in-process
+# run_ids on the ids-ab settings took 0.39 s on one thread and 0.48 s on two
+# (2-core host, median of 6).  At 2^17 numpy releases the GIL on the batch
+# arrays and a batch pays its Python once for 17 realizations: 0.31 s and
+# 0.28-0.29 s.  Peak memory does not grow, because callers hold one batch at
+# a time and the patch generator leaves no large freed block behind.
+_BATCH_VERTEX_SLOTS = 1 << 17
+
+
+def _sample_masks(g: EmbeddedGraph, params: PercolationParams, batch: range) -> np.ndarray:
+    """The open-edge masks of the realizations in ``batch``, as
+    (len(batch), n_edges) rows."""
+    masks = np.empty((len(batch), g.n_edges), dtype=bool)
+    for row, r in zip(masks, batch):
+        row[:] = sample(g, params, r).open_mask
+    return masks
 
 
 def realization_batches(
     g: EmbeddedGraph, params: PercolationParams, start: int, stop: int
 ) -> Iterator[ClusterDecomposition]:
     """Realizations ``start`` .. ``stop - 1``, sampled one at a time and
-    decomposed a batch at a time, in order: one decomposition per batch."""
+    decomposed a batch at a time, in order: one decomposition per batch.
+    Nothing of a batch stays referenced here once it is yielded, so a
+    caller that drops each decomposition before asking for the next holds
+    one batch at a time."""
     per_batch = max(1, _BATCH_VERTEX_SLOTS // max(g.n_vertices, 1))
     for b0 in range(start, stop, per_batch):
-        batch = range(b0, min(b0 + per_batch, stop))
-        yield _decompose(g, np.array([sample(g, params, r).open_mask for r in batch]))
+        yield _decompose(g, _sample_masks(g, params, range(b0, min(b0 + per_batch, stop))))
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +299,11 @@ def per_realization_rows(
     """Sample and decompose each realization once and evaluate every
     statistic on that decomposition; one (realizations, width) array of
     rows per statistic."""
-    rows: list[list[np.ndarray]] = [[] for _ in stats]
-    for dec in realization_batches(g, params, 0, params.realizations):
-        for stat_rows, stat in zip(rows, stats):
-            stat_rows.append(stat(dec))
-    return [np.concatenate(stat_rows) for stat_rows in rows]
+    # through map, not a loop variable, so no batch's decomposition is
+    # alive while the next is sampled
+    per_batch = map(lambda dec: [stat(dec) for stat in stats],
+                    realization_batches(g, params, 0, params.realizations))
+    return [np.concatenate(stat_rows) for stat_rows in zip(*per_batch)]
 
 
 def _fraction_at_least(x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ import numpy as np
 from .graphs import EmbeddedGraph, norm_sign
 from .percolation import (
     BondConfiguration,
+    ClusterDecomposition,
     PercolationParams,
     _decompose,
     _sem,
@@ -492,14 +493,11 @@ def ids_estimate(
     vec_pair_half = _window_weighted(cache.vectors[pair][None], np.array([[True, False]]),
                                      vec_pair[None])[0]
 
-    rows, chi = [], []
-    truncated = 0
-    stop = realization_offset + params.realizations
-    for dec in realization_batches(g, params, realization_offset, stop):
+    def count(dec: ClusterDecomposition) -> tuple[np.ndarray, np.ndarray | None, int]:
+        """One batch's kept rows, its chi rows and its truncation count."""
         labels, sizes, first = dec.labels, dec.sizes, dec.first
         k = first.size - 1
-        if chi_row is not None:
-            chi.append(chi_row(dec))
+        chi = None if chi_row is None else chi_row(dec)
 
         def blocks(clusters: np.ndarray) -> np.ndarray:
             # the realization of each cluster a mask over labels selects
@@ -514,7 +512,6 @@ def ids_estimate(
         if flag_boundary:
             dropped[:] = near_window
             dropped[blocks(counted & dec.boundary_touching)] = True
-            truncated += int(dropped.sum())
             counted &= np.repeat(~dropped, np.diff(first))
         big = counted & (sizes > _MAX_CLUSTER_SIZE)
         if bool(big.any()):
@@ -535,14 +532,19 @@ def ids_estimate(
         if larger.any():
             cluster_rows = _shape_rows(cache, dec.edges, labels, sizes, in_count, inside, larger)
             acc = _add_in_order(acc, blocks(larger), cluster_rows)
-        rows.append(acc[~dropped] / volume)
+        return acc[~dropped] / volume, chi, int(dropped.sum())
+
+    # through map, not a loop variable, so no batch's arrays are alive
+    # while the next is sampled
+    stop = realization_offset + params.realizations
+    rows, chi, truncated = zip(*map(count, realization_batches(g, params, realization_offset, stop)))
 
     table = IdsTable(
         energies=grid,
         rows=np.concatenate(rows),
         volume=volume,
         window_vertices=window,
-        truncated_realizations=truncated,
+        truncated_realizations=sum(truncated),
         chi=None if chi_row is None else np.concatenate(chi),
     )
     if table.realizations == 0 and not allow_empty:

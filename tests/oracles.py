@@ -5,14 +5,18 @@ a test can delete an edge or leave a vertex isolated; the patch carries its
 family's declared constants, and ``geometry_report`` measures them.
 ``validate`` checks a patch's structural invariants and its family's
 declared constants.  ``bruteforce_cluster_oracle`` enumerates every bond
-configuration of a small patch.
+configuration of a small patch.  ``cut_and_project_candidates`` is the
+Ammann-Beenker candidate enumeration as one box over every (k0, k1) row,
+the reference for the generator's bounded-memory one.
 """
 
+import math
 from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from percospec import graphs
 from percospec.graphs import FAMILIES, Ball, EmbeddedGraph, GraphGenerationError
 from percospec.percolation import decompose
 from percospec.spectral import _MAX_ENUMERATED_EDGES
@@ -97,3 +101,43 @@ def bruteforce_cluster_oracle(
         "mean_cluster_size": mean_size,
         "expected_cluster_count": mean_clusters,
     }
+
+
+def cut_and_project_candidates(radius: float) -> np.ndarray:
+    """The Ammann-Beenker candidate rows, every (k2, k3) box of every
+    (k0, k1) row in the coefficient box enumerated as one array, then cut
+    to the physical disc and the octagon window."""
+    phys, internal = graphs._OCTAGONAL, graphs._OCTAGONAL_STAR
+    shift = np.asarray(graphs._WINDOW_SHIFT, dtype=float)
+    center = internal.sum(axis=0) / 2.0
+    apothem = (1.0 + math.sqrt(2.0)) / 2.0
+
+    def window_accept(y: np.ndarray) -> np.ndarray:
+        z = y - center + shift
+        dist = apothem - np.abs(z @ phys.T).max(axis=1)
+        if np.any(np.abs(dist) < 1e-9):
+            raise GraphGenerationError(
+                "window shift puts lattice points on the window boundary; "
+                "perturb window_shift"
+            )
+        return dist > 0.0
+
+    minv = np.linalg.inv(np.vstack([phys.T, internal.T]))
+    bound = np.abs(minv) @ np.array([radius + 1.0, radius + 1.0, 2.2, 2.2])
+    kmax = int(math.ceil(bound.max()))
+    ks = np.arange(-kmax, kmax + 1)
+    k01 = np.stack(np.meshgrid(ks, ks, indexing="ij"), axis=-1).reshape(-1, 2)
+    binv = np.linalg.inv(internal[2:].T)
+    mid = (center - shift - k01 @ internal[:2]) @ binv.T
+    half = apothem / math.cos(math.pi / 8.0) * np.linalg.norm(binv, axis=1) + 1.0
+    steps = np.arange(int(math.ceil(2.0 * half.max())) + 1)
+    low = np.floor(mid - half).astype(np.int64)
+    k = np.empty((len(k01), len(steps), len(steps), 4), dtype=np.int64)
+    k[..., :2] = k01[:, None, None, :]
+    k[..., 2] = low[:, 0, None, None] + steps[:, None]
+    k[..., 3] = low[:, 1, None, None] + steps
+    k = k.reshape(-1, 4)
+    k = k[np.abs(k[:, 2:]).max(axis=1) <= kmax]
+    x = k @ phys
+    k = k[x[:, 0] ** 2 + x[:, 1] ** 2 < (radius + 1.0) ** 2]
+    return k[window_accept(k @ internal)]

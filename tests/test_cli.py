@@ -90,6 +90,15 @@ class TestConfig:
         assert all(key in err for key in keys)
         assert not out.exists()
 
+    def test_percent_in_a_value_is_literal(self, tmp_path):
+        # with configparser's default interpolation a lone '%' raised
+        # InterpolationSyntaxError from parser.items, a traceback for any command
+        out = tmp_path / "runs" / "50%done"
+        path = write_config(tmp_path, f"[graph]\nradius = 3\n[output]\ndir = {out}\n")
+        assert load_config(path).out_dir == str(out)
+        assert main(["generate", "--config", path]) == 0
+        assert (out / "manifest.json").is_file()
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/exp.ini")
@@ -658,7 +667,7 @@ class TestDeterminism:
         assert main(base + ["--threads", "1", "--out", str(tmp_path / "one")]) == 0
         monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
         assert main(base + ["--threads", "64", "--out", str(tmp_path / "many")]) == 0
-        assert workers == [min(64, len(os.sched_getaffinity(0)))]
+        assert workers == [min(64, cli._usable_cpus())]
         one, many = ((tmp_path / d / "ids.csv").read_bytes() for d in ("one", "many"))
         assert one == many
 

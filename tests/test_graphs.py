@@ -12,7 +12,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from exact_ball import ball_ids, in_open_ball, norm2, signs
-from oracles import from_coeffs, validate
+from oracles import cut_and_project_candidates, from_coeffs, validate
 from percospec import graphs
 from percospec.graphs import GraphGenerationError
 
@@ -130,6 +130,17 @@ class TestAperiodic:
         monkeypatch.setattr(graphs, "_WINDOW_SHIFT", (0.0, 0.0))
         with pytest.raises(GraphGenerationError, match="window boundary; perturb window_shift"):
             graphs.generate("ammann_beenker", 8.0)
+
+    @pytest.mark.parametrize("radius", [3.0, 16.0, 45.0, 60.0])
+    def test_ammann_beenker_candidates_match_one_box(self, radius):
+        # the generator enumerates the boxes a block at a time, after
+        # dropping (k0, k1) rows whose box cannot reach the disc; the rows
+        # must be those of one box over every (k0, k1) row, in order
+        want = cut_and_project_candidates(radius)
+        got = graphs._cut_and_project_candidates(radius)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_pentagrid_offsets_are_five_summing_to_zero(self):
         # dyadic, so the float sum is exact

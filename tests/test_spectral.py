@@ -3,6 +3,8 @@
 import math
 import re
 import sys
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -17,7 +19,13 @@ from exact_ball import in_open_ball
 from oracles import from_coeffs
 from percospec import percolation, spectral
 from percospec.graphs import generate
-from percospec.percolation import PercolationParams, decompose, sample
+from percospec.percolation import (
+    PercolationParams,
+    cluster_size_statistic,
+    decompose,
+    per_realization_rows,
+    sample,
+)
 from percospec.spectral import (
     AllRealizationsTruncated,
     chain_spectrum,
@@ -599,3 +607,59 @@ def test_shared_cache_under_thread_switching():
     assert np.vstack([t.rows for t in tables]).tobytes() == serial.rows.tobytes()
     assert shared.counts.keys() == serial_cache.counts.keys()
     assert shared.vectors.keys() == serial_cache.vectors.keys()
+
+
+class TestOneBatchAlive:
+    """A run holds one batch at a time: whenever ``_decompose`` is called,
+    every decomposition it returned before on the same thread is dead."""
+
+    BATCHES = 4  # per estimator call, two realizations each
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """The number of earlier decompositions still alive at each call."""
+        decompose_batch = percolation._decompose
+        refs: dict[int, list] = {}
+        alive_at_call: list[int] = []
+        lock = threading.Lock()
+
+        def spy(g, masks):
+            with lock:
+                mine = refs.setdefault(threading.get_ident(), [])
+                alive_at_call.append(sum(ref() is not None for ref in mine))
+            dec = decompose_batch(g, masks)
+            with lock:
+                mine.append(weakref.ref(dec))
+            return dec
+
+        monkeypatch.setattr(percolation, "_decompose", spy)
+        return alive_at_call
+
+    @pytest.fixture
+    def case(self, monkeypatch):
+        g = generate("penrose", 16.0)
+        monkeypatch.setattr(percolation, "_BATCH_VERTEX_SLOTS", 2 * g.n_vertices)
+        return g, PercolationParams(p=0.15, master_seed=4, realizations=2 * self.BATCHES)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_ids_estimate(self, case, spy, threads):
+        g, params = case
+        alive_at_call = spy
+        cache = spectral._ShapeCache(ORACLE_ENERGIES)
+
+        def chunk(start):
+            return ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=12.0,
+                                realization_offset=start, chi_margin=CHI_MARGIN,
+                                shape_cache=cache, allow_empty=True)
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(chunk, start) for start in (0, params.realizations)]
+            for f in futures:
+                f.result(timeout=120)
+        assert alive_at_call == [0] * (2 * self.BATCHES)
+
+    def test_per_realization_rows(self, case, spy):
+        g, params = case
+        alive_at_call = spy
+        per_realization_rows(g, params, [cluster_size_statistic(g, CHI_MARGIN)])
+        assert alive_at_call == [0] * self.BATCHES
