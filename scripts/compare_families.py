@@ -43,13 +43,12 @@ def main():
         g = generate(family, args.radius)
         geo = geometry_report(g)
         census = extract_r_patterns(g, args.pattern_radius)
-        dens = density_report(g, [0.5 * args.radius, 0.7 * args.radius,
-                                  0.9 * args.radius])
+        rho = density_report(g, 0.9 * args.radius)
         bounds = bounds_report(args.p, g.d_max, g.l_max)
         dt = time.perf_counter() - t0
         print(f"{family:<16} {geo.vertex_count:>6} {geo.edge_count:>6} "
               f"{geo.min_pairwise_distance:>7.4f} {geo.d_max:>5} "
-              f"{census.distinct:>7} {dens.rho_hat:>7.4f} "
+              f"{census.distinct:>7} {rho:>7.4f} "
               f"{bounds.p_c_lower:>7.4f} {bounds.gamma:>7.4f} "
               f"{bounds.psi_decay:>7.4f}   [{dt:.1f}s]")
     print()

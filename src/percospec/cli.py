@@ -710,15 +710,17 @@ def cmd_lifshits(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) 
     # the top anchor documents total spectral mass; it sits in the bulk and
     # must not enter the low-energy fit, so validate keeps e_max below it
     analysis = tail_fit(table, e_range=(0.0, cfg.e_max))
-    densities = density_report(
-        g, [0.5 * cfg.radius, 0.7 * cfg.radius, 0.9 * cfg.radius]
-    )
+    # rho_inf = rho: every family is a connected infinite graph, and on the
+    # all-open patch a component with no vertex in the closed band
+    # |x| >= R - l_max has all its neighbours inside the patch, so it would
+    # be a finite component of that graph
+    rho = density_report(g, 0.9 * cfg.radius)
     chi, chi_se = chi_estimate(table.chi)
     bounds = bounds_report(cfg.p, g.d_max, g.l_max, chi_hat=chi, chi_stderr=chi_se)
     report = certify_bracketing(
         analysis,
-        rho=densities.rho_hat,
-        rho_inf=densities.rho_infinity_hat,
+        rho=rho,
+        rho_inf=rho,
         p=cfg.p,
         d_max=g.d_max,
         lambda_emp=bounds.lambda_decay,

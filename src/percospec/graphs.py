@@ -269,13 +269,15 @@ class EmbeddedGraph:
 
     @cached_property
     def near_boundary(self) -> np.ndarray:
-        """Mask of the vertices within l_max of the patch boundary (none
-        without a box): a cluster owning one may continue past the patch."""
+        """Mask of the vertices at most l_max from the patch boundary, the
+        closed band |x| >= R - l_max (none without a box): a cluster owning
+        one may continue past the patch, since a neighbour up to l_max away
+        can sit at |x| >= R, outside the open ball."""
         if self.box is None:
             mask = np.zeros(self.n_vertices, dtype=bool)
         else:
             radius = self.box.radius - self.l_max
-            mask = norm_sign(self.basis, self.coeffs, self.embed, radius) > 0
+            mask = norm_sign(self.basis, self.coeffs, self.embed, radius) >= 0
         mask.flags.writeable = False
         return mask
 

@@ -10,8 +10,10 @@ edge (with its colour, if any) is present.
 
 The census is the empirical face of finite local complexity; an occurrence
 plan counts the translates of a pattern, coloured by a bond configuration or
-not, inside a counting ball; the density report gives the vertex densities
-the bracket certification uses.
+not, inside a counting ball; the density report counts the vertices of one
+ball, the density the bracket certification weights both bounds with.  Every
+family is a connected infinite graph, so each of its vertices lies in the
+infinite cluster of the all-open graph and that density is also rho_inf.
 """
 
 from __future__ import annotations
@@ -31,12 +33,10 @@ from .graphs import (
     norm_sign,
     radix_weights,
 )
-from .percolation import decompose
 
 __all__ = [
     "CanonicalPattern",
     "PatternCensus",
-    "DensityReport",
     "extract_r_patterns",
     "pattern_at",
     "occurrence_plan",
@@ -205,41 +205,7 @@ def occurrence_plan(
 # densities
 
 
-@dataclass
-class DensityReport:
-    rho: list[float]
-    rho_infinity: list[float]
-    rho_hat: float
-    rho_infinity_hat: float
-
-
-def density_report(
-    g: EmbeddedGraph, radii: Sequence[float]
-) -> DensityReport:
-    """Vertex density and density of vertices in unbounded clusters.
-
-    "Unbounded" is proxied on the finite patch by components that come
-    within l_max of the patch boundary; for a patch with no edges nothing
-    touches, so the unbounded density is zero.
-    """
-    if g.box is None:
-        raise ValueError("patch has no box")
-    radii = sorted(float(r) for r in radii)
-    dec = decompose(g, np.ones(g.n_edges, dtype=bool))
-    # an isolated vertex is unbounded iff it is near the boundary itself
-    vertex_unbounded = g.near_boundary.copy()
-    vertex_unbounded[dec.touched] = dec.boundary_touching[dec.labels]
-
-    rho, rho_inf = [], []
-    for r in radii:
-        inside = norm_sign(g.basis, g.coeffs, g.embed, r) < 0
-        vol = ball_volume(r)
-        rho.append(float(inside.sum()) / vol)
-        rho_inf.append(float((inside & vertex_unbounded).sum()) / vol)
-    q = max(1, len(radii) // 4)
-    return DensityReport(
-        rho=rho,
-        rho_infinity=rho_inf,
-        rho_hat=float(np.mean(rho[-q:])),
-        rho_infinity_hat=float(np.mean(rho_inf[-q:])),
-    )
+def density_report(g: EmbeddedGraph, radius: float) -> float:
+    """Vertex density of the patch in the open ball of ``radius`` about the
+    origin: the vertices inside it per unit area."""
+    return float((norm_sign(g.basis, g.coeffs, g.embed, radius) < 0).sum()) / ball_volume(radius)

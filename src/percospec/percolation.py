@@ -38,7 +38,6 @@ __all__ = [
     "per_realization_rows",
     "cluster_size_tail_statistic",
     "boundary_path_statistic",
-    "boundary_path_probability",
     "boundary_path_bound",
     "cluster_size_statistic",
     "chi_estimate",
@@ -103,7 +102,7 @@ class ClusterDecomposition:
     vertices, realization k owns the clusters ``first[k]:first[k + 1]``, and
     ``edges`` are the open edges as rows of positions in ``touched``,
     ascending as ``EmbeddedGraph.edges``.  ``boundary_touching`` flags the
-    clusters owning a vertex within l_max of the patch boundary (the
+    clusters owning a vertex at most l_max from the patch boundary (the
     finite-patch proxy for "possibly cut off").
     """
 
@@ -417,31 +416,20 @@ def boundary_path_statistic(
 
     The event is decided by the maximal Euclidean displacement within the
     cluster of v: the cluster exits B_n(v) iff it owns a vertex at distance
-    >= n from v.
+    >= n from v.  That first vertex lies at most n + l_max from v, so the
+    default margin n_max + l_max keeps it inside the patch.
     """
     n_values = np.asarray(sorted(float(n) for n in n_values))
     if n_values.size == 0 or n_values[0] <= 0:
         raise ValueError("ball radii must be positive")
     if margin is None:
-        margin = float(n_values.max()) * max(g.l_max, 1.0)
+        margin = float(n_values.max()) + g.l_max
     interior = _interior_indices(g, margin)
 
     def row(dec: ClusterDecomposition) -> np.ndarray:
         return _fraction_at_least(_cluster_reach(dec, interior), n_values)
 
     return TailStatistic("boundary_path", n_values, int(interior.size), row)
-
-
-def boundary_path_probability(
-    g: EmbeddedGraph,
-    params: PercolationParams,
-    n_values: Sequence[float],
-    margin: float | None = None,
-) -> TailEstimate:
-    """``boundary_path_statistic`` estimated over ``params``'s realizations."""
-    stat = boundary_path_statistic(g, n_values, margin)
-    (rows,) = per_realization_rows(g, params, [stat])
-    return stat.estimate(rows)
 
 
 def cluster_size_statistic(

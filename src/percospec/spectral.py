@@ -49,7 +49,6 @@ __all__ = [
     "SNAP_TOL",
     "AllRealizationsTruncated",
     "laplacian_from_edges",
-    "full_laplacian",
     "eigenvalues",
     "eigensystem",
     "ChainSpectrum",
@@ -80,9 +79,6 @@ SNAP_TOL = 1e-9
 # this times max(1, ||M||)
 _RESIDUAL_TOL = 1e-8
 
-# the dense whole-patch Laplacian is built for at most this many vertices
-_DENSE_VERTICES = 4000
-
 # the estimator and the gap check solve clusters of at most this many
 # vertices; a larger one means the run is not subcritical
 _MAX_CLUSTER_SIZE = 2000
@@ -106,22 +102,6 @@ def _laplacians(size: int, shapes: Sequence[np.ndarray]) -> np.ndarray:
     diagonal = np.arange(size)
     lap[:, diagonal, diagonal] = degrees.reshape(len(shapes), size)
     return lap
-
-
-def full_laplacian(g: EmbeddedGraph, open_mask: np.ndarray) -> np.ndarray:
-    """Dense Laplacian of the open subgraph of the whole patch.
-
-    Block-diagonal over clusters, so its spectrum equals the union of the
-    per-cluster spectra; kept as an independent route for cross-checks.
-    Dense, hence capped to small patches.
-    """
-    if g.n_vertices > _DENSE_VERTICES:
-        raise ValueError(
-            f"{g.n_vertices} vertices is too large for a dense Laplacian "
-            f"(cap {_DENSE_VERTICES})"
-        )
-    open_mask = np.asarray(open_mask, dtype=bool)
-    return laplacian_from_edges(g.n_vertices, g.edges[open_mask])
 
 
 def _snap(vals: np.ndarray) -> np.ndarray:
@@ -449,7 +429,7 @@ def ids_estimate(
     With a counting radius, mass is collected over the open ball of that
     radius at the origin and divided by its area; without one the whole
     patch is counted with volume one (raw eigenvalue counts).  Realizations
-    in which a counted cluster comes within l_max of the patch boundary are
+    in which a counted cluster comes at most l_max from the patch boundary are
     dropped and tallied in ``truncated_realizations`` (the cluster could
     extend beyond the generated patch, so its spectrum is not trustworthy);
     pass flag_boundary=False to keep every realization, e.g. when comparing
@@ -482,7 +462,7 @@ def ids_estimate(
         in_ball = norm_sign(g.basis, g.coeffs, g.embed, counting_radius) < 0
         volume = math.pi * counting_radius**2
     window = int(in_ball.sum())
-    # a window vertex within l_max of the boundary is a counted cluster
+    # a window vertex at most l_max from the boundary is a counted cluster
     # touching it, isolated or not, so it drops every realization
     near_window = bool((in_ball & g.near_boundary).any())
     chi_row = None if chi_margin is None else cluster_size_statistic(g, chi_margin)
@@ -580,7 +560,7 @@ def bruteforce_ids_oracle(
         mask = np.array(bits, dtype=bool)
         k = int(mask.sum())
         w = (p**k) * ((1.0 - p) ** (m - k))
-        vals = eigenvalues(full_laplacian(g, mask))
+        vals = eigenvalues(laplacian_from_edges(g.n_vertices, g.edges[mask]))
         counts = np.searchsorted(vals, grid, side="right").astype(float)
         mean += w * counts
         second += w * counts * counts

@@ -19,10 +19,11 @@ from percospec.patterns import canonicalize, extract_r_patterns, occurrence_plan
 from percospec.percolation import (
     PercolationParams,
     boundary_path_bound,
+    boundary_path_statistic,
     bounds_report,
     edge_uniforms,
     gamma_rate,
-    boundary_path_probability,
+    per_realization_rows,
     sample,
 )
 from percospec.spectral import (
@@ -125,7 +126,9 @@ def test_criterion_04_boundary_path_decay(patch100):
     bound 2 exp(-n ln(1/0.6)) at p = 0.2 for every scale n = 1..20."""
     t0 = time.perf_counter()
     params = PercolationParams(p=0.2, master_seed=17, realizations=5)
-    est = boundary_path_probability(patch100, params, range(1, 21))
+    stat = boundary_path_statistic(patch100, range(1, 21))
+    (rows,) = per_realization_rows(patch100, params, [stat])
+    est = stat.estimate(rows)
     samples = est.interior_vertices * est.realizations
     assert est.interior_vertices >= 10_000
     bound = 2.0 * np.exp(-est.n_values * math.log(1.0 / 0.6))

@@ -58,7 +58,7 @@ PERCOLATE_RUNS = {
         ["--family", "square", "--radius", "45", "--p", "0.2",
          "--realizations", "20", "--seed", "3", "--n-max", "8"],
         {
-            "clusters.csv": "2fb43b049212c1f3683d62072fb0c201c7317b362167160e23a54f4e1380d288",
+            "clusters.csv": "5a853235a54d587e5ae8e805580bb5724a4fc77b870b86edd94a1797eb7ad10b",
             "bounds.json": "5cb6a4ca9d03a7422362bc62c1020b84fbf8000db1e4b8a6a17d1bf207b6e156",
         },
     ),
@@ -66,7 +66,7 @@ PERCOLATE_RUNS = {
         ["--family", "penrose", "--radius", "30", "--p", "0.15",
          "--realizations", "60", "--seed", "4"],
         {
-            "clusters.csv": "8707ae5019a8977772751d56cf0f29ce4270275624c028e505640f29277dd5d9",
+            "clusters.csv": "e4a86d940e1b822ae6c75af3a457ec2e0dc60069e2b69785fc2d9853b594815c",
             "bounds.json": "d1a3c03a839c6b85682cf9b34416713a97283c60a09863d1668370b080fbb033",
         },
     ),
@@ -74,7 +74,7 @@ PERCOLATE_RUNS = {
         ["--family", "ammann_beenker", "--radius", "24", "--p", "0.13",
          "--realizations", "30", "--seed", "6"],
         {
-            "clusters.csv": "f8791a82c41d8da6cecdd11d11be4aad3063745cd655863d08cf5fcea017f1cd",
+            "clusters.csv": "061c32a1c5fdaf6b5383af6dbc5273c072ee95375870fcd06164e03fba642b35",
             "bounds.json": "d98e3074f42473a5e4fe01c1569a1352c093fb32aefae0437a5d4534f45acd84",
         },
     ),
@@ -82,7 +82,7 @@ PERCOLATE_RUNS = {
         ["--family", "square", "--radius", "20", "--p", "0.55",
          "--realizations", "8", "--seed", "2", "--n-max", "8"],
         {
-            "clusters.csv": "017ecffdc49a84f4a0c75dea49c689b43238cbfae10b440f2cc6dc1b36cb9c66",
+            "clusters.csv": "b88b6c451bdfb5b215b1db92c0449e51f504afbaefa5ae557caabb4b3339fe20",
             "bounds.json": "d3e73c6a8cf8b4d76519b4cebd9d80d477d3b6db6440d1cd32052118c30e7e59",
         },
     ),

@@ -266,10 +266,19 @@ class TestExactOpenBall:
         assert ball_ids(g, -0.5).size == 0
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_near_boundary_is_outside_closed_inner_ball(self, family):
+    def test_near_boundary_is_outside_open_inner_ball(self, family):
+        # the band is closed: |x| = R - l_max is a tie on the lattices
         g = graphs.generate(family, 8.0)
-        want = np.array(signs(family, g.coeffs, 8.0 - g.l_max)) > 0
+        want = np.array(signs(family, g.coeffs, 8.0 - g.l_max)) >= 0
         assert np.array_equal(g.near_boundary, want)
+
+    def test_near_boundary_holds_the_inner_tie(self):
+        # (39, 0) lies exactly l_max inside the square patch of radius 40,
+        # and its neighbour (40, 0) is outside the open ball
+        g = graphs.generate("square", 40.0)
+        rows = g.coeffs.tolist()
+        assert [40, 0] not in rows
+        assert g.near_boundary[rows.index([39, 0])]
 
 
 class TestBallCandidates:

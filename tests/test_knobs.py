@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {
     "canonicalize(colours)": "coloured patterns are part of acceptance criterion 6",
     "cluster_size_tail_statistic(margin)": "tests pass a margin to keep their patches small",
-    "boundary_path_probability(margin)": "tests pass a margin to keep their patches small",
+    "boundary_path_statistic(margin)": "tests pass a margin to keep their patches small",
 }
 
 ALLOWED_FIELDS = {

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from exact_ball import ball_ids, in_open_ball
 from oracles import from_coeffs
@@ -315,22 +317,29 @@ class TestFrequencies:
 class TestDensity:
     def test_square_density_approaches_one(self):
         g = generate("square", 60.0)
-        report = density_report(g, radii=[30.0, 40.0, 50.0])
-        assert report.rho_hat == pytest.approx(1.0, abs=0.02)
-        # the full lattice is one boundary-touching cluster, so the
-        # unbounded-cluster density coincides with the vertex density
-        assert report.rho_infinity_hat == pytest.approx(report.rho_hat, abs=1e-12)
-
-    def test_isolated_vertices_have_no_unbounded_part(self):
-        coeffs = [(x, y) for x in range(-8, 9) for y in range(-8, 9) if (x + y) % 2 == 0]
-        g = from_coeffs("square", coeffs, [], box=Ball((0.0, 0.0), 12.0))
-        report = density_report(g, radii=[4.0, 6.0, 8.0])
-        assert report.rho_infinity_hat == 0.0
-        assert report.rho_hat == pytest.approx(0.5, abs=0.1)
+        assert density_report(g, 50.0) == pytest.approx(1.0, abs=0.02)
 
     def test_penrose_density_value(self, penrose_20):
-        report = density_report(penrose_20, radii=[10.0, 13.0, 16.0, 19.0])
-        assert report.rho_hat == pytest.approx(1.231, rel=0.02)
+        assert density_report(penrose_20, 19.0) == pytest.approx(1.231, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "family,radius",
+        [("square", 1.0), ("square", 40.0),
+         ("triangular", 1.0), ("triangular", 2.0), ("triangular", 8.0),
+         ("triangular", 12.0), ("penrose", 1.0), ("penrose", 12.0),
+         ("ammann_beenker", 1.0), ("ammann_beenker", 16.0)],
+    )
+    def test_every_open_component_reaches_the_band(self, family, radius):
+        # why lifshits takes rho_inf = rho: a component of the all-open
+        # patch with no near_boundary vertex has every neighbour inside
+        # the patch, so it would be a finite component of a connected
+        # infinite graph; the lattice radii put vertices on |x| = R - l_max
+        g = generate(family, radius)
+        adjacency = coo_matrix(
+            (np.ones(g.n_edges), tuple(g.edges.T)), shape=(g.n_vertices,) * 2
+        )
+        labels = connected_components(adjacency, directed=False)[1]
+        assert set(labels[g.near_boundary].tolist()) == set(labels.tolist())
 
 
 class TestColoured:

@@ -13,14 +13,12 @@ from scipy.sparse.csgraph import connected_components
 
 from exact_ball import ball_ids, in_open_ball, signs
 from oracles import bruteforce_cluster_oracle, from_coeffs
-from percospec.graphs import generate, ball_volume
+from percospec.graphs import generate
 from percospec import percolation, spectral
 from percospec.cli import main
-from percospec.patterns import density_report
 from percospec.percolation import (
     PercolationParams,
     _cluster_reach,
-    boundary_path_probability,
     boundary_path_statistic,
     bounds_report,
     cluster_size_statistic,
@@ -203,7 +201,7 @@ class TestDecompose:
         # the single all-open cluster reaches the boundary
         assert dec.boundary_touching.tolist() == [True]
         assert decompose(g, np.zeros(g.n_edges, dtype=bool)).boundary_touching.size == 0
-        near = np.array(signs("square", g.coeffs, 5.0 - g.l_max)) > 0
+        near = np.array(signs("square", g.coeffs, 5.0 - g.l_max)) >= 0
         for r in range(5):
             cfg = sample(g, PercolationParams(p=0.4, master_seed=2), r)
             dec = decompose(g, cfg)
@@ -280,14 +278,43 @@ class TestTailStatistics:
         # the cluster leaves B_1(v) iff some incident edge is open
         p = 0.25
         params = PercolationParams(p=p, master_seed=91, realizations=400)
-        bp = boundary_path_probability(square_14, params, [1.0])
+        stat = boundary_path_statistic(square_14, [1.0])
+        (rows,) = per_realization_rows(square_14, params, [stat])
+        bp = stat.estimate(rows)
         expect = 1 - (1 - p) ** 4
         assert abs(bp.estimates[0] - expect) < 4 * bp.stderrs[0]
 
     def test_boundary_path_decreasing_in_n(self, square_14):
         params = PercolationParams(p=0.3, master_seed=5, realizations=50)
-        bp = boundary_path_probability(square_14, params, [1.0, 2.0, 3.0, 4.0])
+        stat = boundary_path_statistic(square_14, [1.0, 2.0, 3.0, 4.0])
+        (rows,) = per_realization_rows(square_14, params, [stat])
+        bp = stat.estimate(rows)
         assert np.all(np.diff(bp.estimates) <= 0)
+
+    def test_boundary_path_default_margin_sees_every_exit(self):
+        # an open path from (7, 3) along y = 3 to (18, 3), up to (18, 7) and
+        # out to (19, 7): it leaves B_12((7, 3)) only at (19, 7), which lies
+        # at 20.25, outside the patch; the default interior must hold only
+        # vertices whose exits the patch decides, as on the infinite lattice
+        g = generate("square", 20.0)
+        n_values = np.arange(1, 13)
+        stat = boundary_path_statistic(g, n_values)
+        path = [(x, 3) for x in range(7, 19)] + [(18, y) for y in range(4, 8)]
+        outside = (19, 7)
+        ids = {row: v for v, row in enumerate(map(tuple, g.coeffs.tolist()))}
+        assert outside not in ids
+        on_path = np.zeros(g.n_vertices, dtype=bool)
+        on_path[[ids[c] for c in path]] = True
+        (row,) = stat(decompose(g, on_path[g.edges].all(axis=1)))
+        # the interior is an open ball: the stat.interior_vertices nearest
+        norm2 = (g.coeffs**2).sum(axis=1)
+        interior = norm2 <= np.sort(norm2)[stat.interior_vertices - 1]
+        assert interior.sum() == stat.interior_vertices
+        # reach on the infinite lattice, where the path goes on to (19, 7)
+        pts = np.array(path + [outside], dtype=float)
+        reach = [np.hypot(*(pts - c).T).max() for c in path if interior[ids[c]]]
+        want = [sum(r >= n for r in reach) / stat.interior_vertices for n in n_values]
+        assert row.tolist() == want
 
     def test_mean_cluster_size_subcritical(self, square_14):
         params = PercolationParams(p=0.2, master_seed=13, realizations=100)
@@ -469,7 +496,7 @@ ORACLE_MARGIN = 4.0
         ("square", 16.0, 0.0, 12.0),
         # every vertex touched, one cluster per block
         ("square", 8.0, 1.0, 6.0),
-        # the window holds vertices within l_max of the boundary, some of
+        # the window holds vertices at most l_max from the boundary, some of
         # them isolated in every realization
         ("square", 16.0, 0.2, 15.5),
         # the window holds one such vertex, isolated in some realizations
@@ -487,7 +514,7 @@ def touched_case(request):
 
 
 def _one_near_vertex_patch(radius):
-    """The square patch less every vertex within l_max of its boundary but
+    """The square patch less every vertex at most l_max from its boundary but
     (radius - 1, 1): a window that holds that vertex drops a realization
     through it alone when it is isolated."""
     g = generate("square", radius)
@@ -570,20 +597,6 @@ def _reference_margins(g, cfg):
     return np.array(margins), int(sizes.max(initial=0)) if margins else 0
 
 
-def _reference_rho_infinity(g, radii):
-    """density_report's rho_infinity from the cluster id of every vertex
-    of the all-open patch: a vertex is unbounded when its cluster owns one
-    within l_max of the boundary."""
-    labels = _full_labels(g, np.ones(g.n_edges, dtype=bool))
-    touching = np.zeros(labels.max() + 1, dtype=bool)
-    touching[labels[g.near_boundary]] = True
-    unbounded = touching[labels]
-    return [
-        float((in_open_ball(g.basis.id, g.coeffs, r) & unbounded).sum()) / ball_volume(r)
-        for r in radii
-    ]
-
-
 class TestTouchedVerticesMatchFullLabels:
     """At every batch size, what reads the open-edge decomposition gives the
     bytes of the same quantity computed from scipy's cluster id of every
@@ -631,28 +644,6 @@ class TestTouchedVerticesMatchFullLabels:
                 want = (margins.size, np.count_nonzero(margins < 1.0),
                         margins.min(initial=math.inf), max(s for _, s in alone[b0 : b0 + k]))
                 assert np.array(got).tobytes() == np.array(want).tobytes()
-
-    def test_density_report(self, touched_case):
-        g, _, _ = touched_case
-        radii = [0.5 * g.box.radius, 0.9 * g.box.radius, g.box.radius + 1.0]
-        got = density_report(g, radii).rho_infinity
-        assert np.array(got).tobytes() == np.array(_reference_rho_infinity(g, radii)).tobytes()
-
-    def test_density_report_isolated_vertices(self):
-        # one isolated vertex near the boundary (unbounded) and one in the
-        # middle (bounded)
-        g = generate("square", 6.0)
-        lone = [int(np.argmax(g.near_boundary)), int(np.argmin(np.hypot(*g.embed.T)))]
-        keep = ~np.isin(g.edges, lone).any(axis=1)
-        g = from_coeffs("square", g.coeffs, g.edges[keep], box=g.box)
-        assert np.array_equal(decompose(g, np.ones(g.n_edges, dtype=bool)).touched,
-                              np.setdiff1d(np.arange(g.n_vertices), lone))
-        radii = [0.5, 3.0, 7.0]
-        got = density_report(g, radii).rho_infinity
-        want = _reference_rho_infinity(g, radii)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-        # the middle vertex is the only vertex of the smallest ball
-        assert want[0] == 0.0
 
 
 def test_components_run_on_touched_vertices_only(monkeypatch):

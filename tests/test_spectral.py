@@ -33,7 +33,6 @@ from percospec.spectral import (
     bruteforce_ids_oracle,
     eigensystem,
     eigenvalues,
-    full_laplacian,
     ids_estimate,
     laplacian_from_edges,
 )
@@ -58,19 +57,14 @@ class TestLaplacian:
 
     def test_rows_sum_to_zero(self):
         g = _grid_graph(4, 3)
-        lap = full_laplacian(g, np.ones(g.n_edges, dtype=bool))
+        lap = laplacian_from_edges(g.n_vertices, g.edges)
         assert np.allclose(lap.sum(axis=1), 0.0)
         assert np.allclose(lap, lap.T)
 
     def test_diagonal_is_degree(self):
         g = _grid_graph(4, 3)
-        lap = full_laplacian(g, np.ones(g.n_edges, dtype=bool))
+        lap = laplacian_from_edges(g.n_vertices, g.edges)
         assert np.array_equal(np.diag(lap), g.degrees())
-
-    def test_dense_cap(self):
-        g = generate("square", 40.0)
-        with pytest.raises(ValueError):
-            full_laplacian(g, np.ones(g.n_edges, dtype=bool))
 
 
 class TestEigen:
@@ -166,7 +160,7 @@ class TestIdsWholePatch:
         g = _grid_graph(4, 2)
         params = PercolationParams(p=0.5, master_seed=11)
         cfg = sample(g, params, 0)
-        vals_full = eigenvalues(full_laplacian(g, cfg.open_mask))
+        vals_full = eigenvalues(laplacian_from_edges(g.n_vertices, g.edges[cfg.open_mask]))
         dec = decompose(g, cfg)
         # each isolated vertex is a one-vertex cluster with eigenvalue 0
         pieces = [np.zeros(g.n_vertices - dec.touched.size)]
@@ -279,7 +273,7 @@ class TestCheeger:
 def test_property_blocks_vs_full(seed):
     g = _grid_graph(3, 4)
     cfg = sample(g, PercolationParams(p=0.45, master_seed=seed), 0)
-    vals_full = eigenvalues(full_laplacian(g, cfg.open_mask))
+    vals_full = eigenvalues(laplacian_from_edges(g.n_vertices, g.edges[cfg.open_mask]))
     params = PercolationParams(p=0.45, master_seed=seed, realizations=1)
     # grid energies sit away from eigenvalue atoms (0, 1, 2, ...) so the
     # two routes cannot disagree by rounding at a step
