@@ -84,6 +84,11 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (exit code 2)."""
 
 
+def _finite_positive(x: float) -> bool:
+    # NaN fails both comparisons
+    return 0.0 < x < math.inf
+
+
 # the counting window stays at least this far inside the generated patch
 _WINDOW_MARGIN = 1.0
 # a grid energy in the bulk that records the total spectral mass
@@ -127,21 +132,21 @@ class ExperimentConfig:
                 )
         elif not (0.0 <= self.p <= 1.0):
             problems.append(f"percolation.p = {self.p}: must lie in [0, 1]")
-        if self.radius <= 0.0:
-            problems.append(f"graph.radius = {self.radius}: must be positive")
+        if not _finite_positive(self.radius):
+            problems.append(f"graph.radius = {self.radius}: must be finite and positive")
         if self.counting_radius is not None:
-            if self.counting_radius <= 0.0:
+            if not _finite_positive(self.counting_radius):
                 problems.append(
-                    f"ids.counting_radius = {self.counting_radius}: must be positive"
+                    f"ids.counting_radius = {self.counting_radius}: must be finite and positive"
                 )
             elif self.counting_radius + _WINDOW_MARGIN > self.radius:
                 problems.append(
                     f"ids.counting_radius = {self.counting_radius}: counting radius "
                     f"+ margin {_WINDOW_MARGIN} exceeds generation radius {self.radius}"
                 )
-        if self.pattern_radius <= 0.0:
+        if not _finite_positive(self.pattern_radius):
             problems.append(
-                f"patterns.pattern_radius = {self.pattern_radius}: must be positive"
+                f"patterns.pattern_radius = {self.pattern_radius}: must be finite and positive"
             )
         if self.realizations < 1:
             problems.append(
@@ -158,14 +163,16 @@ class ExperimentConfig:
             )
         if self.n_max < 1:
             problems.append(f"percolation.n_max = {self.n_max}: must be >= 1")
-        if self.e_max <= 0.0:
-            problems.append(f"ids.e_max = {self.e_max}: must be positive")
+        if not _finite_positive(self.e_max):
+            problems.append(f"ids.e_max = {self.e_max}: must be finite and positive")
         elif command == "lifshits" and self.e_max >= _TOP_ANCHOR:
             problems.append(
                 f"ids.e_max = {self.e_max}: lifshits fits the tail up to e_max, "
                 f"which must stay below the top anchor {_TOP_ANCHOR} in the bulk"
             )
-        if self.e_min is not None and not (0.0 < self.e_min < self.e_max):
+        # a bad e_max is named once, above; e_min is then only checked alone
+        e_top = self.e_max if _finite_positive(self.e_max) else math.inf
+        if self.e_min is not None and not (0.0 < self.e_min < e_top):
             problems.append(
                 f"ids.e_min = {self.e_min}: must lie in (0, e_max = {self.e_max})"
             )

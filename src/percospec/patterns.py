@@ -8,7 +8,13 @@ other.  Occurrence counting uses subgraph containment: a translate x + P sits
 inside G when every pattern vertex lands on a graph vertex and every pattern
 edge (with its colour, if any) is present.
 
-The census is the empirical face of finite local complexity; an occurrence
+The census is the empirical face of finite local complexity, and it is
+built once per patch and radius, not once per centre: a cell grid proposes
+every vertex pair within r, ``norm_sign`` decides on the coefficient
+differences, and each vertex is keyed by which of the offsets found hold a
+vertex and which offset pairs an edge of the patch joins.  Vertices with
+one key share one pattern, so ``canonicalize`` runs once per distinct key
+and ``pattern_at`` is a lookup in the table the patch keeps.  An occurrence
 plan counts the translates of a pattern, coloured by a bond configuration or
 not, inside a counting ball; the density report counts the vertices of one
 ball, the density the bracket certification weights both bounds with.  Every
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +35,6 @@ from .graphs import (
     EmbeddedGraph,
     _lookup,
     ball_volume,
-    induced_edges,
     norm_sign,
     radix_weights,
 )
@@ -99,18 +104,102 @@ def canonicalize(
     )
 
 
+@dataclass
+class _Neighbourhoods:
+    """The r-neighbourhood of every vertex of a patch as a key: which
+    offsets of ``offsets`` lead to a vertex in the open r-ball, and which
+    offset pairs of ``pairs`` a patch edge joins, one bit each in 64-bit
+    words.  Vertices with one key share one pattern, canonicalized when it
+    is first asked for."""
+
+    offsets: np.ndarray  # (D, rank) coefficient offsets |d| < r between vertices
+    pairs: np.ndarray  # (P, 2) offset indices whose offsets differ as an edge's ends do
+    keys: np.ndarray  # (K, words) uint64: D member bits, then P joined bits
+    key_of: list  # key index of each vertex
+    classes: list  # CanonicalPattern of each key, None until asked for
+
+    def pattern(self, basis_id: str, key: int) -> CanonicalPattern:
+        if self.classes[key] is None:
+            bits = (self.keys[key][:, None] >> np.arange(64, dtype=np.uint64)) & 1
+            bits = bits.ravel().astype(bool)
+            d = len(self.offsets)
+            members, joined = bits[:d], bits[d : d + len(self.pairs)]
+            position = np.cumsum(members) - 1
+            self.classes[key] = canonicalize(
+                basis_id, self.offsets[members], position[self.pairs[joined]]
+            )
+        return self.classes[key]
+
+
+def _inside_pairs(
+    g: EmbeddedGraph, radius: float, weights: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The pairs (i, j) of vertices with |x_j - x_i| < radius, exactly, in
+    blocks of centres i, with the coefficient difference rows x_j - x_i and
+    their radix keys under ``weights``."""
+    # float pairs propose, within a radius widened past any rounding of the
+    # embedding; norm_sign decides on the exact difference rows
+    for i, j in g.near_pairs(radius + _BAND * (1.0 + radius)):
+        diff = g.coeffs.take(j, axis=0) - g.coeffs.take(i, axis=0)
+        points = g.embed.take(j, axis=0) - g.embed.take(i, axis=0)
+        inside = norm_sign(g.basis, diff, points, radius) < 0
+        yield i[inside], j[inside], diff[inside], diff[inside] @ weights
+
+
+def _neighbourhoods(g: EmbeddedGraph, radius: float) -> _Neighbourhoods:
+    """Key every vertex of ``g`` by its open r-neighbourhood, a block of
+    centres at a time: one pass finds the offsets, a second sets the bits."""
+    # digits in [-2 span, 2 span] key every offset plus an edge's step;
+    # radix keys are linear, so offset d + step s has the key of d plus s's
+    span = g.coeffs.max(axis=0, initial=0) - g.coeffs.min(axis=0, initial=0)
+    weights = radix_weights(-2 * span, 2 * span)
+    keys, rows = [], []
+    for _, _, diff, key in _inside_pairs(g, radius, weights):
+        key, first = np.unique(key, return_index=True)
+        keys.append(key)
+        rows.append(diff[first])
+    offset_keys, first = np.unique(np.concatenate(keys), return_index=True)
+    offsets = np.concatenate(rows)[first]
+    # the steps of the patch's edges, read from its edge list, so that a
+    # patch with an edge missing keeps its own patterns: along[a, t] when
+    # vertex a has an edge to a + step t, and pair_of[s, t] is the index of
+    # the offset pair (s, s + step t), or -1 when s + step t is no offset
+    steps = g.coeffs[g.edges[:, 1]] - g.coeffs[g.edges[:, 0]]
+    step_keys, step_of = np.unique(steps @ weights, return_inverse=True)
+    along = np.zeros((g.n_vertices, len(step_keys)), dtype=bool)
+    along[g.edges[:, 0], step_of] = True
+    at, hit = _lookup(offset_keys, offset_keys[:, None] + step_keys)
+    s, t = np.nonzero(hit)
+    pairs = np.stack([s, at[s, t]], axis=1)
+    pair_of = np.full(hit.shape, -1, dtype=np.int64)
+    pair_of[s, t] = np.arange(len(s))
+    # bit s of a centre: a vertex at offset s; bit D + pair_of[s, t]: that
+    # vertex's edge along step t, to a vertex inside the ball too
+    words = np.zeros((g.n_vertices, -(-(len(offsets) + len(pairs)) // 64)), dtype=np.uint64)
+    for i, j, _, key in _inside_pairs(g, radius, weights):
+        slot = np.searchsorted(offset_keys, key)
+        joined = pair_of.take(slot, axis=0)
+        k, t = np.nonzero(along.take(j, axis=0) & (joined >= 0))
+        centre = np.concatenate([i, i[k]])
+        bit = np.concatenate([slot, len(offsets) + joined[k, t]])
+        np.bitwise_or.at(words, (centre, bit >> 6), np.uint64(1) << (bit & 63).astype(np.uint64))
+    # rank the centres' words to find the distinct keys
+    order = np.lexsort(words.T)
+    ranked = words[order]
+    new = np.append(True, (ranked[1:] != ranked[:-1]).any(axis=1))
+    key_of = np.empty(g.n_vertices, dtype=np.int64)
+    key_of[order] = np.cumsum(new) - 1
+    return _Neighbourhoods(offsets, pairs, ranked[new], key_of.tolist(), [None] * int(new.sum()))
+
+
 def pattern_at(g: EmbeddedGraph, center: int, radius: float) -> CanonicalPattern:
     """Induced r-pattern around one vertex (the caller guarantees that the
-    ball lies inside the patch)."""
-    # the index only proposes candidates, within a radius widened past any
-    # rounding of the embedding; norm_sign decides on the exact rows
-    centre = g.coeffs[center], g.embed[center]
-    widened = radius + _BAND * (1.0 + radius)
-    members = g.ball_candidates(centre[1], widened)
-    rows = g.coeffs[members]
-    inside = norm_sign(g.basis, rows, g.embed[members], radius, centre) < 0
-    members = members[inside]
-    return canonicalize(g.basis.id, rows[inside], induced_edges(g, members))
+    ball lies inside the patch, and r > 0): a lookup in the patch's
+    neighbourhood table for ``radius``, built on the first call."""
+    table = g.pattern_tables.get(radius)
+    if table is None:
+        table = g.pattern_tables[radius] = _neighbourhoods(g, radius)
+    return table.pattern(g.basis.id, table.key_of[center])
 
 
 @dataclass

@@ -5,7 +5,10 @@ a test can delete an edge or leave a vertex isolated; the patch carries its
 family's declared constants, and ``geometry_report`` measures them.
 ``validate`` checks a patch's structural invariants and its family's
 declared constants.  ``bruteforce_cluster_oracle`` enumerates every bond
-configuration of a small patch.  ``cut_and_project_candidates`` is the
+configuration of a small patch.  ``pattern_by_centre`` builds one r-pattern
+the way the census once built each: a float scan of every vertex proposes,
+``norm_sign`` decides, and the whole edge list is scanned for the induced
+edges.  ``cut_and_project_candidates`` is the
 Ammann-Beenker candidate enumeration as one box over every (k0, k1) row,
 the reference for the generator's bounded-memory one.
 """
@@ -17,7 +20,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from percospec import graphs
-from percospec.graphs import FAMILIES, Ball, EmbeddedGraph, GraphGenerationError
+from percospec.graphs import (
+    FAMILIES,
+    Ball,
+    EmbeddedGraph,
+    GraphGenerationError,
+    induced_edges,
+    norm_sign,
+)
+from percospec.patterns import CanonicalPattern, canonicalize
 from percospec.percolation import decompose
 from percospec.spectral import _MAX_ENUMERATED_EDGES
 
@@ -64,6 +75,16 @@ def validate(g: EmbeddedGraph) -> None:
     lengths = np.linalg.norm(g.embed[e[:, 0]] - g.embed[e[:, 1]], axis=1)
     if np.any(lengths > g.l_max + 1e-9):
         raise ValueError("edge longer than declared l_max")
+
+
+def pattern_by_centre(g: EmbeddedGraph, center: int, radius: float) -> CanonicalPattern:
+    """The induced r-pattern around one vertex, from that vertex alone."""
+    d = g.embed - g.embed[center]
+    widened = radius + graphs._BAND * (1.0 + radius)
+    members = np.flatnonzero(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= widened * widened)
+    rows = g.coeffs[members]
+    inside = norm_sign(g.basis, rows - g.coeffs[center], d[members], radius) < 0
+    return canonicalize(g.basis.id, rows[inside], induced_edges(g, members[inside]))
 
 
 def bruteforce_cluster_oracle(

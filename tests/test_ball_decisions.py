@@ -2,9 +2,9 @@
 
 An ``ast`` scan of ``src/``: no code reads ``hypot``, ``boundary_distance``
 or ``contains`` (the float ball tests that disagree at exact-distance
-ties), the float candidate index ``EmbeddedGraph.ball_candidates`` is
-queried only by ``pattern_at``, which lets ``norm_sign`` decide on its
-candidates, and a KD-tree is built only inside ``geometry_report``, for
+ties), the float pair query ``EmbeddedGraph.near_pairs`` is read only by
+``_inside_pairs``, which lets ``norm_sign`` decide on its pairs for the
+census table, and a KD-tree is built only inside ``geometry_report``, for
 nearest neighbours, which decide no ball.
 """
 
@@ -18,7 +18,7 @@ FILES = sorted(path.relative_to(ROOT).as_posix() for path in (ROOT / "src").rglo
 
 FLOAT_BALL_TESTS = {"hypot", "boundary_distance", "contains"}
 # float neighbour queries and the one function allowed to read each
-CANDIDATE_USERS = {"ball_candidates": "pattern_at", "cKDTree": "geometry_report"}
+CANDIDATE_USERS = {"near_pairs": "_inside_pairs", "cKDTree": "geometry_report"}
 
 
 def references(source: str) -> list[tuple[str, str | None, int]]:
@@ -62,10 +62,10 @@ def test_scan_covers_the_modules_that_decide_balls():
 def test_scan_finds_a_stray_ball_test():
     source = (
         "from scipy.spatial import cKDTree\n"
-        "def pattern_at(g):\n"
-        "    return g.ball_candidates(0, 1.0)\n"
+        "def _inside_pairs(g):\n"
+        "    return g.near_pairs(1.0)\n"
         "def window(g, r):\n"
-        "    near = cKDTree(g.embed).query(0) + g.ball_candidates(0, r)\n"
+        "    near = cKDTree(g.embed).query(0) + g.near_pairs(r)\n"
         "    return np.hypot(1, 2) < r and g.box.contains(near)\n"
         "def geometry_report(g):\n"
         "    return cKDTree(g.embed)\n"
@@ -74,7 +74,7 @@ def test_scan_finds_a_stray_ball_test():
         "        return points\n"
     )
     assert stray_ball_tests(source) == [
-        "5: cKDTree", "5: ball_candidates", "6: hypot", "6: contains",
+        "5: cKDTree", "5: near_pairs", "6: hypot", "6: contains",
     ]
 
 

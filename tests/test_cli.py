@@ -130,6 +130,16 @@ class TestConfig:
         for fragment in ("percolation.p", "output.format", "run.threads", "graph.family"):
             assert fragment in msg
 
+    @pytest.mark.parametrize("e_max", [math.inf, -math.inf, math.nan])
+    def test_non_finite_e_max_is_named(self, e_max):
+        # checked here, not through main: an unchecked e_max = inf would
+        # grow the energy grid until memory runs out
+        cfg = ExperimentConfig(radius=20.0, counting_radius=15.0, e_min=0.1, e_max=e_max)
+        with pytest.raises(ConfigError) as err:
+            cfg.validate("ids")
+        assert "ids.e_max" in str(err.value)
+        assert "ids.e_min" not in str(err.value)
+
     def test_energy_grid(self):
         # the grid ends in the top anchor 9
         cfg = ExperimentConfig(e_min=0.05, e_max=0.5, per_decade=12)
@@ -314,6 +324,24 @@ class TestSubcommands:
         )
         assert code == 2
         assert "percolation.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,key", [
+        (["ids", "--radius", "nan", "--counting-radius", "15"], "graph.radius"),
+        (["ids", "--radius", "20", "--counting-radius", "nan"], "ids.counting_radius"),
+        (["ids", "--radius", "20", "--counting-radius", "inf"], "ids.counting_radius"),
+        (["ids", "--radius", "20", "--counting-radius", "15", "--e-min", "0.1",
+          "--e-max", "nan"], "ids.e_max"),
+        (["census", "--radius", "12", "--pattern-radius", "nan"], "patterns.pattern_radius"),
+        (["census", "--radius", "12", "--pattern-radius", "inf"], "patterns.pattern_radius"),
+        (["generate", "--radius", "inf"], "graph.radius"),
+        (["generate", "--radius", "nan"], "graph.radius"),
+    ])
+    def test_non_finite_setting_exits_two(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err
+        assert not out.exists()
 
     def test_census_square_stable(self, tmp_path):
         out = tmp_path / "census"

@@ -44,11 +44,22 @@ IDS_SHA256 = {
     "penrose": "48f0aeae61e48c43c6dcd1b49634cbb2f866d6f995d5ecd49f7a63d76ff8fcb6",
 }
 
-CENSUS_ARGV = [
-    "census", "--family", "penrose", "--radius", "16", "--pattern-radius", "0.9",
-]
-CENSUS_SHA256 = {
-    "census.csv": "8acacaaef2e8898b141c078547a2dae13efd685e49ced6ab5982773208f67b30",
+# census.csv of three censuses; the Ammann-Beenker and triangular digests
+# were recorded from the per-centre census, before it became a table of
+# distinct neighbourhoods, and triangular r = 2.0 is a tie radius
+CENSUS_RUNS = {
+    "penrose": (
+        ["--family", "penrose", "--radius", "16", "--pattern-radius", "0.9"],
+        "8acacaaef2e8898b141c078547a2dae13efd685e49ced6ab5982773208f67b30",
+    ),
+    "ammann_beenker": (
+        ["--family", "ammann_beenker", "--radius", "16", "--pattern-radius", "1.0"],
+        "5b8ea7fe56c78afa7042f5b4a65346389d1136efa91852866b58176e8a4ce974",
+    ),
+    "triangular": (
+        ["--family", "triangular", "--radius", "12", "--pattern-radius", "2.0"],
+        "048ba379ea1e5dbea7c4cd0c46542f43f9e56321b50b43d617882e2a47debb6d",
+    ),
 }
 
 # percolate on every aperiodic family and on a supercritical square patch
@@ -171,9 +182,11 @@ def test_generate_outputs_match_golden(tmp_path):
     assert _digests(tmp_path, GENERATE_SHA256) == GENERATE_SHA256
 
 
-def test_penrose_census_matches_golden(tmp_path):
-    assert main(CENSUS_ARGV + ["--out", str(tmp_path)]) == 0
-    assert _digests(tmp_path, CENSUS_SHA256) == CENSUS_SHA256
+@pytest.mark.parametrize("family", sorted(CENSUS_RUNS))
+def test_census_matches_golden(tmp_path, family):
+    argv, digest = CENSUS_RUNS[family]
+    assert main(["census", *argv, "--out", str(tmp_path)]) == 0
+    assert _digests(tmp_path, ["census.csv"]) == {"census.csv": digest}
 
 
 @pytest.mark.parametrize("run", sorted(PERCOLATE_RUNS))

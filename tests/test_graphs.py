@@ -257,7 +257,7 @@ class TestExactOpenBall:
         # families; every row is measured from the centre vertex
         g = graphs.generate(family, 5.0)
         c = int(np.argmin((g.embed**2).sum(axis=1)))
-        got = graphs.norm_sign(g.basis, g.coeffs, g.embed, radius, (g.coeffs[c], g.embed[c]))
+        got = graphs.norm_sign(g.basis, g.coeffs - g.coeffs[c], g.embed - g.embed[c], radius)
         assert got.tolist() == signs(family, g.coeffs - g.coeffs[c], radius)
 
     def test_negative_radius_leaves_every_row_outside(self):
@@ -281,29 +281,39 @@ class TestExactOpenBall:
         assert g.near_boundary[rows.index([39, 0])]
 
 
-class TestBallCandidates:
-    """The candidate index returns, in ascending order, exactly the ids a
-    scan of every vertex keeps: squared float distance at most r**2."""
+class TestNearPairs:
+    """The pair query returns, once each, exactly the ordered pairs a scan
+    of every pair keeps: squared float distance at most r**2."""
 
     @staticmethod
-    def brute_force(g, point, radius):
-        d = g.embed - point
-        return np.flatnonzero(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= radius * radius)
+    def brute_force(g, radius):
+        d = g.embed[:, None, :] - g.embed[None, :, :]
+        i, j = np.nonzero(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] <= radius * radius)
+        return sorted(zip(i.tolist(), j.tolist()))
+
+    @staticmethod
+    def pairs(g, radius):
+        blocks = list(g.near_pairs(radius))
+        # blocks of whole centres: no centre in two
+        centres = [set(i.tolist()) for i, _ in blocks]
+        assert sum(map(len, centres)) == len(set().union(*centres))
+        return sorted((a, b) for i, j in blocks for a, b in zip(i.tolist(), j.tolist()))
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_matches_a_scan_of_every_vertex(self, family):
+    @pytest.mark.parametrize("block", [1 << 18, 1000, 1], ids=["whole", "1000", "1"])
+    def test_matches_a_scan_of_every_pair(self, monkeypatch, family, block):
+        # blocks of at most `block` compared pairs, or of one centre
+        monkeypatch.setattr(graphs, "_PAIR_BLOCK", block)
         g = graphs.generate(family, 8.0)
-        # vertices next to the boundary, the vertex nearest the centre, and
-        # points off the vertices, two of them outside the patch
-        centres = [g.embed[v] for v in np.flatnonzero(g.near_boundary)[::3]]
-        centres.append(g.embed[int(np.argmin((g.embed**2).sum(axis=1)))])
-        centres += [np.array(p) for p in [(0.25, -0.125), (7.9, 0.3), (-8.5, 1.0), (0.0, 30.0)]]
         # edge length 1 (and 2 on the lattices) are ties; 17 covers the patch
-        for radius in [0.0, 0.5, 1.0, 1.0 + 2.0**-20, 2.0, 3.7, 17.0]:
-            for point in centres:
-                got = g.ball_candidates(point, radius)
-                assert got.tolist() == self.brute_force(g, point, radius).tolist(), (point, radius)
-        assert g.ball_candidates(np.zeros(2), 17.0).size == g.n_vertices
+        for radius in [2.0**-20, 0.5, 1.0, 1.0 + 2.0**-20, 2.0, 3.7, 17.0]:
+            assert self.pairs(g, radius) == self.brute_force(g, radius), radius
+        assert len(self.pairs(g, 17.0)) == g.n_vertices**2
+
+    def test_patch_away_from_the_origin(self):
+        # cells are counted from the patch's own corner
+        g = from_coeffs("square", [(x, y) for x in range(40, 46) for y in range(-30, -26)])
+        assert self.pairs(g, 1.0) == self.brute_force(g, 1.0)
 
 
 class TestFamilyRecords:

@@ -1,6 +1,7 @@
 """Tests for local pattern extraction, counting, frequencies, and densities."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from exact_ball import ball_ids, in_open_ball
-from oracles import from_coeffs
+from oracles import from_coeffs, pattern_by_centre
+from percospec import graphs, patterns
 from percospec.cli import main
 from percospec.graphs import (
     Ball,
@@ -172,6 +174,94 @@ class TestCensus:
     def test_census_hashes_are_distinct(self, square_20):
         census = extract_r_patterns(square_20, 2.1)
         assert len({hash(p) for p in census.counts}) == census.distinct
+
+
+def _square_without_edge(half_width):
+    """The square patch |x|, |y| <= half_width with its edge (0, 0)-(1, 0)
+    deleted, boxed by the disc of radius half_width."""
+    coeffs = [(x, y) for x in range(-half_width, half_width + 1)
+              for y in range(-half_width, half_width + 1)]
+    idx = {c: k for k, c in enumerate(coeffs)}
+    edges = [
+        (k, idx[(x + dx, y + dy)])
+        for (x, y), k in idx.items()
+        for dx, dy in ((1, 0), (0, 1))
+        if (x + dx, y + dy) in idx and ((x, y), (dx, dy)) != ((0, 0), (1, 0))
+    ]
+    return from_coeffs("square", coeffs, edges, box=Ball((0.0, 0.0), float(half_width)))
+
+
+# (family, patch radius, pattern radius): off-tie radii on every family,
+# then the tie radii, where vertices sit at exactly distance r from a centre
+CENSUS_CASES = [
+    ("square", 14.0, 1.2), ("square", 14.0, 2.1),
+    ("triangular", 12.0, 1.1),
+    ("penrose", 16.0, 0.9), ("penrose", 16.0, 1.1),
+    ("ammann_beenker", 16.0, 1.1), ("ammann_beenker", 16.0, 1.7),
+    ("square", 14.0, 1.0),
+    ("triangular", 12.0, 1.0), ("triangular", 12.0, 2.0),
+    ("penrose", 16.0, 2.0),
+]
+
+
+class TestCensusOracle:
+    """The census table agrees with the pattern built centre by centre, at
+    every eligible centre, on generated, restricted and hand-built patches."""
+
+    @staticmethod
+    def assert_matches_oracle(g, r):
+        census = extract_r_patterns(g, r)
+        eligible = ball_ids(g, g.box.radius - r)
+        oracle = [pattern_by_centre(g, int(c), r) for c in eligible]
+        assert [pattern_at(g, int(c), r) for c in eligible] == oracle
+        assert census.counts == Counter(oracle)
+        assert census.eligible_centers == len(eligible)
+        return census
+
+    @pytest.mark.parametrize("family,patch_radius,r", CENSUS_CASES)
+    @pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
+    def test_generated_patch(self, family, patch_radius, r, half):
+        g = generate(family, patch_radius)
+        self.assert_matches_oracle(restrict(g, patch_radius / 2.0) if half else g, r)
+
+    def test_table_built_in_blocks(self, monkeypatch):
+        # 41 blocks of centres
+        monkeypatch.setattr(graphs, "_PAIR_BLOCK", 1000)
+        self.assert_matches_oracle(generate("penrose", 16.0), 2.0)
+
+    @pytest.mark.parametrize("block", [1 << 18, 100], ids=["one block", "blocks"])
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    def test_patch_with_a_deleted_edge(self, monkeypatch, r, block):
+        # the missing edge shows in the patterns of the 6 centres whose
+        # ball holds both its ends; the full lattice has 1 class.  With
+        # blocks of 100 compared pairs the table is built over 33 and 67
+        monkeypatch.setattr(graphs, "_PAIR_BLOCK", block)
+        census = self.assert_matches_oracle(_square_without_edge(6), r)
+        assert census.distinct == 7
+        assert extract_r_patterns(generate("square", 6.0), r).distinct == 1
+
+
+def test_census_canonicalizes_each_distinct_neighbourhood_once(tmp_path, monkeypatch):
+    # the census command looks up every centre (the 1720 the benchmark's
+    # reference pins), but canonicalizes only the 21 distinct
+    # neighbourhoods of each of its two patches
+    calls = Counter()
+
+    def spy(name):
+        inner = getattr(patterns, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(patterns, name, counted)
+
+    spy("pattern_at")
+    spy("canonicalize")
+    argv = ["census", "--family", "penrose", "--radius", "20", "--pattern-radius", "0.9",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert calls == {"pattern_at": 1720, "canonicalize": 21 + 21}
 
 
 class TestOccurrences:
