@@ -38,7 +38,6 @@ from .graphs import (
     generate,
     geometry_report,
     norm_sign,
-    restrict,
 )
 from .lifshits import (
     MIN_CERTIFY_REALIZATIONS,
@@ -194,7 +193,8 @@ class ExperimentConfig:
 
     def energy_grid(self, d_max: int, volume: float) -> np.ndarray:
         """Log grid from e_max down to e_min at per_decade points per decade,
-        plus the high anchor that records the total spectral mass."""
+        plus the high anchor that records the total spectral mass, in
+        ascending order; the estimator adds zero and drops repeats."""
         e_min = self.e_min
         if e_min is None:
             e_min = min(
@@ -208,7 +208,7 @@ class ExperimentConfig:
             energies.append(e)
             e *= ratio
         energies.append(_TOP_ANCHOR)
-        return np.unique(np.asarray(energies))
+        return np.sort(energies)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ class RunManifest:
             "config": self.config,
             "code_version": self.code_version,
             "output_sha256": self.output_sha256,
-            "wall_clock_s": {k: round(v, 3) for k, v in self.wall_clock_s.items()},
+            "wall_clock_s": {k: round(v, 6) for k, v in self.wall_clock_s.items()},
         }
         if self.master_seed is not None:
             body["master_seed"] = self.master_seed
@@ -608,11 +608,10 @@ def cmd_generate(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) 
 
 def cmd_census(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) -> int:
     """Pattern census at the configured radius, plus a finite-local-
-    complexity stability verdict: the census on the half-radius patch must
+    complexity stability verdict: the census within half the radius must
     already contain every translation class seen on the full patch."""
     census = extract_r_patterns(g, cfg.pattern_radius)
-    half = restrict(g, cfg.radius / 2.0)
-    census_half = extract_r_patterns(half, cfg.pattern_radius)
+    census_half = extract_r_patterns(g, cfg.pattern_radius, within=cfg.radius / 2.0)
     if census_half.eligible_centers == 0:
         raise ConfigError(
             f"patterns.pattern_radius = {cfg.pattern_radius}: no vertex of the "

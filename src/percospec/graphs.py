@@ -30,8 +30,6 @@ __all__ = [
     "EmbeddedGraph",
     "GraphGenerationError",
     "generate",
-    "restrict",
-    "induced_edges",
     "radix_weights",
     "geometry_report",
     "GeometryReport",
@@ -245,7 +243,8 @@ class EmbeddedGraph:
     def near_pairs(self, radius: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Every ordered pair (i, j) of vertex ids, i == j included, whose
         float embeddings lie within ``radius`` (squared distance at most
-        radius squared): a candidate query, ``norm_sign`` decides.
+        radius squared): a candidate query, on which ``norm_sign`` decides
+        the census's balls and ``geometry_report`` finds the nearest pair.
 
         The vertices are binned into square cells a hair wider than
         ``radius`` (which must be positive), so each such pair lies in one
@@ -602,32 +601,7 @@ FAMILIES: dict[str, Basis] = {
 
 
 # ---------------------------------------------------------------------------
-# operations
-
-
-def induced_edges(g: EmbeddedGraph, members: np.ndarray) -> np.ndarray:
-    """Edges of ``g`` with both ends in ``members`` (ascending vertex ids),
-    in ``g``'s edge order, renumbered to positions in ``members``."""
-    mask = np.zeros(g.n_vertices, dtype=bool)
-    mask[members] = True
-    return np.searchsorted(members, g.edges[mask[g.edges[:, 0]] & mask[g.edges[:, 1]]])
-
-
-def restrict(g: EmbeddedGraph, radius: float) -> EmbeddedGraph:
-    """Induced subgraph on the vertices in the open ball of ``radius`` about
-    the origin.
-
-    The result's box is that ball; restricting a patch to its own radius is
-    the identity.  Restriction only ever removes data, so the caller is
-    trusted not to pass a radius larger than the patch's known extent.
-    """
-    members = np.flatnonzero(norm_sign(g.basis, g.coeffs, g.embed, radius) < 0)
-    return EmbeddedGraph(
-        basis=g.basis,
-        coeffs=g.coeffs[members],
-        edges=induced_edges(g, members),
-        box=Ball((0.0, 0.0), radius),
-    )
+# geometry
 
 
 @dataclass
@@ -642,24 +616,29 @@ class GeometryReport:
 
 
 def geometry_report(g: EmbeddedGraph) -> GeometryReport:
-    """Measure the patch geometry: minimal vertex separation (via an exact
-    nearest-neighbor query), maximal edge length, degree statistics.
+    """Measure the patch geometry: minimal vertex separation (the nearest
+    pair of the float embedding), maximal edge length, degree statistics.
 
     A single-vertex patch reports r = +inf and l_max = 0."""
-    if g.n_vertices >= 2:
-        from scipy.spatial import cKDTree
-
-        dist, _ = cKDTree(g.embed).query(g.embed, k=2)
-        min_dist = float(dist[:, 1].min())
-        r_half = min_dist / 2.0
-    else:
-        min_dist = math.inf
-        r_half = math.inf
     if g.n_edges:
         lengths = np.linalg.norm(g.embed[g.edges[:, 0]] - g.embed[g.edges[:, 1]], axis=1)
         l_max = float(lengths.max())
     else:
         l_max = 0.0
+    if g.n_vertices >= 2:
+        # the longest edge, or with none the first two vertices, is a pair
+        # no nearer than the nearest, so the pairs within that reach hold it
+        reach = l_max if g.n_edges else float(np.linalg.norm(g.embed[1] - g.embed[0]))
+        nearest = math.inf
+        for i, j in g.near_pairs(reach * (1.0 + 2.0**-20)):
+            d = g.embed.take(j, axis=0) - g.embed.take(i, axis=0)
+            s = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+            nearest = min(nearest, float(s[i != j].min(initial=math.inf)))
+        min_dist = math.sqrt(nearest)
+        r_half = min_dist / 2.0
+    else:
+        min_dist = math.inf
+        r_half = math.inf
     deg = g.degrees()
     values, counts = np.unique(deg, return_counts=True)
     hist = dict(zip(values.tolist(), counts.tolist()))

@@ -14,7 +14,8 @@ every vertex pair within r, ``norm_sign`` decides on the coefficient
 differences, and each vertex is keyed by which of the offsets found hold a
 vertex and which offset pairs an edge of the patch joins.  Vertices with
 one key share one pattern, so ``canonicalize`` runs once per distinct key
-and ``pattern_at`` is a lookup in the table the patch keeps.  An occurrence
+and ``pattern_at`` is a lookup in the table the patch keeps; the census
+within a smaller ball about the origin reads the same table.  An occurrence
 plan counts the translates of a pattern, coloured by a bond configuration or
 not, inside a counting ball; the density report counts the vertices of one
 ball, the density the bracket certification weights both bounds with.  Every
@@ -217,15 +218,23 @@ class PatternCensus:
         )
 
 
-def extract_r_patterns(g: EmbeddedGraph, radius: float) -> PatternCensus:
+def extract_r_patterns(
+    g: EmbeddedGraph, radius: float, within: float | None = None
+) -> PatternCensus:
     """Census of r-patterns over all centers whose pattern ball lies fully
-    inside the patch (interior centers only, so no pattern is truncated)."""
+    inside the open ball of radius ``within`` about the origin, by default
+    the patch's box (interior centers only, so no pattern is truncated).
+    Within a smaller ball the census is that of the patch cut to it: each
+    counted pattern lies inside that ball, so the full patch's table holds
+    it."""
     if g.box is None:
         raise ValueError("patch has no box; cannot determine interior centers")
     if radius <= 0.0:
         raise ValueError("pattern radius must be positive")
-    # |c| < R - r, so the open r-ball about c lies inside the patch's box
-    eligible = np.flatnonzero(norm_sign(g.basis, g.coeffs, g.embed, g.box.radius - radius) < 0)
+    if within is None:
+        within = g.box.radius
+    # |c| < within - r, so the open r-ball about c lies inside that ball
+    eligible = np.flatnonzero(norm_sign(g.basis, g.coeffs, g.embed, within - radius) < 0)
     counts = Counter(pattern_at(g, center, radius) for center in eligible.tolist())
     return PatternCensus(counts=counts, eligible_centers=len(eligible))
 

@@ -180,7 +180,10 @@ _SOLVE_ENTRIES = 1 << 18
 def _count_grid(energies: Sequence[float]) -> np.ndarray:
     """The estimator's energy grid: the requested energies and zero, sorted
     and without repeats."""
-    grid = np.unique(np.concatenate([[0.0], np.asarray(list(energies), dtype=float)]))
+    # a plain sort and dedupe: np.unique with no index output imports
+    # numpy.ma on its first call
+    grid = np.sort(np.concatenate([[0.0], np.asarray(list(energies), dtype=float)]))
+    grid = grid[np.append(True, grid[1:] != grid[:-1])]
     if grid[0] < 0.0:
         raise ValueError("energies must be nonnegative")
     return grid
@@ -389,7 +392,7 @@ def _shape_rows(
     rows = np.array([cache.counts[key] for key in shapes.keys])[shapes.index]
     cut = np.flatnonzero(straddle)
     cut_sizes = sizes[shapes.labels[cut]]
-    for size in np.unique(cut_sizes).tolist():
+    for size in sorted(set(cut_sizes.tolist())):
         some = cut[cut_sizes == size]
         members = shapes.vertices[shapes.starts[some][:, None] + np.arange(size)]
         vectors = np.array([cache.vectors[shapes.keys[j]] for j in shapes.index[some]])

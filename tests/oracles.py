@@ -3,14 +3,16 @@
 ``from_coeffs`` builds a patch straight from coefficient rows and edges, so
 a test can delete an edge or leave a vertex isolated; the patch carries its
 family's declared constants, and ``geometry_report`` measures them.
-``validate`` checks a patch's structural invariants and its family's
-declared constants.  ``bruteforce_cluster_oracle`` enumerates every bond
-configuration of a small patch.  ``pattern_by_centre`` builds one r-pattern
-the way the census once built each: a float scan of every vertex proposes,
+``restrict`` cuts a patch down to a smaller open ball about the origin,
+the patch a census within that ball would see.  ``validate`` checks a
+patch's structural invariants and its family's declared constants.
+``bruteforce_cluster_oracle`` enumerates every bond configuration of a
+small patch.  ``pattern_by_centre`` builds one r-pattern the way the
+census once built each: a float scan of every vertex proposes,
 ``norm_sign`` decides, and the whole edge list is scanned for the induced
-edges.  ``cut_and_project_candidates`` is the
-Ammann-Beenker candidate enumeration as one box over every (k0, k1) row,
-the reference for the generator's bounded-memory one.
+edges.  ``cut_and_project_candidates`` is the Ammann-Beenker candidate
+enumeration as one box over every (k0, k1) row, the reference for the
+generator's bounded-memory one.
 """
 
 import math
@@ -25,7 +27,6 @@ from percospec.graphs import (
     Ball,
     EmbeddedGraph,
     GraphGenerationError,
-    induced_edges,
     norm_sign,
 )
 from percospec.patterns import CanonicalPattern, canonicalize
@@ -52,6 +53,31 @@ def from_coeffs(
     if edges.shape[0]:
         edges = np.unique(np.sort(inv[edges], axis=1), axis=0)
     return EmbeddedGraph(basis=basis, coeffs=coeffs[order], edges=edges, box=box)
+
+
+def induced_edges(g: EmbeddedGraph, members: np.ndarray) -> np.ndarray:
+    """Edges of ``g`` with both ends in ``members`` (ascending vertex ids),
+    in ``g``'s edge order, renumbered to positions in ``members``."""
+    mask = np.zeros(g.n_vertices, dtype=bool)
+    mask[members] = True
+    return np.searchsorted(members, g.edges[mask[g.edges[:, 0]] & mask[g.edges[:, 1]]])
+
+
+def restrict(g: EmbeddedGraph, radius: float) -> EmbeddedGraph:
+    """Induced subgraph on the vertices in the open ball of ``radius`` about
+    the origin.
+
+    The result's box is that ball; restricting a patch to its own radius is
+    the identity.  Restriction only ever removes data, so the caller is
+    trusted not to pass a radius larger than the patch's known extent.
+    """
+    members = np.flatnonzero(norm_sign(g.basis, g.coeffs, g.embed, radius) < 0)
+    return EmbeddedGraph(
+        basis=g.basis,
+        coeffs=g.coeffs[members],
+        edges=induced_edges(g, members),
+        box=Ball((0.0, 0.0), radius),
+    )
 
 
 def validate(g: EmbeddedGraph) -> None:

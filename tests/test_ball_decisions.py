@@ -2,10 +2,10 @@
 
 An ``ast`` scan of ``src/``: no code reads ``hypot``, ``boundary_distance``
 or ``contains`` (the float ball tests that disagree at exact-distance
-ties), the float pair query ``EmbeddedGraph.near_pairs`` is read only by
-``_inside_pairs``, which lets ``norm_sign`` decide on its pairs for the
-census table, and a KD-tree is built only inside ``geometry_report``, for
-nearest neighbours, which decide no ball.
+ties), and the float pair query ``EmbeddedGraph.near_pairs`` is read only
+by ``_inside_pairs``, which lets ``norm_sign`` decide on its pairs for the
+census table, and by ``geometry_report``, for the nearest pair, which
+decides no ball.  No code builds a KD-tree.
 """
 
 import ast
@@ -17,8 +17,10 @@ ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(path.relative_to(ROOT).as_posix() for path in (ROOT / "src").rglob("*.py"))
 
 FLOAT_BALL_TESTS = {"hypot", "boundary_distance", "contains"}
-# float neighbour queries and the one function allowed to read each
-CANDIDATE_USERS = {"near_pairs": "_inside_pairs", "cKDTree": "geometry_report"}
+# float neighbour queries, and the functions allowed to read each: none
+# for a KD-tree
+NEIGHBOUR_QUERIES = {"near_pairs", "cKDTree", "KDTree"}
+CANDIDATE_USERS = {"near_pairs": {"_inside_pairs", "geometry_report"}}
 
 
 def references(source: str) -> list[tuple[str, str | None, int]]:
@@ -47,11 +49,12 @@ def references(source: str) -> list[tuple[str, str | None, int]]:
 
 def stray_ball_tests(source: str) -> list[str]:
     """``line: name`` for each float ball test, and each float neighbour
-    query outside the one function allowed to read it."""
+    query outside the functions allowed to read it."""
     return [
         f"{line}: {name}"
         for name, function, line in references(source)
-        if name in FLOAT_BALL_TESTS or CANDIDATE_USERS.get(name, function) != function
+        if name in FLOAT_BALL_TESTS
+        or name in NEIGHBOUR_QUERIES and function not in CANDIDATE_USERS.get(name, ())
     ]
 
 
@@ -68,13 +71,13 @@ def test_scan_finds_a_stray_ball_test():
         "    near = cKDTree(g.embed).query(0) + g.near_pairs(r)\n"
         "    return np.hypot(1, 2) < r and g.box.contains(near)\n"
         "def geometry_report(g):\n"
-        "    return cKDTree(g.embed)\n"
+        "    return g.near_pairs(g.l_max), cKDTree(g.embed)\n"
         "class Ball:\n"
         "    def contains(self, points):\n"
         "        return points\n"
     )
     assert stray_ball_tests(source) == [
-        "5: cKDTree", "5: near_pairs", "6: hypot", "6: contains",
+        "5: cKDTree", "5: near_pairs", "6: hypot", "6: contains", "8: cKDTree",
     ]
 
 

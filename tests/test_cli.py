@@ -634,6 +634,13 @@ class TestSubcommands:
         assert main(["ids", *self.SHORT_RUNS["ids"], "--seed", "5", "--out", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["master_seed"] == 5
 
+    def test_manifest_stage_times_keep_microseconds(self):
+        # a census stage of a few ms would otherwise move in 1 ms steps
+        manifest = cli.RunManifest("census", {}, "0", None,
+                                   wall_clock_s={"census": 0.0054321, "total": 1.25})
+        assert json.loads(manifest.to_json())["wall_clock_s"] == {"census": 0.005432,
+                                                                  "total": 1.25}
+
     def test_verify_manifest_leaves_out_unread_ini_settings(self, tmp_path):
         path = write_config(
             tmp_path, "[graph]\nfamily = penrose\nradius = 30\n[run]\nthreads = 4\n"

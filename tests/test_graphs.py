@@ -12,7 +12,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from exact_ball import ball_ids, in_open_ball, norm2, signs
-from oracles import cut_and_project_candidates, from_coeffs, validate
+from oracles import cut_and_project_candidates, from_coeffs, restrict, validate
 from percospec import graphs
 from percospec.graphs import GraphGenerationError
 
@@ -112,7 +112,7 @@ class TestAperiodic:
         # patch exactly, vertex order included
         g_large = graphs.generate(family, large)
         g_small = graphs.generate(family, small)
-        assert graphs.dumps(graphs.restrict(g_large, small)) == graphs.dumps(g_small)
+        assert graphs.dumps(restrict(g_large, small)) == graphs.dumps(g_small)
 
     def test_generation_deterministic(self):
         a = graphs.generate("penrose", 8.0)
@@ -159,12 +159,12 @@ class TestAperiodic:
 class TestRestrict:
     def test_idempotent_on_own_box(self):
         g = graphs.generate("square", 5.0)
-        assert graphs.dumps(graphs.restrict(g, g.box.radius)) == graphs.dumps(g)
+        assert graphs.dumps(restrict(g, g.box.radius)) == graphs.dumps(g)
 
     def test_empty_region(self):
         # a patch whose vertices all lie outside the ball
         g = from_coeffs("square", [(2, 0), (2, 1), (0, 2)], [(0, 1)])
-        out = graphs.restrict(g, 1.5)
+        out = restrict(g, 1.5)
         assert out.n_vertices == 0
         assert out.n_edges == 0
 
@@ -174,7 +174,7 @@ class TestRestrict:
         g = from_coeffs(
             "square", [(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2)]
         )
-        out = graphs.restrict(g, 1.2)
+        out = restrict(g, 1.2)
         assert out.n_vertices == 2
         assert out.n_edges == 0
 
@@ -182,14 +182,14 @@ class TestRestrict:
         # both radii are triangular lattice distances, so ties are included
         g = graphs.generate("triangular", 6.0)
         for a, b in [(4.0, 3.0), (3.0, 4.0)]:
-            twice = graphs.restrict(graphs.restrict(g, a), b)
+            twice = restrict(restrict(g, a), b)
             mask = in_open_ball("triangular", g.coeffs, a)
             mask &= in_open_ball("triangular", g.coeffs, b)
             assert twice.n_vertices == int(mask.sum())
             assert set(map(tuple, twice.coeffs.tolist())) == set(
                 map(tuple, g.coeffs[mask].tolist())
             )
-            assert graphs.dumps(twice) == graphs.dumps(graphs.restrict(g, min(a, b)))
+            assert graphs.dumps(twice) == graphs.dumps(restrict(g, min(a, b)))
 
     def test_open_ball_excludes_boundary(self):
         # (3, 4) lies at distance exactly 5; the open ball must drop it
@@ -339,6 +339,40 @@ class TestGeometryReport:
         assert rep.r == math.inf
         assert rep.l_max == 0.0
         assert rep.d_max == 0
+
+    @staticmethod
+    def assert_separation_matches_kdtree(g):
+        rep = graphs.geometry_report(g)
+        if g.n_vertices >= 2:
+            dist, _ = cKDTree(g.embed).query(g.embed, k=2)
+            want = float(dist[:, 1].min())
+        else:
+            want = math.inf
+        assert rep.min_pairwise_distance == want
+        assert rep.r == want / 2.0
+
+    @pytest.mark.parametrize("family", graphs.FAMILIES)
+    @pytest.mark.parametrize("radius", [0.6, 1.5, 2.0, 7.0, 20.0])
+    def test_separation_matches_kdtree(self, family, radius):
+        # the nearest pair from the cell grid, bit for bit that of a KD-tree
+        self.assert_separation_matches_kdtree(graphs.generate(family, radius))
+
+    @pytest.mark.parametrize("family", graphs.FAMILIES)
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_separation_without_edges_matches_kdtree(self, family, stride):
+        # no edge bounds the reach: the first two vertices' distance does
+        g = graphs.generate(family, 6.0)
+        built = from_coeffs(family, g.coeffs[::stride])
+        assert built.n_edges == 0 and built.n_vertices >= 2
+        self.assert_separation_matches_kdtree(built)
+
+    @pytest.mark.parametrize("family", graphs.FAMILIES)
+    def test_one_vertex_separation_is_inf(self, family):
+        g = from_coeffs(family, graphs.generate(family, 3.0).coeffs[:1])
+        self.assert_separation_matches_kdtree(g)
+
+    def test_separation_on_large_patch_matches_kdtree(self):
+        self.assert_separation_matches_kdtree(graphs.generate("square", 300.0))
 
     def test_uniform_discreteness_invariant(self):
         # every open ball of radius r contains at most one vertex

@@ -1,12 +1,16 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and the package needs numpy alone.
 
 A stand-in for a linter's unused-import rule (F401): every file under
 ``src/``, ``tests/`` and ``scripts/`` is parsed with ``ast``, and a name an
 import binds must be read somewhere in the file, be listed in ``__all__``,
-or sit on a line marked ``# noqa: F401``.
+or sit on a line marked ``# noqa: F401``.  The same parse checks that
+``src/`` imports only the standard library, numpy and the package itself,
+and ``pyproject.toml`` lists numpy as the one runtime dependency.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +61,33 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES)
 def test_no_unused_imports(path):
     assert unused_imports((ROOT / path).read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source imports, relative imports
+    as ``percospec``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add("percospec" if node.level else node.module.split(".")[0])
+    return found
+
+
+def test_import_scan_finds_each_module():
+    source = "import os.path\nfrom . import graphs\ndef f():\n    from scipy import sparse\n"
+    assert imported_modules(source) == {"os", "percospec", "scipy"}
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.startswith("src/")])
+def test_src_imports_stdlib_and_numpy_only(path):
+    allowed = set(sys.stdlib_module_names) | {"numpy", "percospec"}
+    assert imported_modules((ROOT / path).read_text()) - allowed == set()
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
+    assert names == ["numpy"]
