@@ -26,6 +26,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -65,9 +66,7 @@ from .percolation import (
     sample,
 )
 from .spectral import (
-    AllRealizationsTruncated,
     IdsTable,
-    _ShapeCache,
     bruteforce_ids_oracle,
     chain_spectrum,
     cheeger_check,
@@ -76,11 +75,20 @@ from .spectral import (
     laplacian_from_edges,
 )
 
-__all__ = ["ExperimentConfig", "ConfigError", "RunManifest", "main"]
+__all__ = ["ExperimentConfig", "ConfigError", "AllRealizationsTruncated", "RunManifest", "main"]
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (exit code 2)."""
+
+
+class AllRealizationsTruncated(RuntimeError):
+    """Every realization of a run was dropped because a counted cluster
+    reached the patch boundary (exit code 1)."""
+
+    def __init__(self):
+        super().__init__("every realization had a counted cluster near the patch "
+                         "boundary; enlarge the patch or reduce the counting radius")
 
 
 def _finite_positive(x: float) -> bool:
@@ -440,30 +448,34 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _ids_chunk(cfg: ExperimentConfig, g: EmbeddedGraph, grid: np.ndarray,
+               chi_margin: float | None, start: int, stop: int) -> IdsTable:
+    """The counting table of realizations ``start`` to ``stop``: one chunk
+    of ``run_ids``."""
+    params = replace(cfg.percolation_params(), realizations=stop - start)
+    return ids_estimate(g, params, grid, counting_radius=cfg.counting_radius,
+                        realization_offset=start, chi_margin=chi_margin)
+
+
 def run_ids(cfg: ExperimentConfig, g: EmbeddedGraph, grid: np.ndarray,
             chi_margin: float | None = None) -> IdsTable:
     """Estimate the spectral counting table, splitting realizations into
-    contiguous chunks on a thread pool of at most one worker per usable CPU.
+    one contiguous chunk per worker thread: ``--threads`` of them, at most
+    one per usable CPU and one per realization.
 
     Realization streams are keyed by absolute index, so stacking the rows of
     the chunks reproduces a one-chunk run exactly; a chunk that kept no
-    realization adds no rows.  The chunks share one shape cache.
-    ``chi_margin`` goes to every chunk's ``ids_estimate``, and the chi rows
-    of all chunks are stacked in realization order.
+    realization adds no rows, and a run that kept none raises
+    ``AllRealizationsTruncated``.  Each chunk solves its shapes in a cache
+    of its own.  ``chi_margin`` goes to every chunk's ``ids_estimate``, and
+    the chi rows of all chunks are stacked in realization order.
     """
     total = cfg.realizations
-    n_chunks = min(cfg.threads, total)
+    n_chunks = min(cfg.threads, _usable_cpus(), total)
     bounds = np.linspace(0, total, n_chunks + 1).astype(int)
-    cache = _ShapeCache(grid)
-
-    def one_chunk(start: int, stop: int) -> IdsTable:
-        params = replace(cfg.percolation_params(), realizations=stop - start)
-        return ids_estimate(g, params, grid, counting_radius=cfg.counting_radius,
-                            realization_offset=start, chi_margin=chi_margin,
-                            shape_cache=cache, allow_empty=True)
-
-    with ThreadPoolExecutor(max_workers=min(n_chunks, _usable_cpus())) as pool:
-        tables = list(pool.map(one_chunk, bounds[:-1], bounds[1:]))
+    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
+        tables = list(pool.map(partial(_ids_chunk, cfg, g, grid, chi_margin),
+                               bounds[:-1], bounds[1:]))
     rows = np.vstack([t.rows for t in tables])
     if rows.shape[0] == 0:
         raise AllRealizationsTruncated()
@@ -857,13 +869,16 @@ def _check_determinism() -> tuple[bool, str]:
     grid = cfg.energy_grid(g.d_max, math.pi * 64.0)
     serial = run_ids(cfg, g, grid)
     again = run_ids(cfg, g, grid)
-    cfg.threads = 3
-    chunked = run_ids(cfg, g, grid)
+    # three chunks whatever the host's CPU count, at uneven offsets
+    bounds = (0, 7, 16, 24)
+    chunked = np.vstack([_ids_chunk(cfg, g, grid, None, start, stop).rows
+                         for start, stop in zip(bounds[:-1], bounds[1:])])
     ok = bool(
         np.array_equal(serial.rows, again.rows)
-        and np.array_equal(serial.rows, chunked.rows)
+        and np.array_equal(serial.rows, chunked)
     )
-    return ok, f"{serial.rows.shape[0]} rows, serial == rerun == 3-thread chunks: {ok}"
+    return ok, (f"{serial.rows.shape[0]} rows, serial == rerun == "
+                f"chunks at {bounds}: {ok}")
 
 
 def _check_total_mass() -> tuple[bool, str]:

@@ -47,7 +47,6 @@ from .percolation import (
 
 __all__ = [
     "SNAP_TOL",
-    "AllRealizationsTruncated",
     "laplacian_from_edges",
     "eigenvalues",
     "eigensystem",
@@ -59,15 +58,6 @@ __all__ = [
     "ids_estimate",
     "bruteforce_ids_oracle",
 ]
-
-
-class AllRealizationsTruncated(RuntimeError):
-    """Every realization of a run (or chunk of one) was dropped because a
-    counted cluster reached the patch boundary."""
-
-    def __init__(self):
-        super().__init__("every realization had a counted cluster near the patch "
-                         "boundary; enlarge the patch or reduce the counting radius")
 
 
 # eigenvalues this close to zero are the kernel of a cluster Laplacian; the
@@ -202,9 +192,7 @@ class _ShapeCache:
     (shape, window) pair is solved on its own.  Misses are solved in one
     stacked eigensolve per cluster size.  A shape is solved once, or a
     second time when it first straddles after a solve that kept no
-    eigenvectors.  The chunks of one run share a cache across threads:
-    entries are only added, and an entry is the same whichever thread
-    solved it.
+    eigenvectors.
     """
 
     def __init__(self, energies: Sequence[float]):
@@ -424,8 +412,6 @@ def ids_estimate(
     flag_boundary: bool = True,
     realization_offset: int = 0,
     chi_margin: float | None = None,
-    shape_cache: _ShapeCache | None = None,
-    allow_empty: bool = False,
 ) -> IdsTable:
     """Monte Carlo table of the finite-volume spectral count.
 
@@ -447,17 +433,14 @@ def ids_estimate(
     one decomposition, one shape-keying pass and one stacked eigensolve per
     cluster size serve a whole batch, and each realization's clusters are
     still added in label order, so a row does not depend on the batching.
-    ``shape_cache`` lets several calls on the same grid share their solved
-    shapes.  With ``chi_margin`` the table's ``chi`` holds each
-    realization's mean cluster size over the vertices farther than that
-    from the patch boundary.  A run that keeps no realization raises
-    ``AllRealizationsTruncated``, unless ``allow_empty``: then its table has
-    no rows but still holds the truncation count and the chi rows.
+    Each call solves its shapes in a cache of its own.  With ``chi_margin``
+    the table's ``chi`` holds each realization's mean cluster size over the
+    vertices farther than that from the patch boundary.  A run that keeps
+    no realization returns a table with no rows that still holds the
+    truncation count and the chi rows.
     """
-    cache = _ShapeCache(energies) if shape_cache is None else shape_cache
-    grid = _count_grid(energies)
-    if not np.array_equal(cache.grid, grid):
-        raise ValueError("the shape cache is bound to another energy grid")
+    cache = _ShapeCache(energies)
+    grid = cache.grid
     if counting_radius is None:
         in_ball = np.ones(g.n_vertices, dtype=bool)
         volume = 1.0
@@ -522,7 +505,7 @@ def ids_estimate(
     stop = realization_offset + params.realizations
     rows, chi, truncated = zip(*map(count, realization_batches(g, params, realization_offset, stop)))
 
-    table = IdsTable(
+    return IdsTable(
         energies=grid,
         rows=np.concatenate(rows),
         volume=volume,
@@ -530,9 +513,6 @@ def ids_estimate(
         truncated_realizations=sum(truncated),
         chi=None if chi_row is None else np.concatenate(chi),
     )
-    if table.realizations == 0 and not allow_empty:
-        raise AllRealizationsTruncated()
-    return table
 
 
 # the exact oracles enumerate all 2^m bond configurations for m up to this

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from percospec import cli
 from percospec.cli import main
 from percospec.graphs import generate
 from percospec.lifshits import lower_bound, tail_fit
@@ -261,9 +262,11 @@ def test_criterion_08_linearized_exponent(big_run):
     )
 
 
-def test_criterion_09_byte_identical_outputs(tmp_path):
+def test_criterion_09_byte_identical_outputs(tmp_path, monkeypatch):
     """CLI reruns with the same seed are byte-identical for CSV and JSON
     outputs, independent of the thread count."""
+    # 4 usable CPUs, so 4 threads run 4 chunks whatever the host
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     digests = {}
     for fmt in ("csv", "json"):
         blobs = []

@@ -652,7 +652,10 @@ class TestSubcommands:
 
 
 class TestDeterminism:
-    def test_ids_byte_identical_across_threads(self, tmp_path):
+    def test_ids_byte_identical_across_threads(self, tmp_path, monkeypatch):
+        # as many usable CPUs as the largest --threads, so each run starts
+        # the chunks it names whatever the host
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
         ids = [
             "ids", "--family", "square", "--radius", "14",
             "--counting-radius", "10", "--p", "0.25", "--realizations", "30",
@@ -678,8 +681,9 @@ class TestDeterminism:
 
     def test_thread_count_capped_at_usable_cpus(self, tmp_path, monkeypatch):
         # a serial stand-in for the pool records the worker count without
-        # starting any threads; the chunk layout still follows --threads
-        workers = []
+        # starting any threads, and a spy counts the estimator chunks: one
+        # per worker, capped at the usable CPUs and at the realizations
+        workers, chunks = [], []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -694,17 +698,55 @@ class TestDeterminism:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
+        estimate = cli.ids_estimate
+
+        def spy(*args, **kwargs):
+            chunks.append(kwargs["realization_offset"])
+            return estimate(*args, **kwargs)
+
         base = [
             "ids", "--family", "square", "--radius", "12",
-            "--counting-radius", "8", "--p", "0.2", "--realizations", "64",
-            "--seed", "9",
+            "--counting-radius", "8", "--p", "0.2", "--seed", "9",
         ]
-        assert main(base + ["--threads", "1", "--out", str(tmp_path / "one")]) == 0
+        for name, argv in (("one", ["--threads", "1", "--realizations", "64"]),
+                           ("few", ["--threads", "1", "--realizations", "3"])):
+            assert main(base + argv + ["--out", str(tmp_path / name)]) == 0
         monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
-        assert main(base + ["--threads", "64", "--out", str(tmp_path / "many")]) == 0
-        assert workers == [min(64, cli._usable_cpus())]
-        one, many = ((tmp_path / d / "ids.csv").read_bytes() for d in ("one", "many"))
-        assert one == many
+        monkeypatch.setattr(cli, "ids_estimate", spy)
+        cpus = cli._usable_cpus()
+        assert main(base + ["--threads", "64", "--realizations", "64",
+                            "--out", str(tmp_path / "many")]) == 0
+        assert workers == [min(64, cpus)]
+        assert len(chunks) == min(64, cpus)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+        chunks.clear()
+        assert main(base + ["--threads", "4", "--realizations", "3",
+                            "--out", str(tmp_path / "capped")]) == 0
+        assert workers[-1] == 3
+        assert chunks == [0, 1, 2]
+        for serial, chunked in (("one", "many"), ("few", "capped")):
+            a, b = ((tmp_path / d / "ids.csv").read_bytes() for d in (serial, chunked))
+            assert a == b
+
+    @pytest.mark.parametrize("threads", [3, 6])
+    def test_wholly_truncated_chunks_stack_between_kept_ones(self, monkeypatch, threads):
+        # realizations 0 and 5 are kept and 1-4 truncated, so at 3 threads
+        # the middle chunk and at 6 threads four chunks keep no row
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: threads)
+        cfg = ExperimentConfig(family="square", radius=12.0, counting_radius=9.0, p=0.2,
+                               realizations=6, master_seed=1)
+        g = generate(cfg.family, cfg.radius)
+        grid = cfg.energy_grid(g.d_max, math.pi * 64.0)
+        kept = [cli._ids_chunk(cfg, g, grid, None, i, i + 1).realizations for i in range(6)]
+        assert kept == [1, 0, 0, 0, 0, 1]
+        serial = cli.run_ids(cfg, g, grid, chi_margin=2.0)
+        cfg.threads = threads
+        chunked = cli.run_ids(cfg, g, grid, chi_margin=2.0)
+        assert chunked.rows.shape[0] == 2
+        assert chunked.rows.tobytes() == serial.rows.tobytes()
+        assert chunked.chi.shape[0] == 6
+        assert chunked.chi.tobytes() == serial.chi.tobytes()
+        assert chunked.truncated_realizations == serial.truncated_realizations == 4
 
     def test_threads_where_affinity_is_unknown(self, tmp_path, monkeypatch):
         # os.sched_getaffinity exists only on some systems; elsewhere the

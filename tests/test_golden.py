@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from percospec import graphs
+from percospec import cli, graphs
 from percospec.cli import main
 from percospec.graphs import dumps, generate
 
@@ -146,18 +146,20 @@ def _digests(out, names):
 
 
 @pytest.mark.parametrize("threads", ["1", "120"])
-def test_lifshits_outputs_match_golden(tmp_path, threads):
+def test_lifshits_outputs_match_golden(tmp_path, monkeypatch, threads):
     # 2 of the 120 realizations are truncated, so the boundary flag is
     # exercised, and rho_inf in lifshits.json comes from the density report;
-    # at 120 threads every chunk is one realization, so the 2 truncated
-    # realizations are whole chunks
+    # with as many usable CPUs as threads, 120 threads run 120 one-realization
+    # chunks on any host, so the 2 truncated realizations are whole chunks
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: int(threads))
     assert main(LIFSHITS_ARGV + ["--threads", threads, "--out", str(tmp_path)]) == 0
     assert _digests(tmp_path, LIFSHITS_SHA256) == LIFSHITS_SHA256
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("family", sorted(IDS_SHA256))
-def test_aperiodic_ids_matches_golden(tmp_path, family, threads):
+def test_aperiodic_ids_matches_golden(tmp_path, monkeypatch, family, threads):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: int(threads))
     argv = IDS_ARGV + ["--family", family, "--threads", threads, "--out", str(tmp_path)]
     assert main(argv) == 0
     assert _digests(tmp_path, ["ids.csv"]) == {"ids.csv": IDS_SHA256[family]}

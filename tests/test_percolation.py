@@ -606,16 +606,15 @@ class TestTouchedVerticesMatchFullLabels:
         g, params, window = touched_case
         want, chi, truncated = _reference_ids(g, params, window, True)
         whole, _, _ = _reference_ids(g, params, None, False)
-        cache = spectral._ShapeCache(ORACLE_ENERGIES)
         for k in BATCH_SIZES:
             monkeypatch.setattr(percolation, "_BATCH_VERTEX_SLOTS", k * g.n_vertices)
             tab = ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=window,
-                               chi_margin=ORACLE_MARGIN, shape_cache=cache, allow_empty=True)
+                               chi_margin=ORACLE_MARGIN)
             assert tab.rows.tobytes() == want.tobytes()
             assert tab.chi.tobytes() == chi.tobytes()
             assert tab.truncated_realizations == truncated
             tab = ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=None,
-                               flag_boundary=False, shape_cache=cache)
+                               flag_boundary=False)
             assert tab.rows.tobytes() == whole.tobytes()
 
     def test_percolate_rows(self, touched_case, monkeypatch):

@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 
 from exact_ball import in_open_ball
 from oracles import from_coeffs
-from percospec import percolation, spectral
+from percospec import cli, percolation, spectral
 from percospec.graphs import generate
 from percospec.percolation import (
     PercolationParams,
@@ -27,7 +27,6 @@ from percospec.percolation import (
     sample,
 )
 from percospec.spectral import (
-    AllRealizationsTruncated,
     chain_spectrum,
     cheeger_check,
     bruteforce_ids_oracle,
@@ -206,13 +205,20 @@ class TestIdsWindowed:
         diffs = np.diff(tab.rows, axis=1)
         assert np.all(diffs >= -1e-15)
 
-    def test_truncation_guard_fires_when_window_meets_boundary(self):
+    def test_truncation_guard_fires_when_window_meets_boundary(self, tmp_path, capsys):
         # counting window flush with the patch edge at a supercritical p:
         # spanning clusters touch the boundary, so realizations are dropped
         g = generate("square", 12.0)
         params = PercolationParams(p=0.9, master_seed=2, realizations=4)
-        with pytest.raises(RuntimeError):
-            ids_estimate(g, params, [1.0], counting_radius=11.9)
+        tab = ids_estimate(g, params, [1.0], counting_radius=11.9)
+        assert tab.rows.shape[0] == 0
+        assert tab.truncated_realizations == 4
+        # a run that keeps no realization is a statistical failure; the
+        # command keeps its window a margin of 1 inside the patch
+        argv = ["ids", "--family", "square", "--radius", "12", "--counting-radius", "11",
+                "--p", "0.9", "--seed", "2", "--realizations", "4", "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        assert "statistical failure" in capsys.readouterr().err
 
     def test_flag_boundary_off_keeps_realizations(self):
         g = generate("square", 12.0)
@@ -534,31 +540,25 @@ class TestBatchesMatchPerRealizationLoop:
             with pytest.raises(RuntimeError, match=f"^{re.escape(str(want.value))}$"):
                 ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=13.0)
 
-    def test_all_truncated_run_keeps_its_table_when_allowed(self, monkeypatch):
+    def test_all_truncated_run_keeps_its_table(self, monkeypatch):
         g = generate("square", 12.0)
         params = PercolationParams(p=0.9, master_seed=2, realizations=5)
         _set_batch_size(monkeypatch, g, 2)
-        with pytest.raises(AllRealizationsTruncated):
-            ids_estimate(g, params, [1.0], counting_radius=11.9, chi_margin=CHI_MARGIN)
-        table = ids_estimate(g, params, [1.0], counting_radius=11.9, chi_margin=CHI_MARGIN,
-                             allow_empty=True)
+        table = ids_estimate(g, params, [1.0], counting_radius=11.9, chi_margin=CHI_MARGIN)
         assert table.realizations == 0
         assert table.rows.shape == (0, 2)
         assert table.truncated_realizations == 5
         assert table.chi.tobytes() == _chi_rows(g, params).tobytes()
 
-    def test_shared_cache_gives_the_same_rows(self, oracle_case):
+    def test_halves_stack_to_the_whole_run(self, oracle_case):
         g, params = oracle_case
-        cache = spectral._ShapeCache(ORACLE_ENERGIES)
         alone = ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=12.0)
         halves = [
             ids_estimate(g, replace(params, realizations=6), ORACLE_ENERGIES,
-                         counting_radius=12.0, realization_offset=start, shape_cache=cache)
+                         counting_radius=12.0, realization_offset=start)
             for start in (6, 0)
         ]
         assert np.vstack([halves[1].rows, halves[0].rows]).tobytes() == alone.rows.tobytes()
-        with pytest.raises(ValueError, match="another energy grid"):
-            ids_estimate(g, params, [0.5], shape_cache=cache)
 
 
 @pytest.mark.parametrize("grid", [1, 2, 60])
@@ -575,32 +575,20 @@ def test_add_in_order_matches_sequential_sum(grid):
     assert spectral._add_in_order(acc, block, rows).tobytes() == want.tobytes()
 
 
-def test_shared_cache_under_thread_switching():
-    # more threads than cores, switching often, all filling one cache: no
-    # entry may be lost and no row may change
-    g = generate("penrose", 16.0)
-    params = PercolationParams(p=0.15, master_seed=4, realizations=24)
-    serial_cache = spectral._ShapeCache(ORACLE_ENERGIES)
-    serial = ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=12.0,
-                          shape_cache=serial_cache)
-    shared = spectral._ShapeCache(ORACLE_ENERGIES)
-
-    def chunk(start):
-        return ids_estimate(g, replace(params, realizations=3), ORACLE_ENERGIES,
-                            counting_radius=12.0, realization_offset=start,
-                            shape_cache=shared, allow_empty=True)
-
+def test_run_ids_under_thread_switching(tmp_path, monkeypatch):
+    # eight chunks on eight threads, switching often: no row may change
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    base = ["ids", "--family", "penrose", "--radius", "16", "--counting-radius", "12",
+            "--p", "0.15", "--seed", "4", "--realizations", "24"]
+    assert cli.main(base + ["--threads", "1", "--out", str(tmp_path / "1")]) == 0
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(chunk, start) for start in range(0, 24, 3)]
-            tables = [f.result(timeout=120) for f in futures]
+        assert cli.main(base + ["--threads", "8", "--out", str(tmp_path / "8")]) == 0
     finally:
         sys.setswitchinterval(switch)
-    assert np.vstack([t.rows for t in tables]).tobytes() == serial.rows.tobytes()
-    assert shared.counts.keys() == serial_cache.counts.keys()
-    assert shared.vectors.keys() == serial_cache.vectors.keys()
+    one, eight = ((tmp_path / d / "ids.csv").read_bytes() for d in ("1", "8"))
+    assert one == eight
 
 
 class TestOneBatchAlive:
@@ -639,12 +627,10 @@ class TestOneBatchAlive:
     def test_ids_estimate(self, case, spy, threads):
         g, params = case
         alive_at_call = spy
-        cache = spectral._ShapeCache(ORACLE_ENERGIES)
 
         def chunk(start):
             return ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=12.0,
-                                realization_offset=start, chi_margin=CHI_MARGIN,
-                                shape_cache=cache, allow_empty=True)
+                                realization_offset=start, chi_margin=CHI_MARGIN)
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(chunk, start) for start in (0, params.realizations)]
