@@ -851,13 +851,19 @@ def _check_cheeger() -> tuple[bool, str]:
 
 
 def _check_monotone_coupling() -> tuple[bool, str]:
+    """The masks runs sample at p = 0.15 and 0.45 nest edge by edge, and
+    each is the reference uniforms below its p."""
     g = generate("square", 10.0)
-    bad = 0
+    unordered = off = 0
     for r in range(100):
+        lo, hi = (sample(g, PercolationParams(p=p, master_seed=5), r).open_mask for p in (0.15, 0.45))
         u = edge_uniforms(g.n_edges, 5, r)
-        if not np.all((u < 0.15) <= (u < 0.45)):
-            bad += 1
-    return bad == 0, f"{bad} of 100 realizations violate edgewise ordering"
+        unordered += not np.all(lo <= hi)
+        off += not (np.array_equal(lo, u < 0.15) and np.array_equal(hi, u < 0.45))
+    return unordered == off == 0, (
+        f"{unordered} of 100 realizations violate edgewise ordering, "
+        f"{off} of 100 differ from the uniforms below p"
+    )
 
 
 def _check_determinism() -> tuple[bool, str]:

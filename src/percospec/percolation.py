@@ -3,9 +3,9 @@
 Each edge of the patch is kept open with probability p, independently.  The
 randomness comes from a counter-based generator keyed on (master seed,
 realization index), so any realization can be regenerated in isolation, in
-any order, on any number of workers, with identical output.  Sharing the
-per-edge uniforms across p gives the standard monotone coupling: the open
-set at p is contained in the open set at p' >= p, edge by edge.
+any order, on any number of workers, with identical output.  Thresholding
+the same per-edge words at every p gives the standard monotone coupling:
+the open set at p is contained in the open set at p' >= p, edge by edge.
 
 Cluster statistics are averaged over interior vertices only (far enough from
 the patch boundary that the relevant events are decided inside the patch)
@@ -63,15 +63,21 @@ class PercolationParams:
             raise ValueError("need at least one realization")
 
 
+def _philox(master_seed: int, realization_index: int) -> np.random.Philox:
+    """The bit generator of one realization, keyed on (master_seed,
+    realization_index)."""
+    return np.random.Philox(key=np.array([master_seed, realization_index], dtype=np.uint64))
+
+
 def edge_uniforms(n_edges: int, master_seed: int, realization_index: int) -> np.ndarray:
     """The uniform variables attached to the edges of one realization.
 
     Counter-based (Philox) and keyed on (master_seed, realization_index):
     the full vector is a pure function of the key, independent of evaluation
-    order or thread placement.
+    order or thread placement.  This is the reference definition of the
+    bonds: edge i is open at p exactly when its uniform is below p.
     """
-    bits = np.random.Philox(key=np.array([master_seed, realization_index], dtype=np.uint64))
-    return np.random.Generator(bits).random(n_edges)
+    return np.random.Generator(_philox(master_seed, realization_index)).random(n_edges)
 
 
 @dataclass
@@ -85,8 +91,19 @@ class BondConfiguration:
 def sample(
     g: EmbeddedGraph, params: PercolationParams, realization_index: int = 0
 ) -> BondConfiguration:
-    u = edge_uniforms(g.n_edges, params.master_seed, realization_index)
-    return BondConfiguration(open_mask=u < params.p, realization_index=realization_index)
+    """The bonds of one realization: ``edge_uniforms(...) < p``, bit for bit,
+    from the raw Philox words behind those uniforms.
+
+    A uniform is u = (w >> 11) 2^-53 for the word w, and u < p holds exactly
+    when w < ceil(p 2^53) 2^11, so the words are thresholded as they come,
+    with no doubles made.  At p = 1 that threshold is 2^64, past every
+    word, so every edge is open."""
+    if params.p == 1.0:
+        open_mask = np.ones(g.n_edges, dtype=bool)
+    else:
+        words = _philox(params.master_seed, realization_index).random_raw(g.n_edges)
+        open_mask = words < np.uint64(math.ceil(params.p * 2.0**53) << 11)
+    return BondConfiguration(open_mask=open_mask, realization_index=realization_index)
 
 
 @dataclass

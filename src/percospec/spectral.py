@@ -14,11 +14,12 @@ Spectra depend only on the combinatorial shape of a cluster, so eigensolves
 are cached under a translation-invariant shape key; in the subcritical
 regime a handful of shapes covers almost every cluster and the cache turns
 the per-realization cost into bookkeeping.  Realizations are counted in
-batches: one block-diagonal decomposition, one keying pass (one sort of
-the open edges, then one ``np.unique`` per cluster size and edge count) and
-one stacked eigensolve per cluster size serve every realization of a batch,
-so the Python-level work grows with the number of distinct shapes, not
-with the number of clusters or realizations.  The array work grows with the
+batches: one block-diagonal decomposition, one keying pass (one
+``np.bitwise_or.at`` that sets each open edge's bit in its cluster's
+adjacency words, then one ``np.unique`` per word count) and one stacked
+eigensolve per cluster size serve every realization of a batch, so the
+Python-level work grows with the number of distinct shapes, not with the
+number of clusters or realizations.  The array work grows with the
 open edges: only the vertices they touch are decomposed and counted, and
 the isolated window vertices, each a size-1 cluster, are counted by
 subtraction.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -76,21 +77,34 @@ _MAX_CLUSTER_SIZE = 2000
 
 def laplacian_from_edges(n: int, edges: np.ndarray) -> np.ndarray:
     """Dense combinatorial Laplacian D - A on n vertices."""
-    return _laplacians(n, [np.asarray(edges, dtype=np.int64).reshape(-1, 2)])[0]
+    a, b = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    lap = np.zeros((n, n))
+    np.add.at(lap, (a, b), -1.0)
+    np.add.at(lap, (b, a), -1.0)
+    diagonal = np.arange(n)
+    lap[diagonal, diagonal] = np.bincount(np.concatenate([a, b]), minlength=n)
+    return lap
 
 
-def _laplacians(size: int, shapes: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense Laplacians D - A, stacked, of graphs on ``size`` vertices given
-    by their edge lists."""
-    lap = np.zeros((len(shapes), size, size))
-    which = np.repeat(np.arange(len(shapes)), [e.shape[0] for e in shapes])
-    a, b = np.concatenate(shapes).T
-    np.add.at(lap, (which, a, b), -1.0)
-    np.add.at(lap, (which, b, a), -1.0)
-    degrees = np.bincount(np.concatenate([which * size + a, which * size + b]),
-                          minlength=len(shapes) * size)
-    diagonal = np.arange(size)
-    lap[:, diagonal, diagonal] = degrees.reshape(len(shapes), size)
+def _laplacian_stack(size: int, words: np.ndarray) -> np.ndarray:
+    """Dense Laplacians D - A, stacked, of the graphs on ``size`` vertices
+    whose adjacency bits are the rows of ``words`` (see ``_key_shapes``).
+
+    The off-diagonal entries are zero minus the adjacency, so a non-edge is
+    +0.0, never -0.0, and every entry is an integer: each matrix has the
+    bytes of ``laplacian_from_edges`` on the same edges."""
+    pairs = size * (size - 1) // 2
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                         axis=1, count=pairs, bitorder="little")
+    # a mask is read in row-major order, the order of np.triu_indices
+    vertex = np.arange(size)
+    upper = vertex[:, None] < vertex
+    adj = np.zeros((words.shape[0], size, size))
+    adj[:, upper] = bits
+    adj.transpose(0, 2, 1)[:, upper] = bits
+    degrees = adj.sum(axis=2)
+    lap = np.subtract(0.0, adj, out=adj)
+    lap[:, vertex, vertex] = degrees
     return lap
 
 
@@ -179,20 +193,36 @@ def _count_grid(energies: Sequence[float]) -> np.ndarray:
     return grid
 
 
+def _stacks(keys: Sequence[tuple]) -> Iterator[tuple[int, list[int], np.ndarray, np.ndarray]]:
+    """Eigensystems of the shapes ``keys``, solved in stacks of one size and
+    at most ``_SOLVE_ENTRIES`` matrix entries: yields each stack's size, the
+    positions of its shapes in ``keys``, its eigenvalues and eigenvectors."""
+    by_size: dict[int, list[int]] = {}
+    for j, key in enumerate(keys):
+        by_size.setdefault(key[0], []).append(j)
+    for size, members in by_size.items():
+        step = max(1, _SOLVE_ENTRIES // (size * size))
+        for c0 in range(0, len(members), step):
+            chunk = members[c0 : c0 + step]
+            words = np.array([keys[j] for j in chunk], dtype=np.uint64)[:, 1:]
+            yield size, chunk, *eigensystem(_laplacian_stack(size, words))
+
+
 class _ShapeCache:
     """Eigen-data per combinatorial cluster shape, bound to one energy grid.
 
-    A shape key is (size, bytes of the locally indexed edge list); local
-    indices follow the global vertex order, which is a translation-invariant
-    ordering of the coefficient rows, so translated copies of a cluster
-    share a key.  ``counts[key]`` holds the shape's cumulative eigenvalue
-    counts at each grid energy.  ``vectors[key]`` holds its eigenvectors,
-    kept only for shapes that a cluster straddling the counting window
-    needed; a straddler's window weights are computed from them, so no
-    (shape, window) pair is solved on its own.  Misses are solved in one
-    stacked eigensolve per cluster size.  A shape is solved once, or a
-    second time when it first straddles after a solve that kept no
-    eigenvectors.
+    A shape key is the tuple (size, w_0, w_1, ...) of ``_key_shapes``: the
+    cluster's vertex count and the words of its adjacency bits in local
+    vertex order.  Local indices follow the global vertex order, which is a
+    translation-invariant ordering of the coefficient rows, so translated
+    copies of a cluster share a key.  ``counts[key]`` holds the shape's
+    cumulative eigenvalue counts at each grid energy.  ``vectors[key]``
+    holds its eigenvectors, kept only for shapes that a cluster straddling
+    the counting window needed; a straddler's window weights are computed
+    from them, so no (shape, window) pair is solved on its own.  Misses are
+    solved in stacks of one size, each built straight from the keys' bits.
+    A shape is solved once, or a second time when it first straddles after
+    a solve that kept no eigenvectors.
     """
 
     def __init__(self, energies: Sequence[float]):
@@ -200,25 +230,19 @@ class _ShapeCache:
         self.counts: dict = {}
         self.vectors: dict = {}
 
-    def solve(self, keys: list, edges: list, with_vectors: np.ndarray) -> None:
+    def solve(self, keys: list, with_vectors: np.ndarray) -> None:
         """Give every shape its counts, and its eigenvectors where
         ``with_vectors`` asks for them."""
-        by_size: dict[int, list[int]] = {}
-        for j, key in enumerate(keys):
-            if key not in self.counts or (with_vectors[j] and key not in self.vectors):
-                by_size.setdefault(key[0], []).append(j)
-        for size, missing in by_size.items():
-            step = max(1, _SOLVE_ENTRIES // (size * size))
-            for c0 in range(0, len(missing), step):
-                chunk = missing[c0 : c0 + step]
-                vals, vecs = eigensystem(_laplacians(size, [edges[j] for j in chunk]))
-                # vals ascend, so this is searchsorted(vals, grid, "right")
-                counts = (vals[:, :, None] <= self.grid).sum(axis=1).astype(float)
-                for i, j in enumerate(chunk):
-                    self.counts.setdefault(keys[j], counts[i])
-                    if with_vectors[j]:
-                        # a copy, so the stack is not kept alive
-                        self.vectors[keys[j]] = vecs[i].copy()
+        missing = [j for j, key in enumerate(keys)
+                   if key not in self.counts or (with_vectors[j] and key not in self.vectors)]
+        for _, chunk, vals, vecs in _stacks([keys[j] for j in missing]):
+            # vals ascend, so this is searchsorted(vals, grid, "right")
+            counts = (vals[:, :, None] <= self.grid).sum(axis=1).astype(float)
+            for i, j in enumerate(missing[c] for c in chunk):
+                self.counts.setdefault(keys[j], counts[i])
+                if with_vectors[j]:
+                    # a copy, so the stack is not kept alive
+                    self.vectors[keys[j]] = vecs[i].copy()
 
 
 def _window_weighted(vectors: np.ndarray, inside: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -234,21 +258,23 @@ def _window_weighted(vectors: np.ndarray, inside: np.ndarray, counts: np.ndarray
     return np.take_along_axis(cum, counts.astype(np.intp), axis=1)
 
 
+# the pair bits of a one-word cluster: 11 vertices have 55 pairs, 12 have 66
+_PAIR_BITS = np.uint64(55)
+
+
 @dataclass
 class _Shapes:
     """Shape keys of some clusters.
 
     ``labels`` lists the keyed clusters in ascending order; cluster
-    ``labels[i]`` has the shape ``keys[index[i]]``, whose local edge list is
-    ``edges[index[i]]``, and owns the vertices
+    ``labels[i]`` has the shape ``keys[index[i]]`` and owns the vertices
     ``vertices[starts[i]:starts[i + 1]]`` in ascending (local) order.  Each
     distinct shape appears once in ``keys``.
     """
 
     labels: np.ndarray
     index: np.ndarray
-    keys: list[tuple[int, bytes]]
-    edges: list[np.ndarray]
+    keys: list[tuple[int, ...]]
     vertices: np.ndarray
     starts: np.ndarray
 
@@ -259,16 +285,24 @@ def _key_shapes(
     """Exact shape keys of the chosen clusters (a mask over labels; every
     chosen cluster has at least one open edge), built in one batch.
 
-    ``edges`` are the open edges as rows (u, v), u < v, in ascending order
-    (as ``EmbeddedGraph.edges`` keeps them).  A vertex's local index is its
-    rank inside its cluster in ascending vertex order.  That numbering
-    keeps the vertex order, so a cluster's rows are already sorted by local
-    (lo, hi), and one stable sort by (group, cluster) lines them up, where
-    a group holds the clusters of one size and edge count.  Each group is
-    then one contiguous run of equal-width cluster blocks, and one
-    ``np.unique`` over those blocks finds the group's distinct shapes.
-    Every temporary is sized by the chosen clusters, except one int32
-    array over the vertices that ``labels`` covers.
+    ``edges`` are the open edges as rows (u, v), u < v (as
+    ``EmbeddedGraph.edges`` keeps them).  A vertex's local index is its
+    rank inside its cluster in ascending vertex order, which keeps the
+    vertex order, so an edge is a local pair (lo, hi), lo < hi.  A cluster
+    of s vertices keys as (s, w_0, ..., w_{n-1}): bit k of its words, the
+    k-th pair of ``np.triu_indices(s, 1)``, is set when that pair is an
+    edge, and n = ceil(s (s - 1) / 128) words hold the s (s - 1) / 2 pairs
+    (one word up to 11 vertices, two up to 16).  On a simple graph the
+    pairs are the sorted edge list, so the keys split the clusters exactly
+    as their edge lists would.
+
+    One ``np.bitwise_or.at`` sets every edge's bit in a flat word array,
+    where the clusters lie ordered by word count, so the clusters of each
+    width are one contiguous (clusters, 1 + width) block, ranked by one
+    ``np.unique``.  No row is padded to a wider cluster's width, so a
+    capped 2,000-vertex cluster takes its own 31,235 words and no more.
+    Every temporary is sized by the chosen clusters and their edges, except
+    one int32 array over the vertices that ``labels`` covers.
     """
     chosen_labels = np.flatnonzero(chosen)
     chosen_sizes = sizes[chosen_labels]
@@ -280,38 +314,46 @@ def _key_shapes(
 
     owner = labels[edges[:, 0]]
     keep = np.flatnonzero(chosen[owner])
-    e = edges.take(keep, axis=0)
     # each kept edge's cluster, as a position in chosen_labels
     which = (np.cumsum(chosen) - 1)[owner[keep]]
-    n_edges = np.bincount(which, minlength=chosen_labels.size)
-    group = chosen_sizes * (e.shape[0] + 1) + n_edges
-    by_group = np.argsort(group, kind="stable")
-    rank = np.empty(chosen_labels.size, dtype=np.int64)
-    rank[by_group] = np.arange(chosen_labels.size)
-    by_row = np.argsort(rank[which], kind="stable")
-    rows = local[e.take(by_row, axis=0)].astype(np.int64)
+    widths = (chosen_sizes * (chosen_sizes - 1) // 2 + 63) // 64
+    by_width = np.argsort(widths, kind="stable")
+    offsets = np.empty(chosen_labels.size, dtype=np.int64)
+    offsets[by_width] = np.cumsum(widths[by_width]) - widths[by_width]
+    lo = local[edges[keep, 0]].astype(np.int64)
+    hi = local[edges[keep, 1]]
+    size = chosen_sizes[which]
+    bit = lo * (2 * size - lo - 1) // 2 + hi - lo - 1
+    words = np.zeros(int(widths.sum()), dtype=np.uint64)
+    np.bitwise_or.at(words, offsets[which] + (bit >> 6),
+                     np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)))
 
-    grouped = group[by_group]
+    grouped = widths[by_width]
     cuts = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), chosen_labels.size]
     index = np.empty(chosen_labels.size, dtype=np.int64)
-    keys: list[tuple[int, bytes]] = []
-    shapes: list[np.ndarray] = []
-    row = 0
+    keys: list[tuple[int, ...]] = []
     for c0, c1 in zip(cuts[:-1], cuts[1:]):
-        members = by_group[c0:c1]
-        size, m = int(chosen_sizes[members[0]]), int(n_edges[members[0]])
-        blocks = rows[row : row + members.size * m].reshape(members.size, 2 * m)
-        row += members.size * m
-        # one opaque item per block: np.unique compares them bytewise, which
-        # is exact and much faster than np.unique(..., axis=0)
-        distinct, inverse = np.unique(blocks.view(f"V{blocks.itemsize * 2 * m}")[:, 0],
-                                      return_inverse=True)
+        members = by_width[c0:c1]
+        width, first = int(grouped[c0]), int(offsets[members[0]])
+        block = np.empty((members.size, 1 + width), dtype=np.uint64)
+        block[:, 0] = chosen_sizes[members]
+        block[:, 1:] = words[first : first + members.size * width].reshape(-1, width)
+        if width == 1:
+            # a one-word cluster has at most 11 vertices and 55 pair bits,
+            # so its size folds in above them and np.unique sorts numbers
+            distinct, inverse = np.unique(block[:, 0] << _PAIR_BITS | block[:, 1],
+                                          return_inverse=True)
+            distinct = np.column_stack([distinct >> _PAIR_BITS,
+                                        distinct & (1 << _PAIR_BITS) - 1])
+        else:
+            # one opaque item per row: np.unique compares them bytewise,
+            # which is exact and much faster than np.unique(..., axis=0)
+            distinct, inverse = np.unique(block.view(f"V{8 * (1 + width)}")[:, 0],
+                                          return_inverse=True)
+            distinct = distinct.view(np.uint64).reshape(-1, 1 + width)
         index[members] = len(keys) + inverse
-        for block in distinct.view(np.int64).reshape(-1, 2 * m):
-            shape = block.reshape(m, 2)
-            keys.append((size, shape.tobytes()))
-            shapes.append(shape)
-    return _Shapes(labels=chosen_labels, index=index, keys=keys, edges=shapes,
+        keys.extend(map(tuple, distinct.tolist()))
+    return _Shapes(labels=chosen_labels, index=index, keys=keys,
                    vertices=vertices, starts=starts)
 
 
@@ -376,7 +418,7 @@ def _shape_rows(
     straddle = in_count[shapes.labels] < sizes[shapes.labels]
     with_vectors = np.zeros(len(shapes.keys), dtype=bool)
     with_vectors[shapes.index[straddle]] = True
-    cache.solve(shapes.keys, shapes.edges, with_vectors)
+    cache.solve(shapes.keys, with_vectors)
     rows = np.array([cache.counts[key] for key in shapes.keys])[shapes.index]
     cut = np.flatnonzero(straddle)
     cut_sizes = sizes[shapes.labels[cut]]
@@ -453,8 +495,9 @@ def ids_estimate(
     near_window = bool((in_ball & g.near_boundary).any())
     chi_row = None if chi_margin is None else cluster_size_statistic(g, chi_margin)
 
-    single, pair = (1, b""), (2, np.array([[0, 1]], dtype=np.int64).tobytes())
-    cache.solve([single, pair], [np.empty((0, 2), np.int64), np.array([[0, 1]])], [False, True])
+    # the keys of _key_shapes: one vertex, and two joined by an edge
+    single, pair = (1,), (2, 1)
+    cache.solve([single, pair], [False, True])
     vec_single, vec_pair = cache.counts[single], cache.counts[pair]
     vec_pair_half = _window_weighted(cache.vectors[pair][None], np.array([[True, False]]),
                                      vec_pair[None])[0]
@@ -589,10 +632,9 @@ def cheeger_check(
         )
     shapes = _key_shapes(dec.edges, dec.labels, sizes, np.ones(sizes.size, dtype=bool))
     copies = np.bincount(shapes.index, minlength=len(shapes.keys))
-    margins = np.array([
-        float(eigenvalues(laplacian_from_edges(s, edges))[1]) * s * s
-        for (s, _), edges in zip(shapes.keys, shapes.edges)
-    ])
+    margins = np.empty(len(shapes.keys))
+    for size, chunk, vals, _ in _stacks(shapes.keys):
+        margins[chunk] = vals[:, 1] * size * size
     return CheegerReport(
         checked=int(copies.sum()),
         violations=int(copies[margins < 1.0].sum()),

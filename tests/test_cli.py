@@ -605,6 +605,25 @@ class TestSubcommands:
         assert len(report["checks"]) >= 8
         assert all(c["pass"] for c in report["checks"])
 
+    def test_coupling_check_reads_the_sampled_masks(self, monkeypatch):
+        ok, detail = cli._check_monotone_coupling()
+        assert ok
+        assert detail == ("0 of 100 realizations violate edgewise ordering, "
+                          "0 of 100 differ from the uniforms below p")
+        # bonds that still nest but are not the uniforms below p: every
+        # edge open at p = 0.45 and the mask of 0.15 unchanged
+        def sample(g, params, r):
+            cfg = percolation.sample(g, params, r)
+            if params.p == 0.45:
+                cfg.open_mask[:] = True
+            return cfg
+
+        monkeypatch.setattr(cli, "sample", sample)
+        ok, detail = cli._check_monotone_coupling()
+        assert not ok
+        assert detail == ("0 of 100 realizations violate edgewise ordering, "
+                          "100 of 100 differ from the uniforms below p")
+
     # a short passing run of each command
     SHORT_RUNS = {
         "generate": ["--radius", "6"],

@@ -1,5 +1,6 @@
 """Tests for bond sampling, cluster decomposition, and decay statistics."""
 
+import functools
 import math
 import re
 from dataclasses import asdict, replace
@@ -97,6 +98,52 @@ class TestSampling:
         assert closed.open_mask.sum() == 0
         opened = sample(square_14, PercolationParams(p=1.0, master_seed=1), 0)
         assert opened.open_mask.sum() == square_14.n_edges
+
+
+# the bond probabilities at the edges of the raw-word threshold
+# ceil(p 2^53) 2^11: no bond, below the smallest nonzero uniform, the
+# smallest nonzero uniform, two bench values, one half, the largest uniform
+# below 1, and every bond (a threshold of 2^64)
+RAW_WORD_PROBABILITIES = (0.0, 2.0**-60, 2.0**-53, 0.1, 0.13, 0.5, 1.0 - 2.0**-53, 1.0)
+RAW_WORD_SEEDS = (0, 1, 2**64 - 1)
+# Philox emits four words per counter, so counts off a multiple of 4 matter
+RAW_WORD_EDGE_COUNTS = (0, 1, 3, 4, 5, 12, 15_124)
+
+
+@functools.cache
+def _edge_count_patch(n_edges):
+    return _path_graph(n_edges + 1)
+
+
+class TestRawWordBondsMatchUniforms:
+    """``sample`` thresholds raw Philox words; its bonds are the reference
+    ``edge_uniforms(...) < p``, bit for bit."""
+
+    @staticmethod
+    def _check(p, seed, index, n_edges):
+        g = _edge_count_patch(n_edges)
+        assert g.n_edges == n_edges
+        got = sample(g, PercolationParams(p=p, master_seed=seed), index).open_mask
+        want = edge_uniforms(n_edges, seed, index) < p
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", RAW_WORD_PROBABILITIES)
+    def test_listed_probabilities(self, p):
+        for seed in RAW_WORD_SEEDS:
+            for n_edges in RAW_WORD_EDGE_COUNTS:
+                for index in (0, 7, 2**64 - 1):
+                    self._check(p, seed, index, n_edges)
+
+    @given(
+        p=st.one_of(st.sampled_from(RAW_WORD_PROBABILITIES), st.floats(0.0, 1.0)),
+        seed=st.sampled_from(RAW_WORD_SEEDS),
+        index=st.integers(0, 2**64 - 1),
+        n_edges=st.sampled_from(RAW_WORD_EDGE_COUNTS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_probabilities(self, p, seed, index, n_edges):
+        self._check(p, seed, index, n_edges)
 
 
 def _bfs_labels(n, edge_list):
@@ -535,8 +582,8 @@ def _reference_ids(g, params, window, flag_boundary):
         in_ball, volume = np.ones(g.n_vertices, dtype=bool), 1.0
     else:
         in_ball, volume = in_open_ball(g.basis.id, g.coeffs, window), math.pi * window**2
-    single, pair = (1, b""), (2, np.array([[0, 1]], dtype=np.int64).tobytes())
-    cache.solve([single, pair], [np.empty((0, 2), np.int64), np.array([[0, 1]])], [False, True])
+    single, pair = (1,), (2, 1)
+    cache.solve([single, pair], [False, True])
     vec_pair_half = spectral._window_weighted(
         cache.vectors[pair][None], np.array([[True, False]]), cache.counts[pair][None])[0]
     interior = in_open_ball(g.basis.id, g.coeffs, g.box.radius - ORACLE_MARGIN)

@@ -1,9 +1,11 @@
 """Tests for cluster Laplacian spectra and the finite-volume spectral count."""
 
+import itertools
 import math
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -458,6 +460,138 @@ class TestBatchedKeyingMatchesPerClusterLoop:
             _reference_rows(g, params, ORACLE_ENERGIES, 12.0, False, max_cluster_size=3)
         with pytest.raises(RuntimeError, match=f"^{re.escape(str(want.value))}$"):
             ids_estimate(g, params, ORACLE_ENERGIES, counting_radius=12.0, flag_boundary=False)
+
+
+# ---------------------------------------------------------------------------
+# shape keys: the adjacency bits against the sorted local edge rows
+
+
+def _decoded(key):
+    """The local edge rows (lo, hi) that a shape key's adjacency bits set,
+    in the order of np.triu_indices."""
+    size, words = key[0], np.array(key[1:], dtype="<u8")
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")[: size * (size - 1) // 2]
+    lo, hi = np.triu_indices(size, 1)
+    return np.column_stack([lo[bits == 1], hi[bits == 1]])
+
+
+def _same_split(keys, reference_keys):
+    """Whether two keyings of the same clusters split them into the same
+    shapes: equal keys on one side exactly where equal on the other."""
+    return len(set(zip(keys, reference_keys))) == len(set(keys)) == len(set(reference_keys))
+
+
+def _connected_labelled_graphs():
+    """Every connected labelled graph on 3, 4 or 5 vertices, as (size,
+    edge rows (lo, hi) sorted by (lo, hi)): 4, 38 and 728 of them."""
+    graphs = []
+    for size in (3, 4, 5):
+        pairs = np.array(list(itertools.combinations(range(size), 2)))
+        for subset in range(1, 1 << len(pairs)):
+            rows = pairs[[k for k in range(len(pairs)) if subset >> k & 1]]
+            m = coo_matrix((np.ones(len(rows)), tuple(rows.T)), shape=(size, size))
+            if connected_components(m, directed=False)[0] == 1:
+                graphs.append((size, rows))
+    return graphs
+
+
+def _disjoint_union(graphs):
+    """(edges, labels, sizes) of the graphs side by side, graph i on the
+    vertices after those of graphs 0 .. i - 1 and labelled i."""
+    sizes = np.array([size for size, _ in graphs])
+    offsets = np.cumsum(sizes) - sizes
+    edges = np.concatenate([rows + offset for (_, rows), offset in zip(graphs, offsets)])
+    return edges, np.repeat(np.arange(len(graphs)), sizes), sizes
+
+
+class TestShapeKeysAreExact:
+    def test_small_graphs_split_round_trip_and_solve_as_their_edges(self):
+        graphs = _connected_labelled_graphs()
+        assert [sum(size == s for size, _ in graphs) for s in (3, 4, 5)] == [4, 38, 728]
+        # each graph twice, in shuffled order, with shuffled edge rows
+        rng = np.random.default_rng(26)
+        twice = [graphs[i] for i in rng.permutation(2 * len(graphs)) % len(graphs)]
+        edges, labels, sizes = _disjoint_union(twice)
+        edges = edges[rng.permutation(len(edges))]
+        shapes = spectral._key_shapes(edges, labels, sizes, np.ones(sizes.size, dtype=bool))
+        assert np.array_equal(shapes.labels, np.arange(sizes.size))
+        keys = [shapes.keys[j] for j in shapes.index]
+        assert _same_split(keys, [(size, rows.tobytes()) for size, rows in twice])
+        assert len(shapes.keys) == len(graphs)
+        for key, (size, rows) in zip(keys, twice):
+            assert key[0] == size
+            assert np.array_equal(_decoded(key), rows)
+        for size in (3, 4, 5):
+            of_size = [key for key in shapes.keys if key[0] == size]
+            stack = spectral._laplacian_stack(size, np.array(of_size, dtype=np.uint64)[:, 1:])
+            for key, lap in zip(of_size, stack):
+                assert lap.tobytes() == laplacian_from_edges(size, _decoded(key)).tobytes()
+
+    def test_every_bit_of_a_two_word_shape(self):
+        # K_12 sets all 66 pair bits: the top bit of its first word and two
+        # bits of its second
+        rows = np.array(list(itertools.combinations(range(12), 2)))
+        edges, labels, sizes = _disjoint_union([(12, rows)])
+        shapes = spectral._key_shapes(edges, labels, sizes, np.ones(1, dtype=bool))
+        assert shapes.keys == [(12, 2**64 - 1, 3)]
+        assert np.array_equal(_decoded(shapes.keys[0]), rows)
+        lap = spectral._laplacian_stack(12, np.array([[2**64 - 1, 3]], dtype=np.uint64))[0]
+        assert lap.tobytes() == laplacian_from_edges(12, rows).tobytes()
+        cache = spectral._ShapeCache([11.5, 12.5])
+        cache.solve(shapes.keys, np.array([True]))
+        # the spectrum of K_12 is 0 once and 12 eleven times
+        assert cache.counts[shapes.keys[0]].tolist() == [1.0, 1.0, 12.0]
+        assert cache.vectors[shapes.keys[0]].shape == (12, 12)
+
+    def test_oracle_patch_keys_split_as_reference_shapes(self, oracle_case):
+        g, params = oracle_case
+        in_ball = in_open_ball(g.basis.id, g.coeffs, 12.0)
+        configs = [sample(g, params, r) for r in range(params.realizations)]
+        # every realization in one batch, so the keys span its blocks
+        dec = percolation._decompose(g, np.array([cfg.open_mask for cfg in configs]))
+        in_count = np.bincount(dec.labels[in_ball[dec.vertex]], minlength=dec.sizes.size)
+        chosen = (in_count > 0) & (dec.sizes >= 3)
+        shapes = spectral._key_shapes(dec.edges, dec.labels, dec.sizes, chosen)
+        assert np.array_equal(shapes.labels, np.flatnonzero(chosen))
+        straddle = in_count[shapes.labels] < dec.sizes[shapes.labels]
+        assert straddle.any() and not straddle.all()
+        full = [_full_labels(g, cfg.open_mask) for cfg in configs]
+        keys, reference_keys = [], []
+        for i in range(shapes.labels.size):
+            touched = shapes.vertices[shapes.starts[i] : shapes.starts[i + 1]]
+            r, members = int(dec.block[touched[0]]), dec.vertex[touched]
+            want, rows, reference_key = _reference_shape(
+                g, configs[r].open_mask, full[r], full[r][members[0]])
+            assert np.array_equal(members, want)
+            keys.append(shapes.keys[shapes.index[i]])
+            reference_keys.append(reference_key)
+            assert np.array_equal(_decoded(keys[-1]), rows)
+        assert _same_split(keys, reference_keys)
+
+    def test_a_capped_path_keys_beside_small_clusters_in_little_memory(self):
+        # a 2,000-vertex path takes 31,235 words; padded to that width, the
+        # 600 small clusters beside it would take 150 MB
+        path = (2000, np.column_stack([np.arange(1999), np.arange(1, 2000)]))
+        triangle = (3, np.array([[0, 1], [0, 2], [1, 2]]))
+        star = (4, np.array([[0, 1], [0, 2], [0, 3]]))
+        graphs = [triangle] * 300 + [path] + [star] * 300
+        edges, labels, sizes = _disjoint_union(graphs)
+        chosen = np.ones(sizes.size, dtype=bool)
+        tracemalloc.start()
+        try:
+            shapes = spectral._key_shapes(edges, labels, sizes, chosen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert len(shapes.keys) == 3
+        assert len(shapes.keys[shapes.index[300]]) == 1 + 31_235
+        for key, (size, rows) in zip([shapes.keys[j] for j in shapes.index], graphs):
+            assert key[0] == size
+            assert np.array_equal(_decoded(key), rows)
+        # the triangle and the star share their one word; only the size
+        # tells them apart
+        assert shapes.keys[shapes.index[0]][1:] == shapes.keys[shapes.index[-1]][1:]
 
 
 # ---------------------------------------------------------------------------
