@@ -100,6 +100,8 @@ def _finite_positive(x: float) -> bool:
 _WINDOW_MARGIN = 1.0
 # a grid energy in the bulk that records the total spectral mass
 _TOP_ANCHOR = 9.0
+# points per decade of the log energy grid
+_PER_DECADE = 12
 
 
 @dataclass
@@ -121,7 +123,6 @@ class ExperimentConfig:
     n_max: int = 20
     e_min: float | None = None
     e_max: float = 0.5
-    per_decade: int = 12
     out_dir: str = "runs/out"
     fmt: str = "csv"
     threads: int = 1
@@ -183,8 +184,6 @@ class ExperimentConfig:
             problems.append(
                 f"ids.e_min = {self.e_min}: must lie in (0, e_max = {self.e_max})"
             )
-        if self.per_decade < 1:
-            problems.append(f"ids.per_decade = {self.per_decade}: must be >= 1")
         if self.fmt not in ("csv", "json"):
             problems.append(f"output.format = {self.fmt!r}: must be 'csv' or 'json'")
         if self.threads < 1:
@@ -200,7 +199,7 @@ class ExperimentConfig:
         return PercolationParams(p=self.p, master_seed=self.master_seed, realizations=self.realizations)
 
     def energy_grid(self, d_max: int, volume: float) -> np.ndarray:
-        """Log grid from e_max down to e_min at per_decade points per decade,
+        """Log grid from e_max down to e_min at _PER_DECADE points per decade,
         plus the high anchor that records the total spectral mass, in
         ascending order; the estimator adds zero and drops repeats."""
         e_min = self.e_min
@@ -209,7 +208,7 @@ class ExperimentConfig:
                 default_energy_range(self.p, d_max, self.realizations, volume),
                 self.e_max / 2.0,
             )
-        ratio = 10.0 ** (-1.0 / self.per_decade)
+        ratio = 10.0 ** (-1.0 / _PER_DECADE)
         energies = []
         e = self.e_max
         while e >= e_min * (1.0 - 1e-12):
@@ -255,8 +254,6 @@ _SETTINGS = [
              "of the boundary-path bound)", _ESTIMATED),
     _Setting("ids", "e_min", "e_min", float, "--e-min", "lowest grid energy", _ESTIMATED),
     _Setting("ids", "e_max", "e_max", float, "--e-max", "highest grid energy", _ESTIMATED),
-    _Setting("ids", "per_decade", "per_decade", int, "--per-decade",
-             "grid points per decade of energy", _ESTIMATED),
     _Setting("output", "dir", "out_dir", str, "--out", "output directory", _ALL),
     _Setting("output", "format", "fmt", str, "--format", "primary table format: csv or json", _ESTIMATED),
     _Setting("run", "threads", "threads", int, "--threads",
@@ -544,13 +541,15 @@ def _chi_margin(cfg: ExperimentConfig, g: EmbeddedGraph) -> float:
 
 
 def _ids_outputs(cfg: ExperimentConfig, table: IdsTable, writer: OutputWriter) -> None:
+    # each of these reduces every row of the table: read them once
+    mean, stderr = table.mean, table.stderr
     tail_mean, tail_se = table.tail()
     if cfg.fmt == "csv":
         rows = [
             (
                 e,
-                table.mean[i],
-                table.stderr[i],
+                mean[i],
+                stderr[i],
                 tail_mean[i],
                 tail_se[i],
                 table.realizations,
@@ -583,8 +582,8 @@ def _ids_outputs(cfg: ExperimentConfig, table: IdsTable, writer: OutputWriter) -
             _json_text(
                 {
                     "energies": table.energies.tolist(),
-                    "mean": table.mean.tolist(),
-                    "stderr": table.stderr.tolist(),
+                    "mean": mean.tolist(),
+                    "stderr": stderr.tolist(),
                     "tail": tail_mean.tolist(),
                     "tail_stderr": tail_se.tolist(),
                     "volume": table.volume,
@@ -903,7 +902,7 @@ def _check_bracket_consistency() -> tuple[bool, str]:
     worst = np.inf
     for e in np.logspace(-2, 0.7, 30):
         lb = lower_bound(float(e), 0.1, 4, 1.0)
-        ub = upper_bound(float(e), 0.1, 1.0, lambda_decay=0.2)
+        ub = upper_bound(float(e), 1.0, lambda_decay=0.2)
         worst = min(worst, ub / lb)
     return worst >= 1.0, f"min upper/lower ratio {worst:.3e}"
 

@@ -69,16 +69,14 @@ _MIN_FIT_POINTS = 8
 MIN_CERTIFY_REALIZATIONS = 100
 
 
-def upper_bound(energy: float, p: float, rho: float, *, lambda_decay: float) -> float:
+def upper_bound(energy: float, rho: float, *, lambda_decay: float) -> float:
     """Cluster-size-decay upper bound rho D exp(-lambda E^{-1/2}).
 
     The p-dependence enters entirely through lambda(p) (and in principle
-    D(p)); p itself is validated but does not appear in the formula.
+    D(p)).
     """
     if energy <= 0.0:
         raise ValueError("the bound needs E > 0")
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie strictly between 0 and 1")
     if lambda_decay <= 0.0:
         raise ValueError("lambda must be positive")
     if rho < 0.0:
@@ -136,7 +134,6 @@ class TailAnalysis:
     n_fit_points: int
     loglog_ratio: float
     realizations: int
-    volume: float
 
     @property
     def decades_spanned(self) -> float:
@@ -240,7 +237,6 @@ def tail_fit(
         n_fit_points=n_fit,
         loglog_ratio=float(loglog),
         realizations=table.realizations,
-        volume=table.volume,
     )
 
 
@@ -299,7 +295,7 @@ def certify_bracketing(
     se = analysis.stderr[sel]
     lower = np.array([lower_bound(e, p, d_max, rho_inf) for e in energies])
     upper = np.array(
-        [upper_bound(e, p, rho, lambda_decay=lambda_emp) for e in energies]
+        [upper_bound(e, rho, lambda_decay=lambda_emp) for e in energies]
     )
     rigorous_ok = tail + 4.0 * se - lower >= 0.0
     # diagnostic: the fitted curve may not exceed the upper bound by more

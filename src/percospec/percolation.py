@@ -121,6 +121,10 @@ class ClusterDecomposition:
     ascending as ``EmbeddedGraph.edges``.  ``boundary_touching`` flags the
     clusters owning a vertex at most l_max from the patch boundary (the
     finite-patch proxy for "possibly cut off").
+
+    A statistic over a set of patch vertices reads the touched ones among
+    them and counts the rest of each realization's set by subtraction, each
+    an isolated vertex of size 1 and reach 0.
     """
 
     graph: EmbeddedGraph
@@ -145,24 +149,6 @@ class ClusterDecomposition:
         touching = np.zeros(self.sizes.size, dtype=bool)
         touching[self.labels[self.graph.near_boundary[self.vertex]]] = True
         return touching
-
-    def cells(self, vertices: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """The touched vertices among ``vertices`` (distinct patch ids):
-        their positions in ``touched`` and their (realization, column)
-        cells in a (K, ``vertices.size``) array."""
-        column = np.full(self.graph.n_vertices, -1, dtype=np.intp)
-        column[vertices] = np.arange(vertices.size)
-        columns = column[self.vertex]
-        chosen = np.flatnonzero(columns >= 0)
-        return chosen, (self.block[chosen], columns[chosen])
-
-    def sizes_at(self, vertices: np.ndarray) -> np.ndarray:
-        """|C_v| for each of the ``vertices`` in every realization, as
-        (K, ``vertices.size``) rows; an isolated vertex has size 1."""
-        out = np.ones((self.first.size - 1, vertices.size), dtype=np.int64)
-        chosen, cells = self.cells(vertices)
-        out[cells] = self.sizes[self.labels[chosen]]
-        return out
 
 
 def _components(edges: np.ndarray, t: int) -> tuple[int, np.ndarray]:
@@ -218,10 +204,7 @@ def _decompose(g: EmbeddedGraph, masks: np.ndarray) -> ClusterDecomposition:
     rank = np.empty(k * n, dtype=np.int32)
     rank[touched] = np.arange(touched.size, dtype=np.int32)
     edges = rank[edges]
-    if edges.shape[0]:
-        n_clusters, labels = _components(edges, touched.size)
-    else:
-        n_clusters, labels = 0, np.empty(0, dtype=np.int32)
+    n_clusters, labels = _components(edges, touched.size)
     # the first cluster of each block is that of its first touched vertex,
     # or, for a block with none, the first cluster of a later block
     starts = np.searchsorted(touched, n * np.arange(k))
@@ -293,14 +276,14 @@ class TailEstimate:
     estimates: np.ndarray
     stderrs: np.ndarray
     realizations: int
-    interior_vertices: int
 
 
-def _interior_indices(g: EmbeddedGraph, margin: float) -> np.ndarray:
+def _interior(g: EmbeddedGraph, margin: float) -> np.ndarray:
+    """Mask of the vertices farther than ``margin`` from the patch boundary."""
     if g.box is None:
         raise ValueError("patch has no box; interior margin undefined")
-    interior = np.flatnonzero(norm_sign(g.basis, g.coeffs, g.embed, g.box.radius - margin) < 0)
-    if interior.size == 0:
+    interior = norm_sign(g.basis, g.coeffs, g.embed, g.box.radius - margin) < 0
+    if not interior.any():
         raise ValueError("no interior vertices at this margin; enlarge the patch")
     return interior
 
@@ -322,15 +305,26 @@ def per_realization_rows(
     return [np.concatenate(stat_rows) for stat_rows in zip(*per_batch)]
 
 
-def _fraction_at_least(x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Row by row, the fraction of the entries of ``x`` (K, m) at or above
-    each of the ascending ``thresholds``.  The counts are exact integers,
-    so count / m has the bits of the mean of the 0/1 indicators."""
-    k, m = x.shape
+def _fraction_at_least(
+    values: np.ndarray,
+    block: np.ndarray,
+    k: int,
+    m: int,
+    isolated: float,
+    thresholds: np.ndarray,
+) -> np.ndarray:
+    """Row by row for K realizations of m interior vertices each, the
+    fraction of those vertices whose value is at or above each of the
+    ascending ``thresholds``.  ``values`` are those of the touched interior
+    vertices and ``block`` their realizations; every other interior vertex
+    is isolated and has the value ``isolated``.  The counts are exact
+    integers, so count / m has the bits of the mean of the 0/1 indicators."""
     width = thresholds.size + 1
-    # how many thresholds each entry reaches
-    reached = np.searchsorted(thresholds, x, side="right") + width * np.arange(k)[:, None]
-    counts = np.bincount(reached.ravel(), minlength=k * width).reshape(k, width)
+    # how many thresholds each touched vertex reaches
+    reached = np.searchsorted(thresholds, values, side="right") + width * block
+    counts = np.bincount(reached, minlength=k * width).reshape(k, width)
+    # each realization's isolated interior vertices, by subtraction
+    counts[:, np.searchsorted(thresholds, isolated, side="right")] += m - counts.sum(axis=1)
     return counts[:, :0:-1].cumsum(axis=1)[:, ::-1] / m
 
 
@@ -342,7 +336,6 @@ class TailStatistic:
 
     stat: str
     n_values: np.ndarray
-    interior_vertices: int
     row: Statistic
 
     def __call__(self, dec: ClusterDecomposition) -> np.ndarray:
@@ -355,7 +348,6 @@ class TailStatistic:
             estimates=rows.mean(axis=0),
             stderrs=_sem(rows),
             realizations=rows.shape[0],
-            interior_vertices=self.interior_vertices,
         )
 
 
@@ -373,24 +365,26 @@ def cluster_size_tail_statistic(
         raise ValueError("cluster sizes must be positive integers")
     if margin is None:
         margin = float(n_values.max()) * g.l_max
-    interior = _interior_indices(g, margin)
+    interior = _interior(g, margin)
+    m = int(np.count_nonzero(interior))
 
     def row(dec: ClusterDecomposition) -> np.ndarray:
-        return _fraction_at_least(dec.sizes_at(interior), n_values)
+        chosen = np.flatnonzero(interior[dec.vertex])
+        sizes = dec.sizes[dec.labels[chosen]]
+        return _fraction_at_least(sizes, dec.block[chosen], dec.first.size - 1, m, 1, n_values)
 
-    return TailStatistic("cluster_size_tail", n_values.astype(float), int(interior.size), row)
+    return TailStatistic("cluster_size_tail", n_values.astype(float), row)
 
 
 # (vertex, member) pairs that _cluster_reach holds at once
 _REACH_BLOCK = 1 << 20
 
 
-def _cluster_reach(dec: ClusterDecomposition, interior: np.ndarray) -> np.ndarray:
-    """Largest distance from each ``interior`` vertex to a member of its
-    own cluster, as (K, interior) rows, one per realization.  An isolated
-    vertex has reach 0, so only the touched ones are computed.
+def _cluster_reach(dec: ClusterDecomposition, chosen: np.ndarray) -> np.ndarray:
+    """Largest distance from each touched vertex at the positions
+    ``chosen`` to a member of its own cluster.
 
-    Those are grouped by cluster size, so a group's clusters are one
+    The vertices are grouped by cluster size, so a group's clusters are one
     (clusters, size) block of the touched vertices sorted by cluster.  Each
     group is evaluated in blocks of at most ``_REACH_BLOCK`` (vertex,
     member) pairs, so a giant cluster costs memory linear in its size; a
@@ -398,7 +392,6 @@ def _cluster_reach(dec: ClusterDecomposition, interior: np.ndarray) -> np.ndarra
     rather than copying them once per vertex.
     """
     emb = dec.graph.embed
-    chosen, cells = dec.cells(interior)
     labels = dec.labels[chosen]
     sizes = dec.sizes[labels]
     # touched vertices grouped by cluster: cluster c owns
@@ -407,7 +400,7 @@ def _cluster_reach(dec: ClusterDecomposition, interior: np.ndarray) -> np.ndarra
     bounds = np.concatenate([[0], np.cumsum(dec.sizes)])
     by_size = np.argsort(sizes, kind="stable")
     grouped = sizes[by_size]
-    # a cut where the size changes; none when no interior vertex is touched
+    # a cut where the size changes; none when no vertex is chosen
     cuts = [*np.flatnonzero(np.diff(grouped, prepend=-1)).tolist(), sizes.size]
     reach = np.empty(chosen.size)
     for c0, c1 in zip(cuts[:-1], cuts[1:]):
@@ -421,9 +414,7 @@ def _cluster_reach(dec: ClusterDecomposition, interior: np.ndarray) -> np.ndarra
             near = pts[which[block]] if clusters.size > 1 else pts
             diff = emb[dec.vertex[chosen[group[block]]]][:, None, :] - near
             reach[group[block]] = np.sqrt((diff[..., 0] ** 2 + diff[..., 1] ** 2).max(axis=1))
-    out = np.zeros((dec.first.size - 1, interior.size))
-    out[cells] = reach
-    return out
+    return reach
 
 
 def boundary_path_statistic(
@@ -441,12 +432,15 @@ def boundary_path_statistic(
         raise ValueError("ball radii must be positive")
     if margin is None:
         margin = float(n_values.max()) + g.l_max
-    interior = _interior_indices(g, margin)
+    interior = _interior(g, margin)
+    m = int(np.count_nonzero(interior))
 
     def row(dec: ClusterDecomposition) -> np.ndarray:
-        return _fraction_at_least(_cluster_reach(dec, interior), n_values)
+        chosen = np.flatnonzero(interior[dec.vertex])
+        reach = _cluster_reach(dec, chosen)
+        return _fraction_at_least(reach, dec.block[chosen], dec.first.size - 1, m, 0.0, n_values)
 
-    return TailStatistic("boundary_path", n_values, int(interior.size), row)
+    return TailStatistic("boundary_path", n_values, row)
 
 
 def cluster_size_statistic(
@@ -454,19 +448,18 @@ def cluster_size_statistic(
 ) -> Callable[[ClusterDecomposition], np.ndarray]:
     """The per-realization rows of chi: mean |C_v| over the vertices farther
     than ``margin`` from the patch boundary, one (1,)-row per realization."""
-    interior = _interior_indices(g, margin)
-    is_interior = np.zeros(g.n_vertices, dtype=bool)
-    is_interior[interior] = True
+    interior = _interior(g, margin)
+    m = int(np.count_nonzero(interior))
 
     def row(dec: ClusterDecomposition) -> np.ndarray:
         # each isolated interior vertex adds 1; the sums are of integers,
         # so they are exact in any order
         k = dec.first.size - 1
-        sel = is_interior[dec.vertex]
+        sel = interior[dec.vertex]
         block = dec.block[sel]
         sums = np.bincount(block, weights=dec.sizes[dec.labels[sel]], minlength=k)
-        isolated = interior.size - np.bincount(block, minlength=k)
-        return ((sums + isolated) / interior.size)[:, None]
+        isolated = m - np.bincount(block, minlength=k)
+        return ((sums + isolated) / m)[:, None]
 
     return row
 

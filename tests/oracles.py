@@ -6,13 +6,14 @@ family's declared constants, and ``geometry_report`` measures them.
 ``restrict`` cuts a patch down to a smaller open ball about the origin,
 the patch a census within that ball would see.  ``validate`` checks a
 patch's structural invariants and its family's declared constants.
-``bruteforce_cluster_oracle`` enumerates every bond configuration of a
-small patch.  ``pattern_by_centre`` builds one r-pattern the way the
-census once built each: a float scan of every vertex proposes,
-``norm_sign`` decides, and the whole edge list is scanned for the induced
-edges.  ``cut_and_project_candidates`` is the Ammann-Beenker candidate
-enumeration as one box over every (k0, k1) row, the reference for the
-generator's bounded-memory one.
+``vertex_sizes`` spells a cluster decomposition out as the cluster size
+of every vertex.  ``bruteforce_cluster_oracle`` enumerates every bond
+configuration of a small patch.  ``pattern_by_centre`` builds one
+r-pattern the way the census once built each: a float scan of every
+vertex proposes, ``norm_sign`` decides, and the whole edge list is scanned
+for the induced edges.  ``cut_and_project_candidates`` is the
+Ammann-Beenker candidate enumeration as one box over every (k0, k1) row,
+the reference for the generator's bounded-memory one.
 """
 
 import math
@@ -30,7 +31,7 @@ from percospec.graphs import (
     norm_sign,
 )
 from percospec.patterns import CanonicalPattern, canonicalize
-from percospec.percolation import decompose
+from percospec.percolation import ClusterDecomposition, decompose
 from percospec.spectral import _MAX_ENUMERATED_EDGES
 
 
@@ -113,6 +114,14 @@ def pattern_by_centre(g: EmbeddedGraph, center: int, radius: float) -> Canonical
     return canonicalize(g.basis.id, rows[inside], induced_edges(g, members[inside]))
 
 
+def vertex_sizes(dec: ClusterDecomposition) -> np.ndarray:
+    """|C_v| of every patch vertex v in each realization of ``dec``, as
+    (K, n_vertices) rows; an isolated vertex has size 1."""
+    out = np.ones((dec.first.size - 1, dec.graph.n_vertices), dtype=np.int64)
+    out[dec.block, dec.vertex] = dec.sizes[dec.labels]
+    return out
+
+
 def bruteforce_cluster_oracle(
     g: EmbeddedGraph,
     p: float,
@@ -137,7 +146,7 @@ def bruteforce_cluster_oracle(
         k = int(mask.sum())
         w = (p**k) * ((1.0 - p) ** (m - k))
         dec = decompose(g, mask)
-        size_v = int(dec.sizes_at(np.array([vertex]))[0, 0])
+        size_v = int(vertex_sizes(dec)[0, vertex])
         for n in n_values:
             if size_v >= n:
                 tail[n] += w

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from exact_ball import ball_ids
 from percospec import cli
 from percospec.cli import main
 from percospec.graphs import generate
@@ -130,8 +131,10 @@ def test_criterion_04_boundary_path_decay(patch100):
     stat = boundary_path_statistic(patch100, range(1, 21))
     (rows,) = per_realization_rows(patch100, params, [stat])
     est = stat.estimate(rows)
-    samples = est.interior_vertices * est.realizations
-    assert est.interior_vertices >= 10_000
+    # the default interior: the open ball of radius R - (20 + l_max)
+    interior = ball_ids(patch100, patch100.box.radius - 20.0 - patch100.l_max).size
+    samples = interior * est.realizations
+    assert interior >= 10_000
     bound = 2.0 * np.exp(-est.n_values * math.log(1.0 / 0.6))
     ref = np.array([boundary_path_bound(n, 0.2, 4) for n in est.n_values])
     assert np.allclose(bound, ref, rtol=1e-12)

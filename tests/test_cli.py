@@ -61,9 +61,12 @@ class TestConfig:
             load_config(path)
 
     def test_unknown_key(self, tmp_path):
-        path = write_config(tmp_path, "[graph]\nfamly = square\n")
-        with pytest.raises(ConfigError, match="unknown key 'famly'"):
-            load_config(path)
+        # the energy grid has a fixed density, cli._PER_DECADE points a decade
+        for text, key in (("[graph]\nfamly = square\n", "famly"),
+                          ("[ids]\nper_decade = 12\n", "per_decade")):
+            path = write_config(tmp_path, text)
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                load_config(path)
 
     def test_bad_value_names_key(self, tmp_path):
         path = write_config(tmp_path, "[graph]\nradius = wide\n")
@@ -142,7 +145,7 @@ class TestConfig:
 
     def test_energy_grid(self):
         # the grid ends in the top anchor 9
-        cfg = ExperimentConfig(e_min=0.05, e_max=0.5, per_decade=12)
+        cfg = ExperimentConfig(e_min=0.05, e_max=0.5)
         grid = cfg.energy_grid(4, 1e4)
         assert grid[-1] == 9.0
         assert grid.max() == 9.0 and grid.min() >= 0.05
@@ -153,9 +156,10 @@ class TestConfig:
         assert body.min() == pytest.approx(0.05, rel=0.2)
 
     def test_unknown_flag_exits_two(self):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["ids", "--wat", "3"])
-        assert exc.value.code == 2
+        for flag in ("--wat", "--per-decade"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["ids", flag, "3"])
+            assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
         # each prefix names one flag only, which argparse would pick silently
@@ -188,11 +192,11 @@ class TestSettings:
     def test_one_row_per_field(self):
         names = [s.field for s in cli._SETTINGS]
         assert sorted(names) == sorted(f.name for f in fields(ExperimentConfig))
-        assert len(set(names)) == len(names) == 14
-        assert len({(s.section, s.key) for s in cli._SETTINGS}) == 14
-        assert len({s.flag for s in cli._SETTINGS}) == 14
+        assert len(set(names)) == len(names) == 13
+        assert len({(s.section, s.key) for s in cli._SETTINGS}) == 13
+        assert len({s.flag for s in cli._SETTINGS}) == 13
         # each command takes only the flags it reads
-        assert sum(len(s.commands) for s in cli._SETTINGS) == 39
+        assert sum(len(s.commands) for s in cli._SETTINGS) == 37
 
     @pytest.mark.parametrize("setting", cli._SETTINGS, ids=lambda s: s.flag)
     def test_ini_key_and_flag_set_the_field(self, tmp_path, setting):
@@ -216,19 +220,19 @@ class TestSettings:
         "census-penrose": {
             "family": "penrose", "radius": 20.0, "counting_radius": None,
             "pattern_radius": 0.9, "p": 0.2, "realizations": 100, "master_seed": 1,
-            "n_max": 20, "e_min": None, "e_max": 0.5, "per_decade": 12,
+            "n_max": 20, "e_min": None, "e_max": 0.5,
             "out_dir": "out", "fmt": "csv", "threads": 1,
         },
         "ids-ab": {
             "family": "ammann_beenker", "radius": 45.0, "counting_radius": 38.0,
             "pattern_radius": 1.1, "p": 0.13, "realizations": 300, "master_seed": 3,
-            "n_max": 20, "e_min": None, "e_max": 0.8, "per_decade": 12,
+            "n_max": 20, "e_min": None, "e_max": 0.8,
             "out_dir": "out", "fmt": "csv", "threads": 2,
         },
         "lifshits-square": {
             "family": "square", "radius": 150.0, "counting_radius": 140.0,
             "pattern_radius": 1.1, "p": 0.1, "realizations": 100, "master_seed": 3,
-            "n_max": 20, "e_min": 0.05, "e_max": 0.8, "per_decade": 12,
+            "n_max": 20, "e_min": 0.05, "e_max": 0.8,
             "out_dir": "out", "fmt": "csv", "threads": 1,
         },
     }

@@ -101,29 +101,27 @@ class TestLowerBound:
 class TestUpperBound:
     def test_frozen_value(self):
         # rho=1, D=2, lambda=1, E=0.01 -> 2 e^{-10}
-        assert upper_bound(0.01, 0.1, 1.0, lambda_decay=1.0) == pytest.approx(
+        assert upper_bound(0.01, 1.0, lambda_decay=1.0) == pytest.approx(
             9.079985952496971e-05, rel=1e-12
         )
 
     def test_high_energy_limit_is_rho_d(self):
-        v = upper_bound(1e12, 0.1, 0.7, lambda_decay=1.0)
+        v = upper_bound(1e12, 0.7, lambda_decay=1.0)
         assert v == pytest.approx(1.4, rel=1e-5)
 
     def test_doubling_lambda_doubles_log(self):
         e, rho, d = 0.04, 1.0, 2.0
-        v1 = upper_bound(e, 0.1, rho, lambda_decay=0.8)
-        v2 = upper_bound(e, 0.1, rho, lambda_decay=1.6)
+        v1 = upper_bound(e, rho, lambda_decay=0.8)
+        v2 = upper_bound(e, rho, lambda_decay=1.6)
         assert math.log(v2 / (rho * d)) == pytest.approx(
             2 * math.log(v1 / (rho * d)), rel=1e-12
         )
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            upper_bound(0.5, 0.1, 1.0, lambda_decay=0.0)
+            upper_bound(0.5, 1.0, lambda_decay=0.0)
         with pytest.raises(ValueError):
-            upper_bound(-1.0, 0.1, 1.0, lambda_decay=1.0)
-        with pytest.raises(ValueError):
-            upper_bound(0.5, 1.5, 1.0, lambda_decay=1.0)
+            upper_bound(-1.0, 1.0, lambda_decay=1.0)
 
 
 class TestEnergyRange:
@@ -330,5 +328,5 @@ def test_bracket_consistency_on_grid():
     lam = 0.2
     for e in np.logspace(-2, 0.7, 40):
         lb = lower_bound(float(e), p, d_max, 1.0)
-        ub = upper_bound(float(e), p, 1.0, lambda_decay=lam)
+        ub = upper_bound(float(e), 1.0, lambda_decay=lam)
         assert lb <= ub

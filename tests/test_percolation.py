@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from exact_ball import ball_ids, in_open_ball, signs
-from oracles import bruteforce_cluster_oracle, from_coeffs
+from oracles import bruteforce_cluster_oracle, from_coeffs, vertex_sizes
 from percospec.graphs import generate
 from percospec import percolation, spectral
 from percospec.cli import main
@@ -186,7 +187,7 @@ class TestDecompose:
         assert dec.touched.size == dec.labels.size == dec.sizes.size == 0
         assert dec.edges.shape == (0, 2)
         assert dec.first.tolist() == [0, 0]
-        assert np.all(dec.sizes_at(np.arange(square_14.n_vertices)) == 1)
+        assert np.all(vertex_sizes(dec) == 1)
 
     def test_all_open_gives_one_cluster(self, square_14):
         dec = decompose(square_14, np.ones(square_14.n_edges, dtype=bool))
@@ -217,7 +218,7 @@ class TestDecompose:
         cfg = sample(square_14, PercolationParams(p=0.4, master_seed=4), 0)
         dec = decompose(square_14, cfg)
         full = _full_labels(square_14, cfg.open_mask)
-        sizes = dec.sizes_at(np.arange(square_14.n_vertices))[0]
+        sizes = vertex_sizes(dec)[0]
         assert np.array_equal(sizes, np.bincount(full)[full])
         for i in (0, 17, dec.touched.size - 1):
             v = dec.touched[i]
@@ -312,9 +313,18 @@ class TestTailStatistics:
         assert abs(t.estimates[0] - expect) < 4 * t.stderrs[0]
 
     def test_margin_shrinks_interior(self, square_14):
-        wide = cluster_size_tail_statistic(square_14, [2], margin=2.0)
-        narrow = cluster_size_tail_statistic(square_14, [2], margin=8.0)
-        assert narrow.interior_vertices < wide.interior_vertices
+        # one open edge at the centre: its two ends, of the m interior
+        # vertices, reach size 2
+        ids = {row: v for v, row in enumerate(map(tuple, square_14.coeffs.tolist()))}
+        open_mask = (square_14.edges == sorted([ids[0, 0], ids[1, 0]])).all(axis=1)
+        dec = decompose(square_14, open_mask)
+        counts = []
+        for margin in (2.0, 8.0):
+            m = ball_ids(square_14, 14.0 - margin).size
+            stat = cluster_size_tail_statistic(square_14, [2], margin=margin)
+            assert stat(dec).tolist() == [[2 / m]]
+            counts.append(m)
+        assert counts[1] < counts[0]
 
     def test_no_interior_raises(self):
         g = generate("square", 4.0)
@@ -353,14 +363,14 @@ class TestTailStatistics:
         on_path = np.zeros(g.n_vertices, dtype=bool)
         on_path[[ids[c] for c in path]] = True
         (row,) = stat(decompose(g, on_path[g.edges].all(axis=1)))
-        # the interior is an open ball: the stat.interior_vertices nearest
-        norm2 = (g.coeffs**2).sum(axis=1)
-        interior = norm2 <= np.sort(norm2)[stat.interior_vertices - 1]
-        assert interior.sum() == stat.interior_vertices
+        # the default interior is the open ball of radius 20 - (12 + l_max)
+        interior = np.zeros(g.n_vertices, dtype=bool)
+        interior[ball_ids(g, 20.0 - 12.0 - g.l_max)] = True
+        m = int(interior.sum())
         # reach on the infinite lattice, where the path goes on to (19, 7)
         pts = np.array(path + [outside], dtype=float)
         reach = [np.hypot(*(pts - c).T).max() for c in path if interior[ids[c]]]
-        want = [sum(r >= n for r in reach) / stat.interior_vertices for n in n_values]
+        want = [sum(r >= n for r in reach) / m for n in n_values]
         assert row.tolist() == want
 
     def test_mean_cluster_size_subcritical(self, square_14):
@@ -410,7 +420,12 @@ class TestReachMatchesPerClusterLoop:
             cfg = sample(g, params, r)
             dec = decompose(g, cfg)
             want = _reach_by_cluster_loop(g, _full_labels(g, cfg.open_mask), interior)
-            assert _cluster_reach(dec, interior).tobytes() == want[None].tobytes()
+            # the touched interior vertices are computed, the rest are
+            # isolated, with reach 0
+            touched = np.isin(interior, dec.touched)
+            chosen = np.flatnonzero(np.isin(dec.touched, interior))
+            assert _cluster_reach(dec, chosen).tobytes() == want[touched].tobytes()
+            assert np.all(want[~touched] == 0.0)
             want_row = np.array([(want >= n).mean() for n in n_values])
             assert stat(dec).tobytes() == want_row.tobytes()
 
@@ -419,11 +434,15 @@ class TestReachMatchesPerClusterLoop:
         g = generate("square", 20.0)
         interior = ball_ids(g, 20.0 - 3.0)
         params = PercolationParams(p=0.6, master_seed=5)
-        decs = [decompose(g, sample(g, params, r)) for r in range(3)]
+        cfgs = [sample(g, params, r) for r in range(3)]
+        decs = [decompose(g, cfg) for cfg in cfgs]
         assert max(int(dec.sizes.max()) for dec in decs) > interior.size / 2
-        whole = [_cluster_reach(dec, interior).tobytes() for dec in decs]
         monkeypatch.setattr(percolation, "_REACH_BLOCK", 1)
-        assert [_cluster_reach(dec, interior).tobytes() for dec in decs] == whole
+        for cfg, dec in zip(cfgs, decs):
+            chosen = np.flatnonzero(np.isin(dec.touched, interior))
+            assert chosen.size > interior.size / 2
+            want = _reach_by_cluster_loop(g, _full_labels(g, cfg.open_mask), dec.touched[chosen])
+            assert _cluster_reach(dec, chosen).tobytes() == want.tobytes()
 
 
 def test_percolate_decomposes_each_realization_once(tmp_path, monkeypatch):
@@ -693,8 +712,8 @@ class TestTouchedVerticesMatchFullLabels:
 
 
 def test_components_run_on_touched_vertices_only(monkeypatch):
-    """_components sees the touched vertices and nothing else, and a batch
-    with no open edge never calls it."""
+    """_components sees the touched vertices and nothing else: a batch
+    with no open edge calls it on no vertex."""
     g = generate("square", 10.0)
     calls = []
     components = percolation._components
@@ -717,8 +736,36 @@ def test_components_run_on_touched_vertices_only(monkeypatch):
     assert calls == [sum(touched)]
     calls.clear()
     decompose(g, np.zeros(g.n_edges, dtype=bool))
+    # five realizations in batches of two
     ids_estimate(g, replace(params, p=0.0, realizations=5), [1.0], counting_radius=6.0)
-    assert calls == []
+    assert calls == [0] * 4
+
+
+def test_statistics_hold_no_realization_by_interior_array(monkeypatch):
+    """Each percolate statistic reads the touched interior vertices and
+    counts the isolated ones: at p = 0.001, where about 0.4% of the
+    vertices are touched, an evaluation on one batch of 200 realizations
+    peaks below a quarter of one int64 array of a cell per (realization,
+    interior vertex)."""
+    g = generate("square", 40.0)
+    monkeypatch.setattr(percolation, "_BATCH_VERTEX_SLOTS", 200 * g.n_vertices)
+    params = PercolationParams(p=0.001, master_seed=3, realizations=200)
+    (dec,) = realization_batches(g, params, 0, params.realizations)
+    dec.vertex  # the cached per-touched-vertex arrays, built untraced
+    cells = params.realizations * ball_ids(g, 40.0 - 2.0).size
+    stats = [
+        cluster_size_tail_statistic(g, range(1, 21), margin=2.0),
+        boundary_path_statistic(g, range(1, 13), margin=2.0),
+        cluster_size_statistic(g, 2.0),
+    ]
+    for stat in stats:
+        tracemalloc.start()
+        try:
+            stat(dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cells * 8 / 4
 
 
 @st.composite
@@ -826,7 +873,7 @@ class TestMonteCarloVsOracle:
         hits = {2: 0, 4: 0, 9: 0}
         for r in range(reps):
             dec = decompose(g, sample(g, params, r))
-            size = dec.sizes_at(np.array([center]))[0, 0]
+            size = vertex_sizes(dec)[0, center]
             for n in hits:
                 if size >= n:
                     hits[n] += 1
