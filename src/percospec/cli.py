@@ -3,11 +3,12 @@
 Subcommands wire the library into file-producing pipelines: ``generate``,
 ``census``, ``percolate``, ``ids``, ``lifshits``, ``verify``.  Every run
 reads an optional INI config overridden by flags, writes its outputs
-atomically into one directory, and drops a manifest recording the exact
-configuration, the code version, a checksum per output file and, for a
-command that samples bonds, the master seed.  All randomness descends from
-that single seed, and the realization streams are keyed by absolute index,
-so results are byte-identical for any ``--threads`` value.
+atomically into one directory, and, once the command returns, a manifest
+recording the exact configuration, the code version, a checksum per output
+file and, for a command that samples bonds, the master seed.  All
+randomness descends from that single seed, and the realization streams are
+keyed by absolute index, so results are byte-identical for any
+``--threads`` value.
 
 Exit codes: 0 success, 1 runtime or statistical failure, 2 configuration
 error.
@@ -25,7 +26,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -75,7 +76,7 @@ from .spectral import (
     laplacian_from_edges,
 )
 
-__all__ = ["ExperimentConfig", "ConfigError", "AllRealizationsTruncated", "RunManifest", "main"]
+__all__ = ["ExperimentConfig", "ConfigError", "AllRealizationsTruncated", "main"]
 
 
 class ConfigError(ValueError):
@@ -318,37 +319,6 @@ def merge_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentCo
 # atomic outputs and the manifest
 
 
-@dataclass
-class RunManifest:
-    """Record of one run: enough to reproduce every output byte-for-byte.
-
-    ``wall_clock_s`` is informational and varies between runs; the contract
-    is that re-running with the same config snapshot and seed regenerates
-    files matching ``output_sha256`` exactly, regardless of thread count.
-    ``master_seed`` is None, and left out of the JSON, for a command that
-    samples no bonds.
-    """
-
-    command: str
-    config: dict
-    code_version: str
-    master_seed: int | None
-    output_sha256: dict[str, str] = field(default_factory=dict)
-    wall_clock_s: dict[str, float] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        body = {
-            "command": self.command,
-            "config": self.config,
-            "code_version": self.code_version,
-            "output_sha256": self.output_sha256,
-            "wall_clock_s": {k: round(v, 6) for k, v in self.wall_clock_s.items()},
-        }
-        if self.master_seed is not None:
-            body["master_seed"] = self.master_seed
-        return json.dumps(body, indent=2, sort_keys=True) + "\n"
-
-
 def _atomic_write(out_dir: str, name: str, data: bytes) -> None:
     """Write via a temp file and rename, so readers never see partial files."""
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name + ".", suffix=".tmp")
@@ -363,36 +333,51 @@ def _atomic_write(out_dir: str, name: str, data: bytes) -> None:
 
 
 class OutputWriter:
-    """Collects named outputs, writes them atomically, then the manifest,
-    whose ``config`` holds the settings ``command`` reads."""
+    """The record of one run: enough to reproduce every output byte for
+    byte.  ``add`` writes each named output atomically and keeps its
+    SHA-256 in ``output_sha256``; ``stage`` times the run's stages in
+    ``wall_clock_s``.  ``finish``, which ``main`` calls once after the
+    command returns, writes ``manifest.json`` from the configuration as the
+    command left it: the settings ``command`` reads, the code version, the
+    checksums, the stage times and, for a command that samples bonds, the
+    master seed.  The times are informational and vary between runs; the
+    contract is that rerunning with the same settings and seed regenerates
+    files matching ``output_sha256`` exactly, whatever the thread count.
+    """
 
     def __init__(self, command: str, cfg: ExperimentConfig):
-        self.out_dir = cfg.out_dir
-        self.manifest = RunManifest(
-            command=command,
-            config={s.field: getattr(cfg, s.field) for s in _SETTINGS
-                    if command in s.commands},
-            code_version=__version__,
-            master_seed=cfg.master_seed if command in _SAMPLED else None,
-        )
+        self.command = command
+        self.cfg = cfg
+        self.output_sha256: dict[str, str] = {}
+        self.wall_clock_s: dict[str, float] = {}
         self._t0 = time.perf_counter()
         self._stage_start = self._t0
 
     def stage(self, name: str) -> None:
         now = time.perf_counter()
-        self.manifest.wall_clock_s[name] = now - self._stage_start
+        self.wall_clock_s[name] = now - self._stage_start
         self._stage_start = now
 
     def add(self, name: str, text: str) -> None:
         data = text.encode("utf-8")
-        os.makedirs(self.out_dir, exist_ok=True)
-        _atomic_write(self.out_dir, name, data)
-        self.manifest.output_sha256[name] = hashlib.sha256(data).hexdigest()
+        os.makedirs(self.cfg.out_dir, exist_ok=True)
+        _atomic_write(self.cfg.out_dir, name, data)
+        self.output_sha256[name] = hashlib.sha256(data).hexdigest()
 
     def finish(self) -> None:
-        self.manifest.wall_clock_s["total"] = time.perf_counter() - self._t0
-        os.makedirs(self.out_dir, exist_ok=True)
-        _atomic_write(self.out_dir, "manifest.json", self.manifest.to_json().encode())
+        self.wall_clock_s["total"] = time.perf_counter() - self._t0
+        body = {
+            "command": self.command,
+            "config": {s.field: getattr(self.cfg, s.field) for s in _SETTINGS
+                       if self.command in s.commands},
+            "code_version": __version__,
+            "output_sha256": self.output_sha256,
+            "wall_clock_s": {k: round(v, 6) for k, v in self.wall_clock_s.items()},
+        }
+        if self.command in _SAMPLED:
+            body["master_seed"] = self.cfg.master_seed
+        os.makedirs(self.cfg.out_dir, exist_ok=True)
+        _atomic_write(self.cfg.out_dir, "manifest.json", _json_text(body).encode())
 
 
 def _fmt(value) -> str:
@@ -507,14 +492,12 @@ def _escape_margin(cfg: ExperimentConfig, g: EmbeddedGraph) -> float:
     return g.l_max + n
 
 
-def _estimate(
-    cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter,
-    chi_margin: float | None = None,
-) -> IdsTable:
+def _estimate(cfg: ExperimentConfig, g: EmbeddedGraph,
+              chi_margin: float | None = None) -> IdsTable:
     """The counting table of ``ids`` and ``lifshits``.  Without a counting
-    radius the window is the patch less the escape margin (recorded in the
-    manifest).  A window that holds no vertex is a configuration error; the
-    energy grid follows the window volume."""
+    radius the window is the patch less the escape margin, set in ``cfg``
+    and so recorded in the manifest.  A window that holds no vertex is a
+    configuration error; the energy grid follows the window volume."""
     if cfg.counting_radius is None:
         margin = max(_escape_margin(cfg, g), _WINDOW_MARGIN)
         if cfg.radius - margin <= 0.0:
@@ -524,7 +507,6 @@ def _estimate(
                 f"so the radius must exceed {margin:g}; pass --counting-radius"
             )
         cfg.counting_radius = cfg.radius - margin
-        writer.manifest.config["counting_radius"] = cfg.counting_radius
     if not (norm_sign(g.basis, g.coeffs, g.embed, cfg.counting_radius) < 0).any():
         raise ConfigError(
             f"ids.counting_radius = {cfg.counting_radius:g}: the counting window "
@@ -608,7 +590,6 @@ def cmd_generate(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) 
     writer.stage("geometry")
     writer.add("graph.txt", dumps(g))
     writer.add("geometry.json", _json_text(asdict(report)))
-    writer.finish()
     print(
         f"generated {cfg.family} patch radius {cfg.radius:g}: "
         f"{report.vertex_count} vertices, {report.edge_count} edges "
@@ -654,7 +635,6 @@ def cmd_census(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) ->
             }
         ),
     )
-    writer.finish()
     verdict = "stable" if census.distinct == census_half.distinct else "UNSTABLE"
     print(
         f"census r={cfg.pattern_radius:g} on {cfg.family}: "
@@ -695,7 +675,6 @@ def cmd_percolate(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter)
     )
     report = bounds_report(cfg.p, g.d_max, g.l_max, chi_hat=chi, chi_stderr=chi_se)
     writer.add("bounds.json", _json_text(asdict(report)))
-    writer.finish()
     print(
         f"percolation p={cfg.p:g} on {cfg.family} radius {cfg.radius:g}: "
         f"chi = {chi:.4f} +/- {chi_se:.4f}, "
@@ -705,10 +684,9 @@ def cmd_percolate(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter)
 
 
 def cmd_ids(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) -> int:
-    table = _estimate(cfg, g, writer)
+    table = _estimate(cfg, g)
     writer.stage("ids")
     _ids_outputs(cfg, table, writer)
-    writer.finish()
     print(
         f"spectral count on {cfg.family} radius {cfg.radius:g}, "
         f"window {cfg.counting_radius:g}: {table.realizations} kept, "
@@ -721,7 +699,7 @@ def cmd_lifshits(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) 
     """The full pipeline: estimate the counting table, fit the linearized
     tail, and certify the two-sided bound."""
     # chi is taken from the estimator's realizations, row r from realization r
-    table = _estimate(cfg, g, writer, _chi_margin(cfg, g))
+    table = _estimate(cfg, g, _chi_margin(cfg, g))
     writer.stage("ids")
 
     # the top anchor documents total spectral mass; it sits in the bulk and
@@ -789,7 +767,6 @@ def cmd_lifshits(cfg: ExperimentConfig, g: EmbeddedGraph, writer: OutputWriter) 
             point_rows,
         ),
     )
-    writer.finish()
     print(
         f"tail fit on {cfg.family} radius {cfg.radius:g}: slope "
         f"{analysis.slope:.4f} +/- {analysis.slope_stderr:.4f}, "
@@ -952,7 +929,6 @@ def cmd_verify(cfg: ExperimentConfig, writer: OutputWriter) -> int:
         print(f"{'ok  ' if ok else 'FAIL'} {name:<{width}}  {detail}  [{dt:.2f}s]")
     writer.stage("checks")
     writer.add("verify.json", _json_text({"all_pass": all_ok, "checks": results}))
-    writer.finish()
     print(f"{'all checks passed' if all_ok else 'CHECKS FAILED'} -> {cfg.out_dir}")
     return 0 if all_ok else 1
 
@@ -994,24 +970,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and, whatever code it returns, close its record
+    with ``writer.finish()``; a command that raises leaves no manifest."""
     args = build_parser().parse_args(argv)
+    command, _ = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         cfg = merge_flags(cfg, args)
         if args.out_dir is None and args.config is None:
             cfg.out_dir = os.path.join("runs", args.command)
         cfg.validate(args.command)
-    except ConfigError as exc:
-        print(f"configuration error:\n{exc}", file=sys.stderr)
-        return 2
-    command, _ = _COMMANDS[args.command]
-    try:
         writer = OutputWriter(args.command, cfg)
         if command is cmd_verify:
-            return cmd_verify(cfg, writer)
-        g = generate(cfg.family, cfg.radius)
-        writer.stage("generate")
-        return command(cfg, g, writer)
+            code = cmd_verify(cfg, writer)
+        else:
+            g = generate(cfg.family, cfg.radius)
+            writer.stage("generate")
+            code = command(cfg, g, writer)
     except ConfigError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
         return 2
@@ -1021,6 +996,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    writer.finish()
+    return code
 
 
 if __name__ == "__main__":

@@ -40,6 +40,7 @@ from .percolation import (
     PercolationParams,
     _decompose,
     _sem,
+    _stable_order,
     cluster_size_statistic,
     decompose,  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
     realization_batches,
@@ -307,7 +308,7 @@ def _key_shapes(
     chosen_labels = np.flatnonzero(chosen)
     chosen_sizes = sizes[chosen_labels]
     vertices = np.flatnonzero(chosen[labels])
-    vertices = vertices[np.argsort(labels[vertices], kind="stable")]
+    vertices = vertices[_stable_order(labels[vertices])]
     starts = np.concatenate([[0], np.cumsum(chosen_sizes)])
     local = np.empty(labels.size, dtype=np.int32)
     local[vertices] = np.arange(vertices.size) - np.repeat(starts[:-1], chosen_sizes)
@@ -504,14 +505,9 @@ def ids_estimate(
 
     def count(dec: ClusterDecomposition) -> tuple[np.ndarray, np.ndarray | None, int]:
         """One batch's kept rows, its chi rows and its truncation count."""
-        labels, sizes, first = dec.labels, dec.sizes, dec.first
-        k = first.size - 1
+        labels, sizes, owner = dec.labels, dec.sizes, dec.cluster_block
+        k = dec.realizations
         chi = None if chi_row is None else chi_row(dec)
-
-        def blocks(clusters: np.ndarray) -> np.ndarray:
-            # the realization of each cluster a mask over labels selects
-            return np.searchsorted(first, np.flatnonzero(clusters), side="right") - 1
-
         # every count below runs over the touched vertices and the
         # nontrivial clusters; the isolated window vertices are the rest
         inside = in_ball[dec.vertex]
@@ -520,14 +516,14 @@ def ids_estimate(
         dropped = np.zeros(k, dtype=bool)
         if flag_boundary:
             dropped[:] = near_window
-            dropped[blocks(counted & dec.boundary_touching)] = True
-            counted &= np.repeat(~dropped, np.diff(first))
+            dropped[owner[counted & dec.boundary_touching]] = True
+            counted &= ~dropped[owner]
         big = counted & (sizes > _MAX_CLUSTER_SIZE)
         if bool(big.any()):
             # the message names the first kept realization with such a cluster
-            own = slice(*first[blocks(big)[0] :][:2])
+            big &= owner == owner[big].min()
             raise RuntimeError(
-                f"a counted cluster has {int(sizes[own][big[own]].max())} vertices "
+                f"a counted cluster has {int(sizes[big].max())} vertices "
                 f"(cap {_MAX_CLUSTER_SIZE}); this estimator assumes the "
                 "subcritical regime"
             )
@@ -535,12 +531,12 @@ def ids_estimate(
         # vectorized shapes: singletons, counted by subtraction, and single edges
         acc += vec_single * (window - np.bincount(dec.block[inside], minlength=k))[:, None]
         size2 = counted & (sizes == 2)
-        acc += vec_pair * np.bincount(blocks(size2 & (in_count == 2)), minlength=k)[:, None]
-        acc += vec_pair_half * np.bincount(blocks(size2 & (in_count == 1)), minlength=k)[:, None]
+        acc += vec_pair * np.bincount(owner[size2 & (in_count == 2)], minlength=k)[:, None]
+        acc += vec_pair_half * np.bincount(owner[size2 & (in_count == 1)], minlength=k)[:, None]
         larger = counted & (sizes >= 3)
         if larger.any():
             cluster_rows = _shape_rows(cache, dec.edges, labels, sizes, in_count, inside, larger)
-            acc = _add_in_order(acc, blocks(larger), cluster_rows)
+            acc = _add_in_order(acc, owner[larger], cluster_rows)
         return acc[~dropped] / volume, chi, int(dropped.sum())
 
     # through map, not a loop variable, so no batch's arrays are alive

@@ -117,7 +117,7 @@ def pattern_by_centre(g: EmbeddedGraph, center: int, radius: float) -> Canonical
 def vertex_sizes(dec: ClusterDecomposition) -> np.ndarray:
     """|C_v| of every patch vertex v in each realization of ``dec``, as
     (K, n_vertices) rows; an isolated vertex has size 1."""
-    out = np.ones((dec.first.size - 1, dec.graph.n_vertices), dtype=np.int64)
+    out = np.ones((dec.realizations, dec.graph.n_vertices), dtype=np.int64)
     out[dec.block, dec.vertex] = dec.sizes[dec.labels]
     return out
 

@@ -5,7 +5,7 @@ import importlib.util
 import json
 import math
 import os
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -580,6 +580,8 @@ class TestSubcommands:
         )
         assert code == 1
         assert "only 4 grid points are reliable" in capsys.readouterr().err
+        # a command that raises leaves no manifest
+        assert not (tmp_path / "lif" / "manifest.json").exists()
 
     def test_lifshits_under_certify_floor_exits_two(self, tmp_path, capsys, monkeypatch):
         # the bracket needs 100 realizations: 99 is refused before sampling
@@ -643,8 +645,34 @@ class TestSubcommands:
     def test_manifest_records_the_settings_the_command_reads(self, tmp_path, command):
         out = tmp_path / command
         assert main([command, *self.SHORT_RUNS[command], "--out", str(out)]) == 0
-        config = json.loads((out / "manifest.json").read_text())["config"]
-        assert set(config) == {s.field for s in cli._SETTINGS if command in s.commands}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["config"]) == {s.field for s in cli._SETTINGS if command in s.commands}
+        # a checksum for each output in the directory, and for no other file
+        digests = manifest["output_sha256"]
+        assert set(digests) == {path.name for path in out.iterdir()} - {"manifest.json"}
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        assert "total" in manifest["wall_clock_s"]
+
+    def test_exit_one_with_outputs_still_writes_the_manifest(self, tmp_path, monkeypatch):
+        # an UNSTABLE census: more classes on the patch than within half its radius
+        out = tmp_path / "census"
+        assert main(["census", "--family", "penrose", "--radius", "8",
+                     "--pattern-radius", "1.2", "--out", str(out)]) == 1
+        assert json.loads((out / "census.json").read_text())["flc_stable"] is False
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["output_sha256"]) == {"census.csv", "census.json"}
+        # a failed bracket
+        certify = cli.certify_bracketing
+        monkeypatch.setattr(cli, "certify_bracketing",
+                            lambda *args, **kwargs: replace(certify(*args, **kwargs),
+                                                            bracket_pass=False))
+        out = tmp_path / "lifshits"
+        assert main(["lifshits", *self.SHORT_RUNS["lifshits"], "--out", str(out)]) == 1
+        assert json.loads((out / "lifshits.json").read_text())["bracket_pass"] is False
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["output_sha256"]) == {"ids.csv", "lifshits.json", "lifshits.csv"}
+        assert {"generate", "ids", "certify", "total"} == set(manifest["wall_clock_s"])
 
     @pytest.mark.parametrize("command", ["generate", "census"])
     def test_manifest_of_a_command_that_samples_no_bonds_has_no_seed(self, tmp_path, command):
@@ -657,12 +685,14 @@ class TestSubcommands:
         assert main(["ids", *self.SHORT_RUNS["ids"], "--seed", "5", "--out", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["master_seed"] == 5
 
-    def test_manifest_stage_times_keep_microseconds(self):
+    def test_manifest_stage_times_keep_microseconds(self, tmp_path):
         # a census stage of a few ms would otherwise move in 1 ms steps
-        manifest = cli.RunManifest("census", {}, "0", None,
-                                   wall_clock_s={"census": 0.0054321, "total": 1.25})
-        assert json.loads(manifest.to_json())["wall_clock_s"] == {"census": 0.005432,
-                                                                  "total": 1.25}
+        writer = cli.OutputWriter("census", ExperimentConfig(out_dir=str(tmp_path)))
+        writer.wall_clock_s["census"] = 0.0054321
+        writer.finish()
+        stages = json.loads((tmp_path / "manifest.json").read_text())["wall_clock_s"]
+        assert stages["census"] == 0.005432
+        assert stages["total"] == round(stages["total"], 6)
 
     def test_verify_manifest_leaves_out_unread_ini_settings(self, tmp_path):
         path = write_config(
@@ -784,22 +814,6 @@ class TestDeterminism:
             assert main(base + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
         one, two = ((tmp_path / d / "ids.csv").read_bytes() for d in ("1", "2"))
         assert one == two
-
-    def test_manifest_checksums_match_files(self, tmp_path):
-        out = tmp_path / "m"
-        assert (
-            main(
-                [
-                    "percolate", "--family", "square", "--radius", "45",
-                    "--p", "0.15", "--realizations", "10", "--seed", "8",
-                    "--n-max", "6", "--out", str(out),
-                ]
-            )
-            == 0
-        )
-        manifest = json.loads((out / "manifest.json").read_text())
-        for name, digest in manifest["output_sha256"].items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
     def test_seed_changes_output(self, tmp_path):
         base = [

@@ -186,7 +186,7 @@ class TestDecompose:
         # no vertex is touched, so every cluster is an implicit singleton
         assert dec.touched.size == dec.labels.size == dec.sizes.size == 0
         assert dec.edges.shape == (0, 2)
-        assert dec.first.tolist() == [0, 0]
+        assert dec.realizations == 1 and dec.cluster_block.size == 0
         assert np.all(vertex_sizes(dec) == 1)
 
     def test_all_open_gives_one_cluster(self, square_14):
@@ -224,6 +224,30 @@ class TestDecompose:
             v = dec.touched[i]
             members = dec.touched[dec.labels == dec.labels[i]]
             assert np.array_equal(members, np.flatnonzero(full == full[v]))
+
+    def test_cluster_block_names_each_clusters_realization(self, square_14):
+        # a realization with no open edge between two with clusters
+        params = PercolationParams(p=0.4, master_seed=6)
+        masks = np.array([sample(square_14, params, r).open_mask for r in range(4)])
+        masks[1] = False
+        dec = percolation._decompose(square_14, masks)
+        assert dec.realizations == 4
+        counts = [decompose(square_14, mask).sizes.size for mask in masks]
+        assert counts[1] == 0 and min(counts[0], counts[2], counts[3]) > 0
+        assert np.array_equal(dec.cluster_block, np.repeat(np.arange(4), counts))
+        assert np.array_equal(dec.cluster_block[dec.labels], dec.block)
+
+    def test_stable_order_matches_argsort(self):
+        # labels up to 2^31 - 1, with repeats and labels at or above 2^16,
+        # which no patch of the tests or the benchmark reaches
+        rng = np.random.default_rng(5)
+        for high in (2**8, 2**16 + 3, 2**20, 2**31 - 1):
+            labels = rng.integers(0, high, size=5000, dtype=np.int32)
+            labels[::7] = labels[0]
+            labels[1::11] = high - 1
+            want = np.argsort(labels, kind="stable")
+            assert np.array_equal(percolation._stable_order(labels), want)
+        assert percolation._stable_order(np.empty(0, dtype=np.int32)).size == 0
 
     def test_mismatched_mask_rejected(self, square_14):
         with pytest.raises(ValueError):
